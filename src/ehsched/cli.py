@@ -124,7 +124,7 @@ def cmd_solve(args) -> int:
         flags = {"constrained": True}
     else:
         res = relative_value_iteration(SolverConfig(beta=args.beta), model)
-        exact = evaluate_policy(res.policy, args.beta, model)
+        exact = evaluate_policy(res.policy, args.beta, model, actions=res.actions)
         artifacts += write_policy_artifacts(out, res.policy, model,
                                             values=res.values.values)
         ev = evaluation_dict(exact)

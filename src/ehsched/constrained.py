@@ -2,11 +2,9 @@
 and mix two neighbouring policies when no single one meets the budget exactly.
 
 The multiplier search exploits that the optimal mean grid power K is
-non-increasing in beta: bisection brackets the critical multiplier (default),
-and a stochastic-approximation mode with harmonic steps is kept as an
-alternative. Every probe solves the priced problem to convergence and
-evaluates the greedy policy exactly, so the recorded (beta, J, B, K) trace is
-noise-free.
+non-increasing in beta: bisection brackets the critical multiplier. Every
+probe solves the priced problem to convergence and evaluates the greedy
+policy exactly, so the recorded (beta, J, B, K) trace is noise-free.
 """
 
 from __future__ import annotations
@@ -59,11 +57,9 @@ class ConstrainedSolverConfig:
     nu_floor: float = 1e-6
     k_tolerance: float | None = None
     max_outer_iters: int = 100
-    search_mode: str = "bisection"
     beta_floor: float = 1e-5
     beta_rel_tol: float = 1e-6
     widen_retries: int = 10
-    sa_gain: float = 1.0
     epsilon: float = 1e-10
     max_inner_iters: int = 1_000_000
     kappa: float = 0.5
@@ -75,12 +71,8 @@ class ConstrainedSolverConfig:
             raise ValueError("nu must be positive")
         if self.k_tolerance is not None and self.k_tolerance <= 0:
             raise ValueError("k_tolerance must be positive")
-        if self.search_mode not in ("bisection", "stochastic-approximation"):
-            raise ValueError("search_mode must be bisection or stochastic-approximation")
         if self.beta_floor <= 0:
             raise ValueError("beta_floor must be positive")
-        if self.sa_gain <= 0:
-            raise ValueError("sa_gain must be positive")
 
 
 @dataclass
@@ -89,7 +81,6 @@ class BetaSearchResult:
     policy: TablePolicy
     evaluation: PolicyEvaluation
     trace: list[TraceRow]
-    mode: str
 
 
 @dataclass
@@ -154,9 +145,6 @@ def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,
     k_tol = _k_tolerance(cfg, model)
     probe = _prober if _prober is not None else _Prober(cfg, model, actions)
 
-    if cfg.search_mode == "stochastic-approximation":
-        return _sa_search(cfg, model, probe, p_bar, k_tol)
-
     hi = max(cfg.beta_init, cfg.beta_floor)
     pol_hi, ev_hi = probe(hi)
     if ev_hi.mean_grid_k > p_bar + k_tol:
@@ -169,7 +157,7 @@ def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,
     if ev_lo.mean_grid_k <= p_bar + 1e-15:
         # constraint inactive: the (essentially) unpriced optimum already fits
         return BetaSearchResult(beta_star=0.0, policy=pol_lo, evaluation=ev_lo,
-                                trace=probe.trace, mode=cfg.search_mode)
+                                trace=probe.trace)
 
     best = (hi, pol_hi, ev_hi)
     for _ in range(cfg.max_outer_iters):
@@ -185,41 +173,7 @@ def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,
             lo = mid
     beta_star, policy, ev = best
     return BetaSearchResult(beta_star=beta_star, policy=policy, evaluation=ev,
-                            trace=probe.trace, mode=cfg.search_mode)
-
-
-def _sa_search(cfg, model, probe, p_bar, k_tol) -> BetaSearchResult:
-    """Robbins-Monro multiplier iteration: beta <- beta + (c/n)(K - p_bar).
-
-    A raw harmonic step mixes units (beta prices power in backlog units, K is
-    a power), so the gain c is normalised off the first probe: the first step
-    moves beta by about sa_gain * beta_init. Because K(beta) is piecewise
-    constant in beta, the iterates hop across the budget indefinitely and the
-    last one may land on the infeasible side; the best feasible probe seen
-    (largest K not exceeding the budget) is what gets returned.
-    """
-    beta = max(cfg.beta_init, cfg.beta_floor)
-    pol, ev = probe(beta)
-    gain = cfg.sa_gain * beta / max(abs(ev.mean_grid_k - p_bar), 1e-12)
-    best = (beta, pol, ev) if ev.mean_grid_k <= p_bar + k_tol else None
-    for n in range(1, cfg.max_outer_iters + 1):
-        if abs(ev.mean_grid_k - p_bar) <= k_tol:
-            best = (beta, pol, ev)
-            break
-        beta = max(beta + (gain / n) * (ev.mean_grid_k - p_bar), cfg.beta_floor)
-        pol, ev = probe(beta)
-        if ev.mean_grid_k <= p_bar + k_tol:
-            if best is None or ev.mean_grid_k > best[2].mean_grid_k:
-                best = (beta, pol, ev)
-    if best is None:
-        raise BudgetInfeasibleError(
-            f"no feasible multiplier in {cfg.max_outer_iters} "
-            f"stochastic-approximation steps from beta_init={cfg.beta_init:.6g}")
-    beta, pol, ev = best
-    if ev.mean_grid_k <= p_bar + k_tol and beta <= cfg.beta_floor * (1 + 1e-12):
-        beta = 0.0
-    return BetaSearchResult(beta_star=beta, policy=pol, evaluation=ev,
-                            trace=probe.trace, mode=cfg.search_mode)
+                            trace=probe.trace)
 
 
 def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,

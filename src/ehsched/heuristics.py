@@ -16,6 +16,7 @@ import numpy as np
 from .mdp import SolveResult, SolverConfig, build_action_space, relative_value_iteration
 from .model import (
     Action,
+    ConfigError,
     Model,
     ModelParams,
     SystemState,
@@ -33,10 +34,10 @@ class HeuristicKind:
 
     def __post_init__(self):
         if self.kind not in VALID_KINDS:
-            raise ValueError(f"kind must be one of {VALID_KINDS}")
+            raise ConfigError(f"kind must be one of {VALID_KINDS}")
         if self.kind == "mixed":
             if self.xi is None or not 0.0 <= self.xi <= 1.0:
-                raise ValueError("mixed policy needs xi in [0, 1]")
+                raise ConfigError("mixed policy needs xi in [0, 1]")
 
 
 def greedy_battery(x: SystemState, r: int, params: ModelParams) -> float:
@@ -66,10 +67,6 @@ def mixed_action(x: SystemState, params: ModelParams, xi: float, u: float) -> Ac
     if u < xi:
         return radical_policy(x, params)
     return conservative_policy(x, params)
-
-
-def mixed_policy(x: SystemState, params: ModelParams, xi: float, rng) -> Action:
-    return mixed_action(x, params, xi, float(rng.random()))
 
 
 @dataclass(frozen=True)

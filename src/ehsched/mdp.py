@@ -15,8 +15,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
+from scipy.sparse.linalg import splu
 
-from .model import Action, Model, SystemState, battery_draw_cap_quanta, required_power
+from .model import (
+    Action,
+    ConfigError,
+    Model,
+    SystemState,
+    battery_draw_cap_quanta,
+    required_power,
+)
 
 
 class NonConvergenceError(RuntimeError):
@@ -52,15 +60,15 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+            raise ConfigError("beta must be >= 0")
         if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+            raise ConfigError("epsilon must be positive")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must be in (0, 1)")
+            raise ConfigError("alpha must be in (0, 1)")
         if not 0.0 < self.kappa <= 1.0:
-            raise ValueError("kappa must be in (0, 1]")
+            raise ConfigError("kappa must be in (0, 1]")
         if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
+            raise ConfigError("max_iters must be >= 1")
 
 
 @dataclass
@@ -215,6 +223,10 @@ class ActionSpace:
         self.state_of_sa = np.asarray(owner, dtype=np.int64)
         self.r_sa = np.asarray(r_list, dtype=np.int64)
         self.wq_sa = np.asarray(wq_list, dtype=np.int64)
+        # (state, r, w) packed into one ascending key per row, for sa_of_policy
+        self._n_r = int(self.r_sa.max()) + 1
+        self._n_w = int(self.wq_sa.max()) + 1
+        self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
         self.kernel = sp.csr_matrix(
             (np.concatenate(kprobs), np.concatenate(kcols), np.asarray(kptr)),
             shape=(self.n_sa, n))
@@ -237,19 +249,25 @@ class ActionSpace:
         return self.queue_sa + beta * self.grid_sa
 
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
-        """Row index of each state's stored action; raises if one is infeasible."""
+        """Row index of each state's stored action; raises if one is infeasible.
+
+        Rows are sorted by (state, r, w), so one search on the combined key
+        finds every state's row at once.
+        """
         n = self.indptr.size - 1
-        out = np.empty(n, dtype=np.int64)
-        for s in range(n):
-            lo, hi = self.indptr[s], self.indptr[s + 1]
-            hit = np.flatnonzero((self.r_sa[lo:hi] == policy.r[s])
-                                 & (self.wq_sa[lo:hi] == policy.w_quanta[s]))
-            if hit.size == 0:
-                raise ValueError(
-                    f"policy action (r={policy.r[s]}, wq={policy.w_quanta[s]}) "
-                    f"infeasible at state {s}")
-            out[s] = lo + hit[0]
-        return out
+        n_r, n_w = self._n_r, self._n_w
+        r = np.asarray(policy.r)
+        wq = np.asarray(policy.w_quanta)
+        want = (np.arange(n) * n_r + r) * n_w + wq
+        rows = np.minimum(np.searchsorted(self._keys, want), self.n_sa - 1)
+        ok = ((r >= 0) & (r < n_r) & (wq >= 0) & (wq < n_w)
+              & (self._keys[rows] == want))
+        if not ok.all():
+            s = int(np.flatnonzero(~ok)[0])
+            raise ValueError(
+                f"policy action (r={policy.r[s]}, wq={policy.w_quanta[s]}) "
+                f"infeasible at state {s}")
+        return rows
 
     def policy_from_sa(self, sa: np.ndarray) -> TablePolicy:
         return TablePolicy(r=self.r_sa[sa].copy(), w_quanta=self.wq_sa[sa].copy(),
@@ -338,6 +356,7 @@ class SolveResult:
     residual: float
     gain_bounds: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
+    actions: ActionSpace | None = None  # the action space the policy indexes
 
 
 def relative_value_iteration(cfg: SolverConfig, model: Model,
@@ -390,7 +409,8 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
                       beta=cfg.beta, reference_state=ref)
     return SolveResult(gain=float(gain), values=bias,
                        policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=span, gain_bounds=(lo, hi), trace=trace)
+                       residual=span, gain_bounds=(lo, hi), trace=trace,
+                       actions=actions)
 
 
 def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
@@ -434,29 +454,58 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=resid, trace=trace)
+                       residual=resid, trace=trace, actions=actions)
 
 
 # ---------------------------------------------------------------------------
 # exact policy evaluation
 
 
-def _stationary_distribution(P: sp.csr_matrix, dense_cap: int = 20_000) -> np.ndarray:
-    n = P.shape[0]
-    if n <= dense_cap:
-        A = P.toarray().T - np.eye(n)
-        A[-1, :] = 1.0
-        b = np.zeros(n)
-        b[-1] = 1.0
-        pi = np.linalg.solve(A, b)
+def policy_chain(policy, actions: ActionSpace):
+    """Chain a fixed stationary policy induces: its sparse kernel P, and a map
+    from a per-(state, action) array to the policy's per-state array.
+
+    Mixed policies marginalize the per-epoch coin into the kernel and costs
+    (xi*P+ + (1-xi)*P-), which equals the product chain of (state, coin)
+    exactly since the coin is i.i.d.
+    """
+    if isinstance(policy, MixedPolicy):
+        terms = [(policy.xi, actions.sa_of_policy(policy.policy_plus)),
+                 (1.0 - policy.xi, actions.sa_of_policy(policy.policy_minus))]
     else:
-        pi = np.full(n, 1.0 / n)
-        for _ in range(200_000):
-            nxt = pi @ P
-            if np.max(np.abs(nxt - pi)) < 1e-14:
-                pi = nxt
-                break
-            pi = nxt
+        terms = [(1.0, actions.sa_of_policy(policy))]
+
+    def per_state(per_sa):
+        return sum(w * per_sa[sa] for w, sa in terms)
+
+    P = per_state(actions.kernel).tocsr()
+    P.eliminate_zeros()
+    return P, per_state
+
+
+def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
+    """Mask of the states in recurrent classes of P, and the number of them.
+
+    A recurrent class is a strongly connected component with no edge leaving
+    it. P must hold no explicit zeros: every stored entry counts as an edge.
+    """
+    n_comp, labels = connected_components(P, directed=True, connection="strong")
+    rows, cols = P.nonzero()
+    closed = np.ones(n_comp, dtype=bool)
+    crossing = labels[rows] != labels[cols]
+    closed[labels[rows[crossing]]] = False
+    return closed[labels], int(np.count_nonzero(closed))
+
+
+def stationary_distribution(P: sp.csr_matrix) -> np.ndarray:
+    """Stationary law of a unichain P from one sparse LU solve of pi P = pi
+    with the last balance equation replaced by sum(pi) = 1."""
+    n = P.shape[0]
+    A = sp.vstack([(P.T - sp.identity(n, format="csc"))[:-1],
+                   sp.csr_matrix(np.ones((1, n)))], format="csc")
+    b = np.zeros(n)
+    b[-1] = 1.0
+    pi = splu(A).solve(b)
     pi = np.where(pi < 0, 0.0, pi)
     pi = pi / pi.sum()
     resid = np.max(np.abs(pi @ P - pi))
@@ -466,74 +515,30 @@ def _stationary_distribution(P: sp.csr_matrix, dense_cap: int = 20_000) -> np.nd
     return pi
 
 
-def _assert_unichain(P: sp.csr_matrix):
-    adj = P.copy()
-    adj.eliminate_zeros()
-    adj.data = np.ones_like(adj.data, dtype=np.int8)
-    n_comp, labels = connected_components(adj, directed=True, connection="strong")
-    # a recurrent class is a strongly connected component with no edge leaving it
-    coo = adj.tocoo()
-    leaves = np.zeros(n_comp, dtype=bool)
-    cross = labels[coo.row] != labels[coo.col]
-    np.logical_or.at(leaves, labels[coo.row[cross]], True)
-    n_recurrent = int(n_comp - np.count_nonzero(leaves))
-    if n_recurrent != 1:
-        raise MultichainError(
-            f"induced chain has {n_recurrent} recurrent classes")
-
-
-def _recurrent_class_count(P: np.ndarray) -> int:
-    """Exact recurrent-class count of a small dense chain via boolean closure."""
-    n = P.shape[0]
-    reach = (P > 0) | np.eye(n, dtype=bool)
-    for _ in range(max(1, int(np.ceil(np.log2(n))) + 1)):
-        reach = reach | (reach.astype(np.int32) @ reach.astype(np.int32) > 0)
-    recurrent = np.all(~reach | reach.T, axis=1)
-    if not recurrent.any():
-        return 0
-    mutual = (reach & reach.T)[np.ix_(recurrent, recurrent)]
-    return int(np.unique(mutual, axis=0).shape[0])
-
-
 def evaluate_policy(policy, beta: float, model: Model,
                     actions: ActionSpace | None = None) -> PolicyEvaluation:
-    """Exact long-run averages (J, B, K) of a stationary policy.
-
-    Mixed policies are evaluated by marginalizing the per-epoch coin into the
-    kernel and costs (xi*P+ + (1-xi)*P-), which equals the product chain of
-    (state, coin) exactly since the coin is i.i.d.
-    """
+    """Exact long-run averages (J, B, K) of a stationary (or two-policy
+    mixed) policy; raises MultichainError unless its chain is unichain."""
     if actions is None:
         actions = build_action_space(model)
     if callable(policy) and not isinstance(policy, (TablePolicy, MixedPolicy)):
         policy = TablePolicy.from_callable(policy, model)
 
-    if isinstance(policy, MixedPolicy):
-        sa_p = actions.sa_of_policy(policy.policy_plus)
-        sa_m = actions.sa_of_policy(policy.policy_minus)
-        xi = policy.xi
-        P = (xi * actions.kernel[sa_p] + (1.0 - xi) * actions.kernel[sa_m]).tocsr()
-        P.eliminate_zeros()
-        qc = xi * actions.queue_sa[sa_p] + (1 - xi) * actions.queue_sa[sa_m]
-        gc = xi * actions.grid_sa[sa_p] + (1 - xi) * actions.grid_sa[sa_m]
-        oc = xi * actions.overflow_sa[sa_p] + (1 - xi) * actions.overflow_sa[sa_m]
-        sc = xi * actions.spill_sa[sa_p] + (1 - xi) * actions.spill_sa[sa_m]
-    else:
-        sa = actions.sa_of_policy(policy)
-        P = actions.kernel[sa].tocsr()
-        qc = actions.queue_sa[sa]
-        gc = actions.grid_sa[sa]
-        oc = actions.overflow_sa[sa]
-        sc = actions.spill_sa[sa]
+    P, per_state = policy_chain(policy, actions)
+    _, n_recurrent = recurrent_classes(P)
+    if n_recurrent != 1:
+        raise MultichainError(f"induced chain has {n_recurrent} recurrent classes")
+    pi = stationary_distribution(P)
 
-    _assert_unichain(P)
-    pi = _stationary_distribution(P)
-    b = float(pi @ qc)
-    k = float(pi @ gc)
+    def average(per_sa):
+        return float(pi @ per_state(per_sa))
+
+    b = average(actions.queue_sa)
+    k = average(actions.grid_sa)
     return PolicyEvaluation(gain_j=b + beta * k, mean_queue_b=b, mean_grid_k=k,
                             stationary_dist=pi, beta=beta,
-                            overflow_rate=float(pi @ oc),
-                            battery_spill_rate=float(pi @ sc))
+                            overflow_rate=average(actions.overflow_sa),
+                            battery_spill_rate=average(actions.spill_sa))
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +586,7 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
     for combo in itertools.product(*[range(int(m)) for m in counts]):
         sa = base + np.asarray(combo)
         P = dense[sa]
-        if _recurrent_class_count(P) != 1:
+        if recurrent_classes(sp.csr_matrix(P))[1] != 1:
             skipped += 1
             continue
         A = P.T - eye

@@ -337,9 +337,6 @@ class Model:
                 raise ConfigError(f"harvest level {v} must be nonnegative")
             if abs(v / self.params.delta_e - round(v / self.params.delta_e)) > GRID_EPS:
                 raise ConfigError(f"harvest level {v} must sit on the delta_e grid")
-        if max(self.harvest.values) > self.params.e_max + GRID_EPS and self.params.e_max > 0:
-            # harvest bursts above capacity are fine (they clamp), just unusual
-            pass
 
     @cached_property
     def space(self) -> StateSpace:

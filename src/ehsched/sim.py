@@ -16,16 +16,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heuristics import (
-    HeuristicKind,
-    conservative_policy,
-    make_heuristic,
-    mixing_weight,
-    radical_policy,
-)
+from .heuristics import HeuristicKind, calibrate_xi, make_heuristic, mixing_weight
 from .mdp import MixedPolicy, TablePolicy
 from .model import (
     GRID_EPS,
+    ConfigError,
     MarkovChainSpec,
     Model,
     SystemState,
@@ -59,11 +54,11 @@ class SimConfig:
 
     def __post_init__(self):
         if self.n_slots <= 0:
-            raise ValueError("n_slots must be positive")
+            raise ConfigError("n_slots must be positive")
         if not 0 <= self.effective_warmup < self.n_slots:
-            raise ValueError("need n_slots > warmup >= 0")
+            raise ConfigError("need n_slots > warmup >= 0")
         if self.n_batches < 1:
-            raise ValueError("n_batches must be positive")
+            raise ConfigError("n_batches must be positive")
 
     @property
     def effective_warmup(self) -> int:
@@ -324,9 +319,9 @@ def discretize_rayleigh(mean_gain: float, n_levels: int) -> MarkovChainSpec:
     level probabilities.
     """
     if n_levels < 1:
-        raise ValueError("n_levels must be at least 1")
+        raise ConfigError("n_levels must be at least 1")
     if mean_gain <= 0:
-        raise ValueError("mean_gain must be positive")
+        raise ConfigError("mean_gain must be positive")
     mu = mean_gain
     # bin edges at the 1/n quantiles of Exp(mu); the partial-mean primitive
     # int_a^b x f(x) dx = (a+mu) e^{-a/mu} - (b+mu) e^{-b/mu}
@@ -360,16 +355,10 @@ def _resolve_kind(policy_kind) -> HeuristicKind:
 def _measure_kind(kind: HeuristicKind, model: Model, cfg: SimConfig,
                   calibrate: bool) -> tuple[SimResult, float | None]:
     """One sweep-point measurement; returns (result, xi used or None)."""
-    params = model.params
     if kind.kind != "mixed":
         return run_simulation(make_heuristic(kind, model), model, cfg), None
     if calibrate:
-        res_r = run_simulation(lambda x: radical_policy(x, params), model, cfg)
-        res_c = run_simulation(lambda x: conservative_policy(x, params),
-                               model, cfg)
-        xi = mixing_weight(res_r.mean_grid_power, res_c.mean_grid_power,
-                           params.p_bar)
-        kind = HeuristicKind("mixed", xi=xi)
+        kind = HeuristicKind("mixed", xi=calibrate_xi(model, cfg).xi)
     return run_simulation(make_heuristic(kind, model), model, cfg), kind.xi
 
 

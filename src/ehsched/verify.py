@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import connected_components
 
 from .heuristics import solve_reduced_rate_mdp
+from .io import _jsonable
 from .mdp import (
     ActionSpace,
     SolverConfig,
@@ -30,6 +30,8 @@ from .mdp import (
     build_action_space,
     discounted_value_iteration,
     evaluate_policy,
+    policy_chain,
+    recurrent_classes,
     relative_value_iteration,
 )
 from .model import Model, battery_draw_cap_quanta
@@ -54,44 +56,16 @@ class CertificateReport:
             raise ValueError("a failing certificate must carry a witness")
 
 
-def _native(obj):
-    """Recursively convert numpy scalars/arrays for JSON round-trips."""
-    if isinstance(obj, dict):
-        return {k: _native(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_native(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_native(v) for v in obj.tolist()]
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    return obj
-
-
 def _state_witness(model: Model, i: int, **extra) -> dict:
     x = model.space.state_of(int(i))
     out = {"state_index": int(i), "q": x.q, "h": x.h, "a": x.a,
            "e_b": x.e_b, "e": x.e}
     out.update(extra)
-    return _native(out)
+    return _jsonable(out)
 
 
 # ---------------------------------------------------------------------------
 # recurrence structure under a fixed policy
-
-
-def _recurrent_state_mask(policy: TablePolicy, model: Model,
-                          actions: ActionSpace | None = None) -> np.ndarray:
-    actions = actions if actions is not None else build_action_space(model)
-    P = actions.kernel[actions.sa_of_policy(policy)].tocsr()
-    P.eliminate_zeros()
-    n_comp, labels = connected_components(P, directed=True, connection="strong")
-    rows, cols = P.nonzero()
-    closed = np.ones(n_comp, dtype=bool)
-    crossing = labels[rows] != labels[cols]
-    closed[labels[rows[crossing]]] = False
-    return closed[labels]
 
 
 def check_no_overflow_waste(policy: TablePolicy, model: Model,
@@ -105,11 +79,13 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
     """
     name = "no-overflow-waste"
     space = model.space
-    rec = np.flatnonzero(_recurrent_state_mask(policy, model, actions))
+    actions = actions if actions is not None else build_action_space(model)
+    P, _ = policy_chain(policy, actions)
+    rec = np.flatnonzero(recurrent_classes(P)[0])
     ib = space.ib[rec]
     eq = space.harvest_quanta[space.ie[rec]]
     if not (ib + eq > space.nb - 1).any():
-        return CertificateReport(name, NOT_APPLICABLE, details=_native({
+        return CertificateReport(name, NOT_APPLICABLE, details=_jsonable({
             "reason": "no recurrent state can overflow the battery",
             "n_recurrent": rec.size}))
     leftover = space.iq[rec] - policy.r[rec]
@@ -126,9 +102,9 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
                                    / model.params.tau,
                                    spilled_energy=spill_energy[worst_pos],
                                    leftover_packets=leftover[worst_pos]),
-            details=_native({"n_recurrent": rec.size,
+            details=_jsonable({"n_recurrent": rec.size,
                              "n_violations": int(bad.sum())}))
-    return CertificateReport(name, PASS, details=_native({
+    return CertificateReport(name, PASS, details=_jsonable({
         "n_recurrent": rec.size,
         "n_overflowing": int(((spill > 0)).sum())}))
 
@@ -419,7 +395,7 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
                                          marginal=rhs, price=lhs)
         n_skipped += 6 - len(sides)
 
-    details = _native({"n_sides_checked": n_checked,
+    details = _jsonable({"n_sides_checked": n_checked,
                        "n_sides_skipped": n_skipped,
                        "n_states_skipped": n_states_skipped,
                        "alpha": ctx.alpha, "beta": ctx.beta,
@@ -542,7 +518,7 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
         else:
             n_unevaluable += 1
 
-    details = _native({"n_serve_all_states": n_serve_all,
+    details = _jsonable({"n_serve_all_states": n_serve_all,
                        "n_idle_states": n_idle,
                        "n_empty_backlog_states": n_empty,
                        "n_ordering_excluded": n_side_excluded,
@@ -595,11 +571,11 @@ def check_beta_monotonicity(model: Model, beta_grid,
         for label, raw in checks:
             if raw > tol and raw > worst:
                 worst = raw
-                witness = _native({"quantity": label, "beta_low": lo["beta"],
+                witness = _jsonable({"quantity": label, "beta_low": lo["beta"],
                                    "beta_high": hi["beta"],
                                    "value_low": lo[label],
                                    "value_high": hi[label]})
-    details = _native({"grid": rows, "tolerance": tol})
+    details = _jsonable({"grid": rows, "tolerance": tol})
     if witness is not None:
         return CertificateReport(name, FAIL, worst_violation=worst,
                                  witness=witness, details=details)
@@ -698,7 +674,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
                                 greedy_w=float(caps_small[i]) * params.delta_e
                                 / params.tau)
 
-    details = _native({
+    details = _jsonable({
         "beta_large": beta_large, "beta_small": beta_small,
         "full_gain_at_beta_large": full.gain,
         "reduced_gain_at_beta_large": reduced.gain,
@@ -723,7 +699,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     if gain_gap > gain_tol:
         return CertificateReport(
             name, FAIL, worst_violation=float(gain_gap),
-            witness=_native({"regime": "large-price-reduction",
+            witness=_jsonable({"regime": "large-price-reduction",
                              "full_gain": full.gain,
                              "reduced_gain": reduced.gain}),
             details=details)
@@ -761,7 +737,7 @@ def run_all_checks(model: Model, beta: float = 1.0, alpha: float = 0.999,
 
 
 def report_to_dict(report: CertificateReport) -> dict:
-    return _native({"name": report.name, "status": report.status,
+    return _jsonable({"name": report.name, "status": report.status,
                     "worst_violation": report.worst_violation,
                     "witness": report.witness, "details": report.details})
 

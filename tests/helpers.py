@@ -52,6 +52,25 @@ def tiny_models():
     return [power_delay_model(), battery_model(), channel_model()]
 
 
+def random_model(seed):
+    """Small model (up to 108 states) with random dense chains of 1-3 levels."""
+    rng = np.random.default_rng(seed)
+    nh, na, ne = rng.integers(1, 3, size=3)
+
+    def chain(k, values):
+        t = rng.random((k, k)) + 0.1
+        t /= t.sum(axis=1, keepdims=True)
+        return MarkovChainSpec(tuple(values[:k]), t)
+
+    return Model(
+        params=ModelParams(q_max=int(rng.integers(1, 4)), e_max=1.0, delta_e=0.5,
+                           circuit_c=float(rng.random())),
+        channel=chain(nh, (0.5, 1.5, 3.0)),
+        arrival=chain(na, (0.0, 1.0, 2.0)),
+        harvest=chain(ne, (0.0, 0.5, 1.0)),
+    )
+
+
 # --- mid-size instance for fast end-to-end unit tests -----------------------
 
 
@@ -111,3 +130,32 @@ def assert_policies_equivalent(pol_a, pol_b, beta, model, actions=None, tol=1e-6
         assert abs(ev_h.gain_j - ev_a.gain_j) <= tol, (
             f"state {s}: swapping the action changes the gain by "
             f"{ev_h.gain_j - ev_a.gain_j:.3e}")
+
+
+# --- reference implementations ----------------------------------------------
+
+
+def dense_stationary_distribution(P):
+    """Reference stationary law: dense LU of the balance equations pi P = pi
+    with the last one replaced by sum(pi) = 1."""
+    P = P.toarray()
+    n = P.shape[0]
+    A = P.T - np.eye(n)
+    A[-1, :] = 1.0
+    b = np.zeros(n)
+    b[-1] = 1.0
+    return np.linalg.solve(A, b)
+
+
+def loop_sa_of_policy(actions, policy):
+    """Reference row lookup: scan each state's segment for its stored action."""
+    n = actions.indptr.size - 1
+    out = np.empty(n, dtype=np.int64)
+    for s in range(n):
+        lo, hi = actions.indptr[s], actions.indptr[s + 1]
+        hit = np.flatnonzero((actions.r_sa[lo:hi] == policy.r[s])
+                             & (actions.wq_sa[lo:hi] == policy.w_quanta[s]))
+        if hit.size == 0:
+            raise ValueError(f"infeasible at state {s}")
+        out[s] = lo + hit[0]
+    return out

@@ -88,6 +88,21 @@ def test_malformed_transition_row_fails_validation(tmp_path):
     assert "row 0" in err["message"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("solve", "--beta", "-1"), "beta must be >= 0"),
+    (("simulate", "--policy", "mixed", "--xi", "2", "--n-slots", "100"),
+     "mixed policy needs xi in [0, 1]"),
+    (("sweep", "--axis", "channel", "--points", "0.5", "--n-levels", "0",
+      "--n-slots", "100"), "n_levels must be at least 1"),
+], ids=["negative-beta", "xi-above-one", "no-channel-levels"])
+def test_bad_arguments_fail_validation(tmp_path, argv, message):
+    out = tmp_path / "run"
+    assert run(*argv, "--config", DESK_CONFIG, "--out", out) == 2
+    err = read_json(out / "error.json")
+    assert err["error"] == "ConfigError"
+    assert err["message"] == message
+
+
 def test_override_must_reference_existing_key(tmp_path):
     out = tmp_path / "run"
     assert run("solve", "--config", DESK_CONFIG, "--out", out,

@@ -69,24 +69,6 @@ def test_bisection_trace_consistent_with_monotone_k():
         assert b.gain_j >= a.gain_j - 1e-9
 
 
-def test_sa_mode_agrees_with_bisection():
-    # K(beta) is piecewise constant, so beta_star is only pinned down to a
-    # plateau; the two modes are compared on what they achieve, not on beta
-    m = _with_pbar(power_delay_model(), 0.2)
-    bis = beta_star_search(ConstrainedSolverConfig(epsilon=1e-11), m)
-    sa = beta_star_search(
-        ConstrainedSolverConfig(search_mode="stochastic-approximation",
-                                beta_init=2.0, max_outer_iters=60,
-                                epsilon=1e-11), m)
-    assert sa.evaluation.mean_grid_k <= 0.2 + 1e-9
-    # both settle on the highest-power feasible plateau
-    assert sa.evaluation.mean_grid_k == pytest.approx(
-        bis.evaluation.mean_grid_k, abs=1e-9)
-    assert sa.evaluation.mean_queue_b == pytest.approx(
-        bis.evaluation.mean_queue_b, abs=1e-9)
-    assert sa.mode == "stochastic-approximation"
-
-
 def test_solve_constrained_feasible_and_interpolating():
     # the straddling policies differ on a handful of states, and the coin
     # reshapes the stationary law by more than 1e-3 * p_bar on this instance,

@@ -24,8 +24,11 @@ from helpers import (
     assert_policies_equivalent,
     battery_model,
     channel_model,
+    dense_stationary_distribution,
     desk_lite_model,
+    loop_sa_of_policy,
     power_delay_model,
+    random_model,
     tiny_models,
 )
 
@@ -101,19 +104,7 @@ def test_kernel_rows_sum_to_one():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kernel_rows_sum_to_one_random_models(seed):
-    rng = np.random.default_rng(seed)
-    nh, na, ne = rng.integers(1, 3, size=3)
-    def chain(k, values):
-        t = rng.random((k, k)) + 0.1
-        t /= t.sum(axis=1, keepdims=True)
-        return MarkovChainSpec(tuple(values[:k]), t)
-    m = Model(
-        params=ModelParams(q_max=int(rng.integers(1, 4)), e_max=1.0, delta_e=0.5,
-                           circuit_c=float(rng.random())),
-        channel=chain(nh, (0.5, 1.5, 3.0)),
-        arrival=chain(na, (0.0, 1.0, 2.0)),
-        harvest=chain(ne, (0.0, 0.5, 1.0)),
-    )
+    m = random_model(seed)
     actions = build_action_space(m)
     sums = np.asarray(actions.kernel.sum(axis=1)).ravel()
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
@@ -288,6 +279,56 @@ def test_evaluate_rejects_infeasible_policy_action():
                       delta_e=0.5, tau=1.0)
     with pytest.raises(ValueError):
         evaluate_policy(bad, 1.0, m)  # r=1 infeasible where q=0
+
+
+def _random_table_policy(actions, rng):
+    counts = np.diff(actions.indptr)
+    sa = actions.indptr[:-1] + (rng.random(counts.size) * counts).astype(np.int64)
+    return actions.policy_from_sa(sa), sa
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0))
+def test_evaluate_matches_dense_reference_random_models(seed, beta):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    policy, sa = _random_table_policy(actions, np.random.default_rng(seed + 1))
+    try:
+        ev = evaluate_policy(policy, beta, m, actions=actions)
+    except MultichainError:
+        return
+    pi = dense_stationary_distribution(actions.kernel[sa])
+    np.testing.assert_allclose(ev.stationary_dist, pi, rtol=0, atol=1e-12)
+    assert ev.gain_j == pytest.approx(float(pi @ actions.cost(beta)[sa]),
+                                      rel=0, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_sa_of_policy_matches_segment_scan(seed):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    policy, sa = _random_table_policy(actions, np.random.default_rng(seed))
+    np.testing.assert_array_equal(actions.sa_of_policy(policy), sa)
+    np.testing.assert_array_equal(loop_sa_of_policy(actions, policy), sa)
+
+
+def test_sa_of_policy_names_first_infeasible_state():
+    m = desk_lite_model()
+    actions = build_action_space(m)
+    serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
+    full = np.flatnonzero(m.space.iq == m.params.q_max)
+    # out-of-range actions must not alias another state's row in the key
+    for r, wq in ((m.params.q_max + 1, 0), (0, 99), (-1, 0), (1, 0)):
+        bad = TablePolicy(r=serve.r.copy(), w_quanta=serve.w_quanta.copy(),
+                          delta_e=serve.delta_e, tau=serve.tau)
+        s = int(full[1]) if r != 1 else 0  # rate 1 is infeasible at q = 0
+        bad.r[[s, -1]] = r
+        bad.w_quanta[[s, -1]] = wq
+        for lookup in (actions.sa_of_policy,
+                       lambda p: loop_sa_of_policy(actions, p)):
+            with pytest.raises(ValueError, match=f"infeasible at state {s}$"):
+                lookup(bad)
 
 
 def test_evaluate_multichain_detected():
