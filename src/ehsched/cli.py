@@ -3,7 +3,8 @@
 Every run resolves its configuration (JSON file + --set overrides), writes
 its artifacts into --out, and finishes with a manifest.json echoing the
 resolved config, seed and artifact list — enough to reproduce the run
-bit-exactly. Exit codes: 0 success, 2 validation, 3 non-convergence,
+bit-exactly. Exit codes: 0 success, 2 validation, 3 non-convergence (also a
+multichain model, whose long-run averages depend on the start state),
 4 certificate failure.
 """
 
@@ -33,6 +34,7 @@ from .io import (
     write_policy_artifacts,
 )
 from .mdp import (
+    MultichainError,
     NonConvergenceError,
     SolverConfig,
     evaluate_policy,
@@ -297,7 +299,8 @@ def main(argv=None) -> int:
             FileNotFoundError, json.JSONDecodeError) as exc:
         _report_error(args, exc)
         return EXIT_VALIDATION
-    except (NonConvergenceError, ConstrainedSearchError) as exc:
+    except (NonConvergenceError, ConstrainedSearchError,
+            MultichainError) as exc:
         _report_error(args, exc)
         return EXIT_NO_CONVERGENCE
 

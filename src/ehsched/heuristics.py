@@ -5,6 +5,11 @@ slot's grid draw stays within the budget), and their per-slot randomization
 calibrated so the average grid power meets the budget. All three spend the
 battery greedily. The reduced solve optimizes the rate alone with the battery
 draw forced greedy, collapsing the two-dimensional action to one.
+
+On a model's grid the baselines are two small integer tables: the greedy draw
+cap per (channel level, rate) and the conservative rate per (channel level,
+battery level). The actors make_heuristic returns carry the marker the
+simulator uses to run them from those tables.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 
 from .mdp import SolveResult, SolverConfig, build_action_space, relative_value_iteration
 from .model import (
+    GRID_EPS,
     Action,
     ConfigError,
     Model,
@@ -22,6 +28,7 @@ from .model import (
     SystemState,
     battery_draw_cap_quanta,
     power_inverse,
+    required_power,
 )
 
 VALID_KINDS = ("radical", "conservative", "mixed")
@@ -82,6 +89,42 @@ class MixedHeuristic:
     def act(self, x: SystemState, coin: float) -> Action:
         return mixed_action(x, self.params, self.xi, coin)
 
+    @property
+    def radical_weight(self) -> float:
+        """Baseline marker: radical plays when the slot's coin is below it."""
+        return self.xi
+
+
+def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
+    """Greedy battery draw cap, in quanta, per (channel level, rate).
+
+    min(ib, cap[ih, r]) equals battery_draw_cap_quanta(params, h_values[ih], r,
+    ib) at every battery level ib of the params' grid.
+    """
+    top = params.n_battery_levels - 1
+    return np.array([[battery_draw_cap_quanta(params, float(h), r, top)
+                      for r in range(params.q_max + 1)] for h in h_values],
+                    dtype=np.int64)
+
+
+def conservative_rate_table(params: ModelParams, h_values) -> np.ndarray:
+    """Conservative rate cap per (channel level, battery level).
+
+    rc[ih, ib] equals min(power_inverse(params, h_values[ih], p_bar +
+    ib * delta_e / tau), q_max): the count of rates whose required power fits
+    the budget, with power_inverse's floor of one once a single packet fits.
+    """
+    ib = np.arange(params.n_battery_levels)
+    budget = params.p_bar + ib * params.delta_e / params.tau
+    rows = []
+    for h in h_values:
+        h = float(h)
+        powers = [required_power(params, h, r) for r in range(1, params.q_max + 1)]
+        fits = np.searchsorted(powers, budget + GRID_EPS, side="right")
+        rows.append(np.where(budget < required_power(params, h, 1) - GRID_EPS,
+                             0, np.maximum(fits, 1)))
+    return np.minimum(np.array(rows, dtype=np.int64), params.q_max)
+
 
 def mixing_weight(g_radical: float, g_conservative: float, p_bar: float) -> float:
     """Weight xi solving xi*G_r + (1-xi)*G_c = p_bar, clipped to [0, 1]."""
@@ -108,9 +151,10 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> Calibrati
 
     if p_bar is None:
         p_bar = model.params.p_bar
-    params = model.params
-    res_r = run_simulation(lambda x: radical_policy(x, params), model, sim_cfg)
-    res_c = run_simulation(lambda x: conservative_policy(x, params), model, sim_cfg)
+    res_r = run_simulation(make_heuristic(HeuristicKind("radical"), model),
+                           model, sim_cfg)
+    res_c = run_simulation(make_heuristic(HeuristicKind("conservative"), model),
+                           model, sim_cfg)
     g_r, g_c = res_r.mean_grid_power, res_c.mean_grid_power
     xi = mixing_weight(g_r, g_c, p_bar)
     return CalibrationResult(xi=xi, g_radical=g_r, g_conservative=g_c,
@@ -118,13 +162,25 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> Calibrati
 
 
 def make_heuristic(kind: HeuristicKind, model: Model):
-    """Actor for run_simulation: a plain callable, or MixedHeuristic for mixed."""
+    """Actor for run_simulation: a plain callable, or MixedHeuristic for mixed.
+
+    Every actor carries its params and a radical_weight (1 for radical, 0 for
+    conservative, xi for mixed): the marker run_simulation reads to run it from
+    draw_cap_table and conservative_rate_table.
+    """
     params = model.params
+    if kind.kind == "mixed":
+        return MixedHeuristic(params=params, xi=kind.xi)
     if kind.kind == "radical":
-        return lambda x: radical_policy(x, params)
-    if kind.kind == "conservative":
-        return lambda x: conservative_policy(x, params)
-    return MixedHeuristic(params=params, xi=kind.xi)
+        def actor(x):
+            return radical_policy(x, params)
+        actor.radical_weight = 1.0
+    else:
+        def actor(x):
+            return conservative_policy(x, params)
+        actor.radical_weight = 0.0
+    actor.params = params
+    return actor
 
 
 def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,

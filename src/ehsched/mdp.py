@@ -366,7 +366,20 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     Runs value iteration on the damped operator (1-kappa) V + kappa T V with
     span-seminorm stopping: the span of T V - V brackets the optimal gain, and
     normalizing at the reference state each sweep keeps the iterates bounded.
+    Raises MultichainError before the first sweep when an exogenous chain has
+    more than one recurrent class: no policy can move the chain between them,
+    so every policy is multichain and the long-run average cost depends on
+    the start state.
     """
+    for name in ("channel", "arrival", "harvest"):
+        chain = getattr(model, name)
+        if chain.transition.all():  # a positive matrix is irreducible
+            continue
+        _, n_classes = recurrent_classes(sp.csr_matrix(chain.transition))
+        if n_classes > 1:
+            raise MultichainError(
+                f"{name} chain has {n_classes} recurrent classes, so every "
+                f"policy is multichain")
     if actions is None:
         actions = build_action_space(model)
     n = model.space.n_states

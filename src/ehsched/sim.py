@@ -16,7 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heuristics import HeuristicKind, calibrate_xi, make_heuristic, mixing_weight
+from .heuristics import (
+    HeuristicKind,
+    calibrate_xi,
+    conservative_rate_table,
+    draw_cap_table,
+    make_heuristic,
+    mixing_weight,
+)
 from .mdp import MixedPolicy, TablePolicy
 from .model import (
     GRID_EPS,
@@ -89,13 +96,44 @@ class SimResult:
     trace: dict[str, np.ndarray] | None = None
 
 
-def _cumulative_rows(chain: MarkovChainSpec) -> np.ndarray:
-    return np.cumsum(chain.transition, axis=1)
+def _chain_path(chain: MarkovChainSpec, gen: np.random.Generator,
+                n: int) -> np.ndarray:
+    """The chain's level index in each of n slots.
+
+    Draws one uniform for a stationary start, then n uniforms, one step per
+    slot (the step after the last slot is never used). A step is the first
+    level whose cumulative transition probability from the current row
+    exceeds the uniform. An i.i.d. chain (all rows equal) steps by one
+    vectorised search; otherwise every row's next index is found for every
+    slot and the path walks through those lists.
+    """
+    top = chain.n - 1
+    start = min(int(np.searchsorted(np.cumsum(chain.stationary()),
+                                    gen.random(), side="right")), top)
+    u = gen.random(n)[:-1]
+    cum = np.cumsum(chain.transition, axis=1)
+
+    def steps(row):
+        return np.minimum(np.searchsorted(row, u, side="right"), top)
+
+    if (cum == cum[0]).all():
+        return np.concatenate(([start], steps(cum[0])))
+    rows = [steps(row).tolist() for row in cum]
+    path = [start]
+    for t in range(n - 1):
+        path.append(rows[path[-1]][t])
+    return np.array(path, dtype=np.int64)
 
 
-def _sample_index(cum_row: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cum_row, u, side="right")),
-               cum_row.size - 1)
+def _clamped_walk(steps: np.ndarray, top: int) -> np.ndarray:
+    """x[0] = 0 and x[t+1] = min(x[t] + steps[t], top), in closed form.
+
+    With S[t] the sum of the first t steps, S - x is what the clamp has cut
+    so far; it grows only where the clamp binds, to S - top there. So
+    x = S + min(0, running minimum of top - S), exact in integers.
+    """
+    s = np.concatenate(([0], np.cumsum(steps[:-1])))
+    return s + np.minimum(np.minimum.accumulate(top - s), 0)
 
 
 def _table_lookup(policy: TablePolicy, model: Model):
@@ -114,11 +152,36 @@ def _table_lookup(policy: TablePolicy, model: Model):
     return policy.r, policy.w_quanta
 
 
+def _baseline_actor(radical_weight: float, model: Model):
+    """act() of a make_heuristic baseline, from its two integer tables: radical
+    when the coin falls below radical_weight, else conservative; the battery
+    draw is greedy either way."""
+    params = model.params
+    cap = draw_cap_table(params, model.channel.values).tolist()
+    rc = (conservative_rate_table(params, model.channel.values).tolist()
+          if radical_weight < 1.0 else None)
+
+    def act(q, ih, ia, ib, ie, coin):
+        if coin < radical_weight:
+            r = q
+        else:
+            r = rc[ih][ib]
+            if r > q:
+                r = q
+        c = cap[ih][r]
+        return r, (c if c < ib else ib)
+
+    return act
+
+
 def _make_actor(policy, model: Model):
     """Normalize the accepted policy forms to act(q, ih, ia, ib, ie, coin).
 
     Accepted: TablePolicy, MixedPolicy, anything with act(state, coin), or a
-    plain callable state -> Action. Returns integer (r, w_quanta).
+    plain callable state -> Action. Returns integer (r, w_quanta). The
+    baselines from make_heuristic (marked by radical_weight) run from their
+    tables when their params are the model's; every other callable gets a
+    SystemState per slot and its action is checked.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
@@ -148,6 +211,10 @@ def _make_actor(policy, model: Model):
             return int(rm[i]), int(wm[i])
 
         return act
+
+    weight = getattr(policy, "radical_weight", None)
+    if weight is not None and getattr(policy, "params", None) == params:
+        return _baseline_actor(weight, model)
 
     h_vals = [float(v) for v in model.channel.values]
     a_vals = [int(round(v)) for v in model.arrival.values]
@@ -204,87 +271,74 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
     The buffer and battery start empty. The coin stream is consumed every
     slot regardless of the policy kind, so deterministic and randomized
     policies see identical chain paths under the same seed.
+
+    The chains do not depend on the policy, so their paths are sampled before
+    the slot loop. The loop runs the queue and battery recursions and records
+    only the actions; the queue and battery series, grid power, clipping and
+    trace are computed from those afterwards.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
     q_max = params.q_max
-    nb_levels = params.n_battery_levels
+    b_top = params.n_battery_levels - 1
     n = cfg.n_slots
     warmup = cfg.effective_warmup
 
     act = _make_actor(policy, model)
 
-    h_vals = [float(v) for v in model.channel.values]
-    a_vals = [int(round(v)) for v in model.arrival.values]
-    e_vals = [float(v) for v in model.harvest.values]
+    a_pkts = [int(round(v)) for v in model.arrival.values]
     e_quanta = [int(round(v / de)) for v in model.harvest.values]
-    p_tab = [[required_power(params, h, r) for r in range(q_max + 1)]
-             for h in h_vals]
+    p_tab = np.array([[required_power(params, h, r) for r in range(q_max + 1)]
+                      for h in model.channel.values])
 
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     gen_h, gen_a, gen_e, gen_coin = (
         np.random.Generator(np.random.Philox(s)) for s in streams)
-
-    cum_h, cum_a, cum_e = (_cumulative_rows(c) for c in
-                           (model.channel, model.arrival, model.harvest))
-    ih = _sample_index(np.cumsum(model.channel.stationary()), gen_h.random())
-    ia = _sample_index(np.cumsum(model.arrival.stationary()), gen_a.random())
-    ie = _sample_index(np.cumsum(model.harvest.stationary()), gen_e.random())
-
-    u_h = gen_h.random(n)
-    u_a = gen_a.random(n)
-    u_e = gen_e.random(n)
+    ih_path = _chain_path(model.channel, gen_h, n)
+    ia_path = _chain_path(model.arrival, gen_a, n)
+    ie_path = _chain_path(model.harvest, gen_e, n)
     coins = gen_coin.random(n)
 
-    q_series = np.empty(n)
-    g_series = np.empty(n)
-    overflow_pkts = np.zeros(n, dtype=np.int64)
-    spill_quanta = np.zeros(n, dtype=np.int64)
-    trace = None
-    if cfg.record_trace:
-        trace = {k: np.empty(n) for k in
-                 ("q", "h", "a", "e_b", "e", "r", "w", "grid_power")}
-
+    rs, ws = [], []
     q = 0
     ib = 0
-    w_scale = de / tau
-    for t in range(n):
-        r, wq = act(q, ih, ia, ib, ie, coins[t])
-        g = p_tab[ih][r] - wq * w_scale
-        if g < 0.0:
-            g = 0.0
-        q_series[t] = q
-        g_series[t] = g
-        if trace is not None:
-            trace["q"][t] = q
-            trace["h"][t] = h_vals[ih]
-            trace["a"][t] = a_vals[ia]
-            trace["e_b"][t] = ib * de
-            trace["e"][t] = e_vals[ie]
-            trace["r"][t] = r
-            trace["w"][t] = wq * w_scale
-            trace["grid_power"][t] = g
-
-        raw_q = q - r + a_vals[ia]
-        if raw_q > q_max:
-            overflow_pkts[t] = raw_q - q_max
+    for ih, ia, ie, coin in zip(memoryview(ih_path), memoryview(ia_path),
+                                memoryview(ie_path), memoryview(coins)):
+        r, wq = act(q, ih, ia, ib, ie, coin)
+        rs.append(r)
+        ws.append(wq)
+        q += a_pkts[ia] - r
+        if q > q_max:
             q = q_max
-        else:
-            q = raw_q
-        raw_b = ib - wq + e_quanta[ie]
-        if raw_b > nb_levels - 1:
-            spill_quanta[t] = raw_b - (nb_levels - 1)
-            ib = nb_levels - 1
-        else:
-            ib = raw_b
+        ib += e_quanta[ie] - wq
+        if ib > b_top:
+            ib = b_top
 
-        ih = _sample_index(cum_h[ih], u_h[t])
-        ia = _sample_index(cum_a[ia], u_a[t])
-        ie = _sample_index(cum_e[ie], u_e[t])
-
-    if trace is not None:
-        trace["overflow_pkts"] = overflow_pkts.astype(float)
-        trace["spill_energy"] = spill_quanta * de
+    r_slot = np.array(rs, dtype=np.int64)
+    w_slot = np.array(ws, dtype=np.int64)
+    del rs, ws  # free the per-slot ints before the accounting arrays exist
+    q_step = np.asarray(a_pkts, dtype=np.int64)[ia_path] - r_slot
+    b_step = np.asarray(e_quanta, dtype=np.int64)[ie_path] - w_slot
+    q_slot = _clamped_walk(q_step, q_max)
+    b_slot = _clamped_walk(b_step, b_top)
+    overflow_pkts = np.maximum(q_slot + q_step - q_max, 0)
+    spill_quanta = np.maximum(b_slot + b_step - b_top, 0)
+    w_scale = de / tau
+    g_series = p_tab[ih_path, r_slot] - w_slot * w_scale
+    g_series[g_series < 0.0] = 0.0
+    q_series = q_slot.astype(float)
+    trace = None
+    if cfg.record_trace:
+        trace = {"q": q_series,
+                 "h": np.asarray(model.channel.values)[ih_path],
+                 "a": (q_step + r_slot).astype(float),
+                 "e_b": b_slot * de,
+                 "e": np.asarray(model.harvest.values)[ie_path],
+                 "r": r_slot.astype(float),
+                 "w": w_slot * w_scale,
+                 "grid_power": g_series,
+                 "overflow_pkts": overflow_pkts.astype(float),
+                 "spill_energy": spill_quanta * de}
 
     q_meas = q_series[warmup:]
     g_meas = g_series[warmup:]

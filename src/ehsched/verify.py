@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heuristics import solve_reduced_rate_mdp
+from .heuristics import draw_cap_table, solve_reduced_rate_mdp
 from .io import _jsonable
 from .mdp import (
     ActionSpace,
@@ -640,16 +640,17 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     params = model.params
     actions = actions if actions is not None else build_action_space(model)
 
+    cap = draw_cap_table(params, space.h_values)
+
+    def greedy_draws(policy):
+        if not model.restrict_w_to_power:
+            return space.ib
+        return np.minimum(space.ib, cap[space.ih, policy.r])
+
     full = relative_value_iteration(
         SolverConfig(beta=beta_large, epsilon=epsilon, kappa=kappa), model,
         actions=actions)
-    caps = np.array([min(int(space.ib[s]),
-                         battery_draw_cap_quanta(params,
-                                                 float(space.h_values[space.ih[s]]),
-                                                 int(full.policy.r[s]),
-                                                 int(space.ib[s]),
-                                                 model.restrict_w_to_power))
-                     for s in range(space.n_states)])
+    caps = greedy_draws(full.policy)
     non_greedy = full.policy.w_quanta != caps
     reduced = solve_reduced_rate_mdp(beta_large, model, epsilon=epsilon)
     gain_gap = abs(full.gain - reduced.gain)
@@ -657,13 +658,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     small = relative_value_iteration(
         SolverConfig(beta=beta_small, epsilon=epsilon, kappa=kappa), model,
         actions=actions)
-    caps_small = np.array([min(int(space.ib[s]),
-                               battery_draw_cap_quanta(
-                                   params,
-                                   float(space.h_values[space.ih[s]]),
-                                   int(small.policy.r[s]), int(space.ib[s]),
-                                   model.restrict_w_to_power))
-                           for s in range(space.n_states)])
+    caps_small = greedy_draws(small.policy)
     held_back = (small.policy.w_quanta < caps_small) & (space.ib > 0)
     sample = None
     if held_back.any():

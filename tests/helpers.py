@@ -159,3 +159,20 @@ def loop_sa_of_policy(actions, policy):
             raise ValueError(f"infeasible at state {s}")
         out[s] = lo + hit[0]
     return out
+
+
+def loop_chain_path(chain, gen, n):
+    """Reference chain walk: a stationary start, then one search of the
+    current row's cumulative probabilities per slot."""
+    def sample(cum_row, u):
+        return min(int(np.searchsorted(cum_row, u, side="right")),
+                   cum_row.size - 1)
+
+    cum = np.cumsum(chain.transition, axis=1)
+    i = sample(np.cumsum(chain.stationary()), gen.random())
+    u = gen.random(n)
+    path = []
+    for t in range(n):
+        path.append(i)
+        i = sample(cum[i], u[t])
+    return np.array(path)

@@ -103,6 +103,15 @@ def test_bad_arguments_fail_validation(tmp_path, argv, message):
     assert err["message"] == message
 
 
+def test_multichain_model_exits_three(tmp_path):
+    out = tmp_path / "run"
+    assert run("solve", "--config", DESK_CONFIG, "--out", out,
+               "--set", "channel.transition=[[1,0],[0,1]]") == 3
+    err = read_json(out / "error.json")
+    assert err["error"] == "MultichainError"
+    assert "channel" in err["message"]
+
+
 def test_override_must_reference_existing_key(tmp_path):
     out = tmp_path / "run"
     assert run("solve", "--config", DESK_CONFIG, "--out", out,

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,19 @@ def test_rvi_nonconvergence_raises():
     m = desk_lite_model()
     with pytest.raises(NonConvergenceError):
         relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12, max_iters=3), m)
+
+
+@pytest.mark.parametrize("name", ["channel", "arrival"])
+def test_rvi_rejects_reducible_exogenous_chain(name):
+    m = desk_lite_model()
+    chain = getattr(m, name)
+    m = replace(m, **{name: MarkovChainSpec(chain.values, np.eye(chain.n))})
+    with pytest.raises(MultichainError, match=f"^{name} chain has 2 recurrent"):
+        relative_value_iteration(SolverConfig(beta=1.0, max_iters=1000), m)
+    # zero entries alone are fine: one absorbing level, one transient level
+    one_class = np.array([[1.0, 0.0], [0.5, 0.5]])
+    m = replace(m, **{name: MarkovChainSpec(chain.values, one_class)})
+    relative_value_iteration(SolverConfig(beta=1.0), m)
 
 
 def test_rvi_beta_monotonicity_small_grid():

@@ -1,17 +1,44 @@
+from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ehsched.heuristics import HeuristicKind, MixedHeuristic, make_heuristic
+from ehsched import heuristics
+from ehsched.heuristics import (
+    HeuristicKind,
+    MixedHeuristic,
+    conservative_policy,
+    conservative_rate_table,
+    draw_cap_table,
+    make_heuristic,
+    mixed_action,
+    radical_policy,
+)
 from ehsched.mdp import (
     MixedPolicy,
     SolverConfig,
     evaluate_policy,
     relative_value_iteration,
 )
-from ehsched.model import Action, MarkovChainSpec
+from ehsched.model import (
+    GRID_EPS,
+    Action,
+    MarkovChainSpec,
+    ModelParams,
+    battery_draw_cap_quanta,
+    load_model,
+    power_inverse,
+    required_power,
+)
 from ehsched.sim import (
     PolicyDomainError,
     SimConfig,
+    _chain_path,
+    _clamped_walk,
     discretize_rayleigh,
     run_simulation,
     sweep_arrival,
@@ -19,7 +46,9 @@ from ehsched.sim import (
     sweep_channel,
 )
 
-from helpers import desk_lite_model
+from helpers import desk_lite_model, desk_model, loop_chain_path, random_model
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 @pytest.fixture(scope="module")
@@ -145,6 +174,126 @@ def test_mixed_heuristic_edge_weights_reduce_to_pure(lite):
     pure_c = run_simulation(make_heuristic(HeuristicKind("conservative"), lite),
                             lite, cfg)
     assert never.mean_grid_power == pure_c.mean_grid_power
+
+
+# --- baseline tables and pre-sampled chain paths -------------------------------
+
+
+def assert_tables_match(params, h_values):
+    cap = draw_cap_table(params, h_values)
+    rc = conservative_rate_table(params, h_values)
+    nb = params.n_battery_levels
+    assert cap.shape == (len(h_values), params.q_max + 1)
+    assert rc.shape == (len(h_values), nb)
+    for ih, h in enumerate(h_values):
+        for ib in range(nb):
+            budget = params.p_bar + ib * params.delta_e / params.tau
+            assert rc[ih, ib] == min(power_inverse(params, h, budget),
+                                     params.q_max), (ih, ib)
+        for r in range(params.q_max + 1):
+            c = int(cap[ih, r])
+            # the battery levels where min(ib, cap) changes branch
+            for ib in {0, 1, c - 1, c, c + 1, nb - 1} & set(range(nb)):
+                assert (min(ib, c)
+                        == battery_draw_cap_quanta(params, h, r, ib)), (ih, r, ib)
+
+
+def test_baseline_tables_match_per_state_functions_on_configs():
+    for name in ("desk", "channel", "mixed_budget"):
+        m = load_model(CONFIGS / f"{name}.json")
+        assert_tables_match(m.params, m.channel.values)
+    # budgets on a required power or within GRID_EPS below it, and an empty
+    # buffer
+    h = (0.5, 1.0)
+    base = ModelParams(circuit_c=1.0, q_max=6, e_max=3.0, delta_e=0.5)
+    for r in (1, 2, 3):
+        power = required_power(base, 0.5, r)
+        for p_bar in (power - 1.0, power - 0.5 * GRID_EPS):
+            assert_tables_match(replace(base, p_bar=p_bar), h)
+    assert_tables_match(ModelParams(q_max=0, e_max=1.0, delta_e=0.5, p_bar=2.0), h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 20.0), st.integers(0, 8))
+def test_baseline_tables_match_per_state_functions_random(seed, p_bar, q_max):
+    rng = np.random.default_rng(seed)
+    params = ModelParams(q_max=q_max, e_max=4.0, delta_e=0.25,
+                         circuit_c=float(rng.random()), rho=1.0 + float(rng.random()),
+                         p_bar=p_bar)
+    h_values = tuple(sorted(float(v) for v in rng.uniform(0.05, 3.0, size=3)))
+    assert_tables_match(params, h_values)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 3.0), st.floats(0.0, 1.0))
+def test_baseline_tables_reproduce_per_state_actors(seed, p_bar, xi):
+    m = random_model(seed)
+    m = replace(m, params=replace(m.params, p_bar=p_bar))
+    params = m.params
+    cfg = SimConfig(n_slots=2_000, seed=seed, warmup=0, record_trace=True)
+    generic = {
+        "radical": lambda x: radical_policy(x, params),
+        "conservative": lambda x: conservative_policy(x, params),
+        "mixed": SimpleNamespace(
+            act=lambda x, coin: mixed_action(x, params, xi, coin)),
+    }
+    for name, slow in generic.items():
+        kind = HeuristicKind(name, xi=xi if name == "mixed" else None)
+        fast = run_simulation(make_heuristic(kind, m), m, cfg)
+        ref = run_simulation(slow, m, cfg)
+        assert fast.trace.keys() == ref.trace.keys()
+        for key in ref.trace:
+            assert fast.trace[key].tobytes() == ref.trace[key].tobytes(), key
+        assert replace(fast, trace=None) == replace(ref, trace=None)
+
+
+def test_make_heuristic_actors_never_build_states_in_the_simulator(monkeypatch):
+    m = desk_lite_model()
+    actors = [make_heuristic(HeuristicKind(k), m)
+              for k in ("radical", "conservative")]
+    actors.append(make_heuristic(HeuristicKind("mixed", xi=0.5), m))
+
+    def fail(*args):
+        raise ValueError("per-state baseline called")
+
+    monkeypatch.setattr(heuristics, "radical_policy", fail)
+    monkeypatch.setattr(heuristics, "conservative_policy", fail)
+    monkeypatch.setattr(heuristics, "mixed_action", fail)
+    for actor in actors:
+        run_simulation(actor, m, SimConfig(n_slots=500, seed=1))
+    # an actor built for other params is a plain callable to the simulator
+    other = replace(m, params=replace(m.params, p_bar=m.params.p_bar + 1.0))
+    with pytest.raises(PolicyDomainError, match="per-state baseline called"):
+        run_simulation(actors[0], other, SimConfig(n_slots=10, seed=1))
+
+
+@pytest.mark.parametrize("chain", [
+    desk_model().channel,
+    MarkovChainSpec((0.0, 1.0, 2.0),
+                    np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.0, 1.0, 0.0]])),
+    MarkovChainSpec((1.0, 2.0, 3.0),
+                    np.array([[0.2, 0.3, 0.5], [0.6, 0.4, 0.0], [0.1, 0.1, 0.8]])),
+    MarkovChainSpec.iid((0.0, 1.0, 2.0, 3.0), (0.1, 0.5, 0.3, 0.1)),
+    MarkovChainSpec.iid((1.0,), (1.0,)),
+], ids=["desk-channel", "periodic", "dense", "iid", "single-level"])
+def test_presampled_chain_path_matches_per_slot_walk(chain):
+    for seed, n in ((3, 1), (4, 2), (5, 5_000)):
+        def gen():
+            return np.random.Generator(np.random.Philox(seed))
+        path = _chain_path(chain, gen(), n)
+        np.testing.assert_array_equal(path, loop_chain_path(chain, gen(), n))
+        assert path.dtype == np.int64
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=200), st.integers(0, 8))
+def test_clamped_walk_matches_slot_recursion(steps, top):
+    x, want = 0, []
+    for d in steps:
+        want.append(x)
+        x = min(x + d, top)
+    got = _clamped_walk(np.array(steps, dtype=np.int64), top)
+    np.testing.assert_array_equal(got, want)
 
 
 # --- policy domain errors ------------------------------------------------------
