@@ -2,7 +2,13 @@
 
 import numpy as np
 
-from ehsched.mdp import evaluate_policy
+from ehsched.mdp import (
+    SolveResult,
+    ValueTable,
+    build_action_space,
+    discounted_backup,
+    evaluate_policy,
+)
 from ehsched.model import MarkovChainSpec, Model, ModelParams
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
@@ -145,6 +151,30 @@ def dense_stationary_distribution(P):
     b = np.zeros(n)
     b[-1] = 1.0
     return np.linalg.solve(A, b)
+
+
+def cold_discounted_value_iteration(cfg, model, actions=None):
+    """Reference discounted solve: Bellman sweeps from V=0 to the residual
+    epsilon*(1-alpha)/(2*alpha), then the same tie-canonical extraction."""
+    if actions is None:
+        actions = build_action_space(model)
+    alpha = cfg.alpha
+    threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
+    v = np.zeros(model.space.n_states)
+    for it in range(1, cfg.max_iters + 1):
+        mins, _ = discounted_backup(actions, v, cfg.beta, alpha)
+        resid = float(np.max(np.abs(mins - v)))
+        v = mins
+        if resid < threshold:
+            break
+    else:
+        raise AssertionError(f"no convergence in {cfg.max_iters} sweeps")
+    _, sa = discounted_backup(actions, v, cfg.beta, alpha,
+                              tie_tol=10.0 * cfg.epsilon)
+    table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
+    return SolveResult(gain=float("nan"), values=table,
+                       policy=actions.policy_from_sa(sa), n_iters=it,
+                       residual=resid, actions=actions)
 
 
 def loop_sa_of_policy(actions, policy):

@@ -26,8 +26,10 @@ from helpers import (
     assert_policies_equivalent,
     battery_model,
     channel_model,
+    cold_discounted_value_iteration,
     dense_stationary_distribution,
     desk_lite_model,
+    desk_model,
     loop_sa_of_policy,
     power_delay_model,
     random_model,
@@ -228,6 +230,44 @@ def test_dvi_policy_approaches_average_cost_policy():
     rvi = relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-11), m)
     dvi = discounted_value_iteration(SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999), m)
     assert_policies_equivalent(dvi.policy, rvi.policy, 1.0, m, tol=1e-5)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.9, 0.99]), st.floats(0.0, 10.0))
+def test_dvi_matches_cold_sweeps_random_models(seed, alpha, beta):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    cfg = SolverConfig(beta=beta, epsilon=1e-9, alpha=alpha)
+    warm = discounted_value_iteration(cfg, m, actions)
+    cold = cold_discounted_value_iteration(cfg, m, actions)
+    v = warm.values.values
+    np.testing.assert_allclose(v, cold.values.values, rtol=0, atol=cfg.epsilon)
+    # the stopping rule's residual bound holds on the returned table
+    tv, _ = discounted_backup(actions, v, beta, alpha)
+    assert np.max(np.abs(tv - v)) < cfg.epsilon * (1 - alpha) / (2 * alpha)
+    try:
+        assert_policies_equivalent(warm.policy, cold.policy, beta, m,
+                                   actions=actions)
+    except MultichainError:
+        assert warm.policy == cold.policy
+
+
+def test_dvi_warm_start_leaves_few_sweeps():
+    # cold sweeps from V=0 need 28,743 here; the policy-iteration start
+    # leaves only its rounding error to mop up
+    res = discounted_value_iteration(
+        SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999), desk_model())
+    assert res.n_iters < 100
+    assert len(res.trace) == res.n_iters
+
+
+def test_dvi_truncated_start_still_meets_the_stopping_rule():
+    # max_iters bounds the policy evaluations too: one evaluation does not
+    # reach the optimum here, and one sweep cannot close the gap
+    cfg = SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999, max_iters=1)
+    with pytest.raises(NonConvergenceError) as err:
+        discounted_value_iteration(cfg, desk_model())
+    assert err.value.residual > 1.0
 
 
 def test_dvi_requires_alpha():

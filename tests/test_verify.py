@@ -26,7 +26,12 @@ from ehsched.verify import (
     run_all_checks,
 )
 
-from helpers import desk_lite_model, desk_model, power_delay_model
+from helpers import (
+    cold_discounted_value_iteration,
+    desk_lite_model,
+    desk_model,
+    power_delay_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +114,24 @@ def test_value_shape_on_converged_desk(desk, desk_discounted):
     assert rb.status == "pass"
     assert rc.status == "pass"
     assert rq.details["n_compared"] > 0
+
+
+@pytest.mark.parametrize("beta", [1.0, 100.0])
+def test_warm_started_solve_certifies_like_cold_sweeps(desk, beta):
+    # at beta=100 value convexity fails on desk: the warm start must
+    # reproduce the failure as well as the passes
+    cfg = SolverConfig(beta=beta, alpha=0.999, epsilon=1e-9)
+    warm = discounted_value_iteration(cfg, desk)
+    cold = cold_discounted_value_iteration(cfg, desk, warm.actions)
+    assert warm.policy == cold.policy
+
+    def statuses(res):
+        reports = [*check_value_shape(res.values, desk),
+                   check_necessary_conditions(res.values, res.policy, desk),
+                   check_special_states(res.values, res.policy, desk)]
+        return [(r.name, r.status) for r in reports]
+
+    assert statuses(warm) == statuses(cold)
 
 
 def test_value_shape_convexity_gated_on_draw_restriction():
