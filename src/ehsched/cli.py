@@ -131,6 +131,7 @@ def cmd_solve(args) -> int:
                                             values=res.values.values)
         ev = evaluation_dict(exact)
         ev.update({"gain": res.gain, "n_iters": res.n_iters,
+                   "n_evaluations": res.n_evaluations,
                    "residual": res.residual,
                    "gain_bounds": list(res.gain_bounds)})
         write_json(out / "eval.json", ev)

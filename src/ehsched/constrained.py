@@ -3,8 +3,9 @@ and mix two neighbouring policies when no single one meets the budget exactly.
 
 The multiplier search exploits that the optimal mean grid power K is
 non-increasing in beta: bisection brackets the critical multiplier. Every
-probe solves the priced problem to convergence and evaluates the greedy
-policy exactly, so the recorded (beta, J, B, K) trace is noise-free.
+probe solves the priced problem to convergence, starting policy iteration
+from the nearest price already solved, and evaluates the greedy policy
+exactly, so the recorded (beta, J, B, K) trace is noise-free.
 """
 
 from __future__ import annotations
@@ -107,7 +108,12 @@ def _k_tolerance(cfg: ConstrainedSolverConfig, model: Model) -> float:
 
 
 class _Prober:
-    """Solve-and-evaluate at a trial beta, recording the trace."""
+    """Solve-and-evaluate at a trial beta, recording the trace.
+
+    Each solve starts its policy iteration from the policy of the nearest
+    beta already solved. The start only saves evaluations: the sweeps'
+    stopping rule and the tie-canonical extraction still pick the policy.
+    """
 
     def __init__(self, cfg: ConstrainedSolverConfig, model: Model,
                  actions: ActionSpace | None):
@@ -123,13 +129,20 @@ class _Prober:
             return self._cache[beta]
         sc = SolverConfig(beta=beta, epsilon=self.cfg.epsilon,
                           max_iters=self.cfg.max_inner_iters, kappa=self.cfg.kappa)
-        res = relative_value_iteration(sc, self.model, actions=self.actions)
+        res = relative_value_iteration(sc, self.model, actions=self.actions,
+                                       start=self._start(beta))
         ev = evaluate_policy(res.policy, beta, self.model, actions=self.actions)
         self._count += 1
         self.trace.append(TraceRow(self._count, beta, ev.gain_j,
                                    ev.mean_queue_b, ev.mean_grid_k))
         self._cache[beta] = (res.policy, ev)
         return res.policy, ev
+
+    def _start(self, beta: float) -> TablePolicy | None:
+        if not self._cache:
+            return None
+        nearest = min(self._cache, key=lambda b: abs(b - beta))
+        return self._cache[nearest][0]
 
 
 def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,

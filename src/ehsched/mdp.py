@@ -1,12 +1,14 @@
 """Average-cost and discounted MDP machinery over the link model.
 
 The decision problem: per slot, pay q + beta * grid_power. The solver works on
-a flattened state-action enumeration with a sparse one-step kernel; relative
-value iteration gives the long-run-average optimum, and evaluate_policy
-computes exact stationary averages for any fixed (or two-policy mixed)
-stationary policy. The discounted solve behind the vanishing-discount route
-runs Howard policy iteration to a policy whose values it takes as the start
-of value iteration, which then sweeps to the usual sup-norm stopping rule.
+a flattened state-action enumeration with a sparse one-step kernel. Both
+solves run Howard policy iteration first, each policy evaluated by one sparse
+LU, and start value iteration from the values of the policy it ends on; the
+sweeps then only mop up rounding error before meeting their usual stopping
+rules (the span of T V - V for the long-run average, the sup-norm residual
+for the discounted solve behind the vanishing-discount route).
+evaluate_policy computes exact stationary averages for any fixed (or
+two-policy mixed) stationary policy from the same bias-gain LU.
 """
 
 from __future__ import annotations
@@ -360,19 +362,63 @@ class SolveResult:
     gain_bounds: tuple[float, float] | None = None
     trace: list = field(default_factory=list)
     actions: ActionSpace | None = None  # the action space the policy indexes
+    n_evaluations: int = 0  # policies evaluated by policy iteration
+
+
+def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
+                 sa: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
+    """Average-cost Howard policy iteration from the policy with rows sa.
+
+    Evaluates each policy by one bias-gain LU of its chain kernel[sa] and
+    improves on y = c + K h. A state keeps its incumbent row wherever that
+    row is within rounding of the segment minimum (the anti-cycling rule of
+    Puterman 1994, sec. 8.6); elsewhere it takes the smallest minimizing row.
+    Stops when the rows repeat, after max_iters evaluations, or at the first
+    multichain policy, which has no single gain. Returns the bias of the
+    last unichain policy evaluated (zeros if none) and the number of
+    evaluations.
+    """
+    K = actions.kernel
+    h = np.zeros(K.shape[1])
+    n_eval = 0
+    for _ in range(max_iters):
+        P = K[sa]
+        if recurrent_classes(P)[1] != 1:
+            break
+        x = _bias_gain_lu(P, ref).solve(c[sa])
+        h = x - x[ref]
+        n_eval += 1
+        y = c + K @ h
+        mins = _segment_min(y, actions.indptr)
+        keep = y[sa] <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
+        better = np.where(keep, sa, _greedy_sa(y, mins, actions, tie_tol=0.0))
+        if np.array_equal(better, sa):
+            break
+        sa = better
+    return h, n_eval
 
 
 def relative_value_iteration(cfg: SolverConfig, model: Model,
-                             actions: ActionSpace | None = None) -> SolveResult:
+                             actions: ActionSpace | None = None,
+                             start: TablePolicy | None = None) -> SolveResult:
     """Long-run average-cost solve; returns gain, bias values and greedy policy.
 
-    Runs value iteration on the damped operator (1-kappa) V + kappa T V with
-    span-seminorm stopping: the span of T V - V brackets the optimal gain, and
-    normalizing at the reference state each sweep keeps the iterates bounded.
-    Raises MultichainError before the first sweep when an exogenous chain has
-    more than one recurrent class: no policy can move the chain between them,
-    so every policy is multichain and the long-run average cost depends on
-    the start state.
+    Howard policy iteration (from the greedy rows of the one-step costs, or
+    from the table policy start) runs until its rows repeat, for at most
+    cfg.max_iters evaluations; value iteration on the damped operator
+    (1-kappa) V + kappa T V then starts from that policy's bias, divided by
+    kappa since that is the lazy chain's bias, and sweeps with span-seminorm
+    stopping: the span of T V - V brackets the optimal gain, and normalizing
+    at the reference state each sweep keeps the iterates bounded. Where
+    policy iteration reaches the optimum, one sweep meets the rule. If it
+    meets a multichain policy it stops there, and the sweeps start from the
+    last unichain bias (or from 0). n_iters and trace count the sweeps,
+    n_evaluations the policies evaluated.
+
+    Raises MultichainError before the first evaluation when an exogenous
+    chain has more than one recurrent class: no policy can move the chain
+    between them, so every policy is multichain and the long-run average
+    cost depends on the start state.
     """
     for name in ("channel", "arrival", "harvest"):
         chain = getattr(model, name)
@@ -394,7 +440,13 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     K = actions.kernel
     owner = actions.state_of_sa
 
-    v = np.zeros(n)
+    if start is None:
+        sa = _greedy_sa(c, _segment_min(c, actions.indptr), actions, tie_tol=0.0)
+    else:
+        sa = actions.sa_of_policy(start)
+    h, n_eval = _howard_bias(actions, c, ref, sa, cfg.max_iters)
+
+    v = h / kappa
     trace = []
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
@@ -426,7 +478,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     return SolveResult(gain=float(gain), values=bias,
                        policy=actions.policy_from_sa(sa), n_iters=it,
                        residual=span, gain_bounds=(lo, hi), trace=trace,
-                       actions=actions)
+                       actions=actions, n_evaluations=n_eval)
 
 
 def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
@@ -439,8 +491,9 @@ def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
 
 
 def _howard_values(actions: ActionSpace, beta: float, alpha: float,
-                   max_iters: int) -> np.ndarray:
-    """Values of the policy Howard policy iteration ends on.
+                   max_iters: int) -> tuple[np.ndarray, int]:
+    """Values of the policy Howard policy iteration ends on, and the number
+    of policies it evaluated.
 
     Starts from the greedy policy of V=0, evaluates each policy exactly by
     one sparse LU of (I - alpha P_pi) v = c_pi and improves greedily until
@@ -450,14 +503,14 @@ def _howard_values(actions: ActionSpace, beta: float, alpha: float,
     c = actions.cost(beta)
     eye = sp.identity(n, format="csc")
     _, sa = discounted_backup(actions, np.zeros(n), beta, alpha, tie_tol=0.0)
-    for _ in range(max_iters):
+    for n_eval in range(1, max_iters + 1):
         P, per_state = policy_chain(actions.policy_from_sa(sa), actions)
         v = splu((eye - alpha * P).tocsc()).solve(per_state(c))
         _, greedy = discounted_backup(actions, v, beta, alpha, tie_tol=0.0)
         if np.array_equal(greedy, sa):
             break
         sa = greedy
-    return v
+    return v, n_eval
 
 
 def discounted_value_iteration(cfg: SolverConfig, model: Model,
@@ -479,7 +532,7 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     alpha = cfg.alpha
     threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
 
-    v = _howard_values(actions, cfg.beta, alpha, cfg.max_iters)
+    v, n_eval = _howard_values(actions, cfg.beta, alpha, cfg.max_iters)
     resid = np.inf
     trace = []
     for it in range(1, cfg.max_iters + 1):
@@ -499,7 +552,8 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=resid, trace=trace, actions=actions)
+                       residual=resid, trace=trace, actions=actions,
+                       n_evaluations=n_eval)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +596,28 @@ def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
     return closed[labels], int(np.count_nonzero(closed))
 
 
-def stationary_distribution(P: sp.csr_matrix) -> np.ndarray:
-    """Stationary law of a unichain P from one sparse LU solve of pi P = pi
-    with the last balance equation replaced by sum(pi) = 1."""
+def _bias_gain_lu(P: sp.csr_matrix, ref: int):
+    """Sparse LU of A = I - P + 1 e_ref^T, nonsingular exactly when P is
+    unichain.
+
+    lu.solve(c) gives x with gain g = x[ref] and bias h = x - x[ref]
+    (h[ref] = 0, g + h = c + P h), since (I - P) 1 = 0; the transpose solve
+    lu.solve(e_ref, trans="T") gives the stationary law pi, since
+    pi A = e_ref^T.
+    """
     n = P.shape[0]
-    A = sp.vstack([(P.T - sp.identity(n, format="csc"))[:-1],
-                   sp.csr_matrix(np.ones((1, n)))], format="csc")
-    b = np.zeros(n)
-    b[-1] = 1.0
-    pi = splu(A).solve(b)
+    ones_col = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, ref))),
+                             shape=(n, n))
+    return splu((sp.identity(n, format="csr") - P + ones_col).tocsc())
+
+
+def stationary_distribution(P: sp.csr_matrix) -> np.ndarray:
+    """Stationary law of a unichain P from the transpose solve of one
+    bias-gain LU (_bias_gain_lu)."""
+    n = P.shape[0]
+    e = np.zeros(n)
+    e[0] = 1.0
+    pi = _bias_gain_lu(P, 0).solve(e, trans="T")
     pi = np.where(pi < 0, 0.0, pi)
     pi = pi / pi.sum()
     resid = np.max(np.abs(pi @ P - pi))

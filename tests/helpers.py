@@ -3,8 +3,11 @@
 import numpy as np
 
 from ehsched.mdp import (
+    NonConvergenceError,
     SolveResult,
     ValueTable,
+    _greedy_sa,
+    _segment_min,
     build_action_space,
     discounted_backup,
     evaluate_policy,
@@ -153,6 +156,18 @@ def dense_stationary_distribution(P):
     return np.linalg.solve(A, b)
 
 
+def per_state_gains(P, c):
+    """Long-run average of c from every start state, for any chain P,
+    multichain ones included: the Cesaro limit of P's powers, taken as the
+    limit of the lazy chain (I + P)/2 (aperiodic, same limit) by repeated
+    squaring, rows renormalised against rounding drift."""
+    Q = 0.5 * (np.eye(P.shape[0]) + P.toarray())
+    for _ in range(60):
+        Q = Q @ Q
+        Q /= Q.sum(axis=1, keepdims=True)
+    return Q @ c
+
+
 def cold_discounted_value_iteration(cfg, model, actions=None):
     """Reference discounted solve: Bellman sweeps from V=0 to the residual
     epsilon*(1-alpha)/(2*alpha), then the same tie-canonical extraction."""
@@ -175,6 +190,45 @@ def cold_discounted_value_iteration(cfg, model, actions=None):
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
                        residual=resid, actions=actions)
+
+
+def cold_relative_value_iteration(cfg, model, actions=None):
+    """Reference average-cost solve: damped relative VI sweeps from V=0 to a
+    span of T V - V below epsilon, then the same tie-canonical extraction
+    and kappa-rescaled bias."""
+    if actions is None:
+        actions = build_action_space(model)
+    ref, kappa = cfg.reference_state, cfg.kappa
+    c = actions.cost(cfg.beta)
+    K = actions.kernel
+    owner = actions.state_of_sa
+
+    v = np.zeros(model.space.n_states)
+    trace = []
+    for it in range(1, cfg.max_iters + 1):
+        y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
+        mins = _segment_min(y, actions.indptr)
+        d = mins - v
+        lo, hi = float(d.min()), float(d.max())
+        span = hi - lo
+        trace.append((it, span, lo, hi))
+        v = mins - mins[ref]
+        if span < cfg.epsilon:
+            break
+    else:
+        raise NonConvergenceError(f"no convergence in {cfg.max_iters} sweeps",
+                                  residual=span)
+    y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
+    mins = _segment_min(y, actions.indptr)
+    sa = _greedy_sa(y, mins, actions, tie_tol=10.0 * cfg.epsilon)
+    d = mins - v
+    lo, hi = float(d.min()), float(d.max())
+    bias = ValueTable(values=kappa * (v - v[ref]), kind="relative-bias",
+                      beta=cfg.beta, reference_state=ref)
+    return SolveResult(gain=0.5 * (lo + hi), values=bias,
+                       policy=actions.policy_from_sa(sa), n_iters=it,
+                       residual=span, gain_bounds=(lo, hi), trace=trace,
+                       actions=actions)
 
 
 def loop_sa_of_policy(actions, policy):

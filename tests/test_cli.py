@@ -26,6 +26,7 @@ def test_solve_writes_expected_artifacts(tmp_path):
 
     ev = read_json(out / "eval.json")
     assert ev["gain"] == pytest.approx(ev["mean_queue_b"] + ev["mean_grid_k"], abs=1e-8)
+    assert ev["n_evaluations"] >= 1 and ev["n_iters"] >= 1
 
     with open(out / "policy.csv") as fh:
         rows = list(csv.DictReader(fh))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ehsched import constrained
 from ehsched.constrained import (
     BudgetInfeasibleError,
     ConstrainedSearchError,
@@ -11,7 +12,7 @@ from ehsched.constrained import (
 from ehsched.mdp import MixedPolicy, evaluate_policy
 from ehsched.model import MarkovChainSpec, Model, ModelParams
 
-from helpers import desk_lite_model, power_delay_model
+from helpers import desk_lite_model, desk_model, power_delay_model
 
 
 def _with_pbar(model, p_bar):
@@ -119,3 +120,20 @@ def test_same_side_perturbation_widens():
         solve_constrained(
             ConstrainedSolverConfig(epsilon=1e-11, nu=1e-10, widen_retries=0,
                                     k_tolerance=2e-3), m)
+
+
+class _ColdProber(constrained._Prober):
+    """Every probe starts policy iteration from the greedy costs."""
+
+    def _start(self, beta):
+        return None
+
+
+@pytest.mark.parametrize("p_bar", [0.08, 0.1, 0.12])
+def test_warm_started_probes_match_cold_ones(p_bar, monkeypatch):
+    m = _with_pbar(desk_model(), p_bar)
+    warm = solve_constrained(ConstrainedSolverConfig(), m)
+    monkeypatch.setattr(constrained, "_Prober", _ColdProber)
+    cold = solve_constrained(ConstrainedSolverConfig(), m)
+    assert warm.trace == cold.trace
+    assert (warm.kind, warm.xi, warm.achieved_k) == (cold.kind, cold.xi, cold.achieved_k)

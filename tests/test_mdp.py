@@ -2,11 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ehsched.mdp import (
     InstanceTooLargeError,
+    _bias_gain_lu,
     MixedPolicy,
     MultichainError,
     NonConvergenceError,
@@ -17,6 +18,7 @@ from ehsched.mdp import (
     discounted_backup,
     discounted_value_iteration,
     evaluate_policy,
+    recurrent_classes,
     relative_value_iteration,
     transition_kernel,
 )
@@ -27,10 +29,12 @@ from helpers import (
     battery_model,
     channel_model,
     cold_discounted_value_iteration,
+    cold_relative_value_iteration,
     dense_stationary_distribution,
     desk_lite_model,
     desk_model,
     loop_sa_of_policy,
+    per_state_gains,
     power_delay_model,
     random_model,
     tiny_models,
@@ -170,9 +174,64 @@ def test_rvi_bias_solves_optimality_equation():
 
 
 def test_rvi_nonconvergence_raises():
+    # max_iters bounds the policy evaluations too: one evaluation does not
+    # reach the optimum here, and one sweep cannot close the span
     m = desk_lite_model()
-    with pytest.raises(NonConvergenceError):
-        relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12, max_iters=3), m)
+    with pytest.raises(NonConvergenceError) as err:
+        relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12, max_iters=1), m)
+    assert err.value.residual > 1.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0), st.booleans())
+@example(seed=100, beta=9.0, with_start=True)
+def test_rvi_matches_cold_sweeps_random_models(seed, beta, with_start):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    cfg = SolverConfig(beta=beta, epsilon=1e-9)
+    start = None
+    if with_start:  # any feasible table, multichain ones included
+        start, _ = _random_table_policy(actions, np.random.default_rng(seed + 2))
+    warm = relative_value_iteration(cfg, m, actions, start=start)
+    cold = cold_relative_value_iteration(cfg, m, actions)
+    assert len(warm.trace) == warm.n_iters
+    assert abs(warm.gain - cold.gain) <= cfg.epsilon
+    lo, hi = warm.gain_bounds
+    assert 0.0 <= hi - lo <= cfg.epsilon
+    try:
+        assert_policies_equivalent(warm.policy, cold.policy, beta, m,
+                                   actions=actions)
+    except MultichainError:
+        # where an optimal policy is multichain the bias is not unique (seed
+        # 100, beta 9), so the two solves may end on different optimal
+        # policies: each must earn the gain from every start state
+        for res in (warm, cold):
+            sa = actions.sa_of_policy(res.policy)
+            gains = per_state_gains(actions.kernel[sa], actions.cost(beta)[sa])
+            np.testing.assert_allclose(gains, warm.gain, rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("ref", [0, 77])
+def test_rvi_from_solved_policy_takes_one_evaluation_and_one_sweep(ref):
+    # policy iteration's bias is exact, so from the optimal policy it stops
+    # after evaluating that policy and the first sweep already meets the span
+    m = desk_lite_model()
+    cfg = SolverConfig(beta=1.0, epsilon=1e-10, reference_state=ref)
+    solved = relative_value_iteration(cfg, m)
+    again = relative_value_iteration(cfg, m, solved.actions, start=solved.policy)
+    assert (again.n_evaluations, again.n_iters) == (1, 1)
+    assert again.policy == solved.policy
+
+
+@pytest.mark.parametrize("beta", [1.0, 100.0])
+def test_rvi_policy_iteration_start_leaves_few_sweeps(beta):
+    # cold sweeps from V=0 need 74 (beta 1) and 124 (beta 100) here
+    m = desk_model()
+    res = relative_value_iteration(SolverConfig(beta=beta), m)
+    assert res.n_iters < 10
+    assert res.n_evaluations >= 1
+    cold = cold_relative_value_iteration(SolverConfig(beta=beta), m, res.actions)
+    assert res.policy == cold.policy
 
 
 @pytest.mark.parametrize("name", ["channel", "arrival"])
@@ -343,19 +402,49 @@ def _random_table_policy(actions, rng):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(0, 10_000), st.floats(0.0, 10.0))
-def test_evaluate_matches_dense_reference_random_models(seed, beta):
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0),
+       st.one_of(st.none(), st.floats(0.01, 1.0)))
+def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
+    # xi stays above 0.01: a mixture with a multichain policy is nearly
+    # decomposable at tiny xi (seed 240 at xi 1e-30 down to 2e-311), where
+    # the dense reference's LU meets an exactly zero pivot
     m = random_model(seed)
     actions = build_action_space(m)
-    policy, sa = _random_table_policy(actions, np.random.default_rng(seed + 1))
+    rng = np.random.default_rng(seed + 1)
+    policy, sa = _random_table_policy(actions, rng)
+    P = actions.kernel[sa]
+    c_pi = actions.cost(beta)[sa]
+    if xi is not None:  # a two-policy mixture: the coin enters P and c
+        other, sa_other = _random_table_policy(actions, rng)
+        policy = MixedPolicy(policy, other, xi=xi)
+        P = xi * P + (1.0 - xi) * actions.kernel[sa_other]
+        c_pi = xi * c_pi + (1.0 - xi) * actions.cost(beta)[sa_other]
     try:
         ev = evaluate_policy(policy, beta, m, actions=actions)
     except MultichainError:
         return
-    pi = dense_stationary_distribution(actions.kernel[sa])
+    pi = dense_stationary_distribution(P)
     np.testing.assert_allclose(ev.stationary_dist, pi, rtol=0, atol=1e-12)
-    assert ev.gain_j == pytest.approx(float(pi @ actions.cost(beta)[sa]),
-                                      rel=0, abs=1e-12)
+    assert ev.gain_j == pytest.approx(float(pi @ c_pi), rel=0, abs=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0), st.integers(0, 200))
+def test_bias_gain_lu_gain_is_stationary_average(seed, beta, ref):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    _, sa = _random_table_policy(actions, np.random.default_rng(seed + 1))
+    P = actions.kernel[sa]
+    if recurrent_classes(P)[1] != 1:
+        return
+    ref %= m.space.n_states
+    c_pi = actions.cost(beta)[sa]
+    x = _bias_gain_lu(P, ref).solve(c_pi)
+    gain, bias = x[ref], x - x[ref]
+    pi = dense_stationary_distribution(P)
+    assert gain == pytest.approx(float(pi @ c_pi), rel=0, abs=1e-12)
+    # (gain, bias) solve the evaluation equations g + h = c + P h
+    np.testing.assert_allclose(gain + bias, c_pi + P @ bias, rtol=0, atol=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
