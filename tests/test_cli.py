@@ -67,6 +67,16 @@ def test_simulate_constrained_optimal_reports_multiplier(tmp_path):
     assert "beta_star" in summary
 
 
+def test_solve_constrained_reports_probes(tmp_path):
+    out = tmp_path / "run"
+    assert run("solve", "--config", DESK_CONFIG, "--out", out, "--constrained",
+               "--set", "params.p_bar=0.12") == 0
+    ev = read_json(out / "eval.json")
+    assert ev["kind"] == "mixed"
+    assert ev["n_probes"] <= 12
+    assert "nu_used" not in ev
+
+
 def test_sweep_arrival_writes_rows(tmp_path):
     out = tmp_path / "run"
     assert run("sweep", "--config", DESK_CONFIG, "--out", out,

@@ -9,7 +9,12 @@ from ehsched.constrained import (
     beta_star_search,
     solve_constrained,
 )
-from ehsched.mdp import MixedPolicy, evaluate_policy
+from ehsched.mdp import (
+    MixedPolicy,
+    SolverConfig,
+    evaluate_policy,
+    relative_value_iteration,
+)
 from ehsched.model import MarkovChainSpec, Model, ModelParams
 
 from helpers import desk_lite_model, desk_model, power_delay_model
@@ -59,7 +64,7 @@ def test_budget_infeasible_at_small_beta_init():
         beta_star_search(cfg, m)
 
 
-def test_bisection_trace_consistent_with_monotone_k():
+def test_probe_trace_consistent_with_monotone_k():
     m = _with_pbar(power_delay_model(), 0.2)
     cfg = ConstrainedSolverConfig(beta_init=50.0, epsilon=1e-11)
     res = beta_star_search(cfg, m)
@@ -99,7 +104,6 @@ def test_solve_constrained_beats_feasible_pure_policies():
     m = _with_pbar(desk_lite_model(), 0.25)
     sol = solve_constrained(
         ConstrainedSolverConfig(epsilon=1e-11, k_tolerance=2e-3), m)
-    from ehsched.mdp import SolverConfig, relative_value_iteration
     for beta in (0.05, 0.2, 1.0, 5.0, 25.0):
         pol = relative_value_iteration(SolverConfig(beta=beta, epsilon=1e-11), m).policy
         ev = evaluate_policy(pol, beta, m)
@@ -107,19 +111,63 @@ def test_solve_constrained_beats_feasible_pure_policies():
             assert sol.achieved_b <= ev.mean_queue_b + 1e-9
 
 
-def test_same_side_perturbation_widens():
-    # a deliberately microscopic nu starts inside a policy plateau; the solver
-    # must double it until the two perturbed solves straddle the budget
-    m = _with_pbar(desk_lite_model(), 0.25)
-    sol = solve_constrained(
-        ConstrainedSolverConfig(epsilon=1e-11, nu=1e-10, widen_retries=40,
-                                k_tolerance=2e-3), m)
-    assert sol.kind == "mixed"
-    assert sol.nu_used > 1e-10
-    with pytest.raises(ConstrainedSearchError):
-        solve_constrained(
-            ConstrainedSolverConfig(epsilon=1e-11, nu=1e-10, widen_retries=0,
-                                    k_tolerance=2e-3), m)
+def test_probe_cap_raises_with_bracket():
+    # beta_init and beta_floor use up a cap of two on a binding budget, so the
+    # first breakpoint probe is refused and the bracket is the witness
+    m = _with_pbar(desk_model(), 0.12)
+    with pytest.raises(ConstrainedSearchError) as err:
+        solve_constrained(ConstrainedSolverConfig(max_outer_iters=2), m)
+    beta_plus, beta_minus, k_plus, k_minus = err.value.witness
+    assert (beta_plus, beta_minus) == (100.0, 1e-5)
+    assert k_plus <= 0.12 < k_minus
+
+
+def test_mixture_weight_is_regula_falsi_on_exact_k(monkeypatch):
+    # each xi interpolates K linearly between the last weight that overspent
+    # and the last that did not, starting from the two pure policies; p_bar
+    # 0.182 takes three iterates
+    p_bar = 0.182
+    seen = []
+
+    def record(policy, *args, **kwargs):
+        ev = evaluate_policy(policy, *args, **kwargs)
+        if isinstance(policy, MixedPolicy):
+            seen.append((policy.xi, ev.mean_grid_k))
+        return ev
+
+    monkeypatch.setattr(constrained, "evaluate_policy", record)
+    sol = solve_constrained(ConstrainedSolverConfig(), _with_pbar(desk_model(), p_bar))
+    assert len(seen) == 3 and sol.xi == seen[-1][0]
+    lo, k_lo = 0.0, sol.eval_minus.mean_grid_k
+    hi, k_hi = 1.0, sol.eval_plus.mean_grid_k
+    for xi, k in seen:
+        assert xi == pytest.approx(lo + (k_lo - p_bar) * (hi - lo) / (k_lo - k_hi), abs=1e-12)
+        if k > p_bar:
+            lo, k_lo = xi, k
+        else:
+            hi, k_hi = xi, k
+
+
+@pytest.mark.parametrize("model, budgets", [
+    (desk_model(), np.linspace(0.05, 0.23, 16)),
+    (power_delay_model(), (0.05, 0.1, 0.2)),
+], ids=["desk", "power_delay"])
+def test_budget_curve_meets_budget_with_zero_duality_gap(model, budgets):
+    # the optimal mean queue is non-increasing in the budget, and at every
+    # budget the returned policy is Lagrangian-optimal at beta_star
+    cfg = ConstrainedSolverConfig()
+    queues = []
+    for p_bar in budgets:
+        m = _with_pbar(model, float(p_bar))
+        sol = solve_constrained(cfg, m)
+        assert abs(sol.achieved_k - p_bar) <= 1e-3 * p_bar
+        g_star = relative_value_iteration(
+            SolverConfig(beta=sol.beta_star, epsilon=1e-12), m).gain
+        assert sol.evaluation.gain_j - g_star <= 1e-9
+        if sol.kind == "mixed":
+            assert sol.eval_plus.mean_grid_k <= p_bar < sol.eval_minus.mean_grid_k
+        queues.append(sol.achieved_b)
+    assert all(b <= a for a, b in zip(queues, queues[1:]))
 
 
 class _ColdProber(constrained._Prober):
