@@ -98,6 +98,8 @@ class BetaSearchResult:
     trace: list[TraceRow]
     beta_plus: float
     minus: Probe | None = None
+    n_evaluations: int = 0  # LUs factorised: policy iteration's and evaluate_policy's
+    n_sweeps: int = 0       # relative VI sweeps over all probes
 
 
 @dataclass
@@ -114,6 +116,8 @@ class ConstrainedSolution:
     beta_minus: float | None = None
     eval_plus: PolicyEvaluation | None = None
     eval_minus: PolicyEvaluation | None = None
+    n_evaluations: int = 0  # the search's LUs plus one per mixture iterate
+    n_sweeps: int = 0
 
 
 def _k_tolerance(cfg: ConstrainedSolverConfig, model: Model) -> float:
@@ -139,6 +143,8 @@ class _Prober:
         self.actions = actions if actions is not None else build_action_space(model)
         self.trace: list[TraceRow] = []
         self._probes: list[Probe] = []
+        self.n_evaluations = 0
+        self.n_sweeps = 0
 
     def __call__(self, beta: float) -> Probe:
         sc = SolverConfig(beta=beta, epsilon=self.cfg.epsilon,
@@ -146,6 +152,8 @@ class _Prober:
         res = relative_value_iteration(sc, self.model, actions=self.actions,
                                        start=self._start(beta))
         ev = evaluate_policy(res.policy, beta, self.model, actions=self.actions)
+        self.n_evaluations += res.n_evaluations + (not ev.reused_lu)
+        self.n_sweeps += res.n_iters
         self.trace.append(TraceRow(len(self.trace) + 1, beta, ev.gain_j,
                                    ev.mean_queue_b, ev.mean_grid_k))
         self._probes.append(Probe(beta, res.policy, ev))
@@ -175,7 +183,8 @@ def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,
 
     def result(beta_star: float, plus: Probe, minus: Probe | None = None):
         return BetaSearchResult(beta_star, plus.policy, plus.evaluation,
-                                probe.trace, plus.beta, minus)
+                                probe.trace, plus.beta, minus,
+                                probe.n_evaluations, probe.n_sweeps)
 
     plus = probe(max(cfg.beta_init, cfg.beta_floor))
     if plus.evaluation.mean_grid_k > p_bar + k_tol:
@@ -230,21 +239,25 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
         return ConstrainedSolution(
             kind="single", policy=search.policy, beta_star=search.beta_star,
             evaluation=ev_plus, achieved_b=ev_plus.mean_queue_b,
-            achieved_k=ev_plus.mean_grid_k, trace=search.trace)
+            achieved_k=ev_plus.mean_grid_k, trace=search.trace,
+            n_evaluations=search.n_evaluations, n_sweeps=search.n_sweeps)
 
+    n_evaluations = search.n_evaluations
     xi_lo, k_lo = 0.0, minus.evaluation.mean_grid_k
     xi_hi, k_hi = 1.0, ev_plus.mean_grid_k
     for _ in range(cfg.max_outer_iters - len(search.trace)):
         xi = xi_lo + (k_lo - p_bar) * (xi_hi - xi_lo) / (k_lo - k_hi)
         mixed = MixedPolicy(search.policy, minus.policy, xi)
         ev = evaluate_policy(mixed, search.beta_star, model, actions=actions)
+        n_evaluations += not ev.reused_lu
         k = ev.mean_grid_k
         if abs(k - p_bar) <= k_tol:
             return ConstrainedSolution(
                 kind="mixed", policy=mixed, beta_star=search.beta_star,
                 evaluation=ev, achieved_b=ev.mean_queue_b, achieved_k=k,
                 trace=search.trace, xi=xi, beta_plus=search.beta_plus,
-                beta_minus=minus.beta, eval_plus=ev_plus, eval_minus=minus.evaluation)
+                beta_minus=minus.beta, eval_plus=ev_plus, eval_minus=minus.evaluation,
+                n_evaluations=n_evaluations, n_sweeps=search.n_sweeps)
         if k > p_bar:
             xi_lo, k_lo = xi, k
         else:

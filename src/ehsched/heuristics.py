@@ -27,6 +27,7 @@ from .model import (
     ModelParams,
     SystemState,
     battery_draw_cap_quanta,
+    draw_cap_table,
     power_inverse,
     required_power,
 )
@@ -93,18 +94,6 @@ class MixedHeuristic:
     def radical_weight(self) -> float:
         """Baseline marker: radical plays when the slot's coin is below it."""
         return self.xi
-
-
-def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
-    """Greedy battery draw cap, in quanta, per (channel level, rate).
-
-    min(ib, cap[ih, r]) equals battery_draw_cap_quanta(params, h_values[ih], r,
-    ib) at every battery level ib of the params' grid.
-    """
-    top = params.n_battery_levels - 1
-    return np.array([[battery_draw_cap_quanta(params, float(h), r, top)
-                      for r in range(params.q_max + 1)] for h in h_values],
-                    dtype=np.int64)
 
 
 def conservative_rate_table(params: ModelParams, h_values) -> np.ndarray:
@@ -191,13 +180,11 @@ def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,
     w = greedy_battery(x, r*(x)).
     """
     space = model.space
-    params = model.params
+    cap = draw_cap_table(model.params, space.h_values)
 
-    def greedy_draws(s, r):
-        h = float(space.h_values[space.ih[s]])
-        ib = int(space.ib[s])
-        return (battery_draw_cap_quanta(params, h, r, ib, restrict=True),)
+    def greedy_draw(state, r, wq):
+        return wq == np.minimum(space.ib[state], cap[space.ih[state], r])
 
-    actions = build_action_space(model, draws_of=greedy_draws)
+    actions = build_action_space(model, keep=greedy_draw)
     cfg = SolverConfig(beta=beta, epsilon=epsilon, max_iters=max_iters)
     return relative_value_iteration(cfg, model, actions=actions)

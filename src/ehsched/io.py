@@ -75,18 +75,28 @@ def write_csv(path, rows, fieldnames=None) -> Path:
 
 
 def policy_rows(policy: TablePolicy, model: Model, values=None) -> list[dict]:
-    """One row per state: coordinates, chosen action, optionally the value."""
+    """One row per state: coordinates, chosen action, optionally the value.
+
+    The coordinates come from the state space's index arrays; every cell is
+    a Python int or float computed by the same expression as
+    StateSpace.state_of (e_b = ib * delta_e, w = wq * delta_e / tau), so the
+    CSV bytes match a per-state rendering.
+    """
     space = model.space
-    rows = []
-    for i in range(space.n_states):
-        x = space.state_of(i)
-        row = {"state": i, "q": x.q, "h": x.h, "a": x.a, "e_b": x.e_b,
-               "e": x.e, "r": int(policy.r[i]),
-               "w": float(policy.w_quanta[i]) * policy.delta_e / policy.tau}
-        if values is not None:
-            row["value"] = float(values[i])
-        rows.append(row)
-    return rows
+    columns = {
+        "state": range(space.n_states),
+        "q": space.iq.tolist(),
+        "h": np.asarray(space.h_values, dtype=float)[space.ih].tolist(),
+        "a": space.arrival_pkts[space.ia].tolist(),
+        "e_b": (space.ib * model.params.delta_e).tolist(),
+        "e": np.asarray(model.harvest.values, dtype=float)[space.ie].tolist(),
+        "r": np.asarray(policy.r).astype(np.int64).tolist(),
+        "w": (np.asarray(policy.w_quanta, dtype=float) * policy.delta_e
+              / policy.tau).tolist(),
+    }
+    if values is not None:
+        columns["value"] = np.asarray(values, dtype=float).tolist()
+    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
 
 def evaluation_dict(ev: PolicyEvaluation) -> dict:

@@ -26,7 +26,7 @@ from .model import (
     ConfigError,
     Model,
     SystemState,
-    battery_draw_cap_quanta,
+    draw_cap_table,
     required_power,
 )
 
@@ -143,6 +143,7 @@ class PolicyEvaluation:
     beta: float
     overflow_rate: float = 0.0       # mean packets lost to the buffer clamp per slot
     battery_spill_rate: float = 0.0  # mean energy lost to the capacity clamp per slot
+    reused_lu: bool = False  # the chain's LU came from policy iteration
 
 
 # ---------------------------------------------------------------------------
@@ -155,99 +156,102 @@ class ActionSpace:
     Row layout: actions of state s occupy rows indptr[s]:indptr[s+1], ordered
     by (r, w) ascending, so the first minimizer in a segment is the
     lexicographically smallest action.
+
+    The enumeration is vectorised: rates 0..q per state, then draws 0..cap per
+    (state, rate), with cap = min(ib, draw_cap_table[ih, r]) (= ib when the
+    model does not restrict draws to the required power). The next (q,
+    battery) is a deterministic function of the row, and the exogenous part
+    of the successor law depends on (h, a, e) only, so kernel row k is the
+    positive entries of the chain product's row (h, a, e) of its state,
+    shifted by the row's next (q, battery) index. keep(state, r, wq), if
+    given, maps the enumerated rows' arrays to a bool mask of the rows to
+    keep; the kept rows stay in the same order.
     """
 
-    def __init__(self, model: Model, rates_of=None, draws_of=None):
+    # (P, LU) of the last chain policy iteration factorised at reference state
+    # 0; evaluate_policy reuses it for the same chain
+    last_lu = None
+
+    def __init__(self, model: Model, keep=None):
         space = model.space
         params = model.params
         self.model = model
         n = space.n_states
+        nh, na, ne, nb = space.nh, space.na, space.ne, space.nb
 
-        hq = space.harvest_quanta
-        nb = space.nb
+        # chain part of the successor distribution: row (ih, ia, ie) of the
+        # product of the three chain matrices, positive entries only, columns
+        # as state-index offsets ascending
+        probs = (model.channel.transition[:, None, None, :, None, None]
+                 * model.arrival.transition[None, :, None, None, :, None]
+                 * model.harvest.transition[None, None, :, None, None, :]
+                 ).reshape(nh * na * ne, nh * na * ne)
+        offsets = (np.arange(nh)[:, None, None] * space.s_h
+                   + np.arange(na)[None, :, None] * space.s_a
+                   + np.arange(ne)[None, None, :]).ravel()
+        ex_rows, ex_cols = np.nonzero(probs > 0.0)
+        block_cols = offsets[ex_cols]
+        block_probs = probs[ex_rows, ex_cols]
+        block_nnz = np.bincount(ex_rows, minlength=probs.shape[0])
+        block_ptr = np.concatenate(([0], np.cumsum(block_nnz)))
 
-        # chain part of the successor distribution, one block per (ih, ia, ie)
-        ch_t = model.channel.transition
-        ar_t = model.arrival.transition
-        ha_t = model.harvest.transition
-        blocks_cols = {}
-        blocks_probs = {}
-        for ih in range(space.nh):
-            for ia in range(space.na):
-                for ie in range(space.ne):
-                    probs = (ch_t[ih][:, None, None]
-                             * ar_t[ia][None, :, None]
-                             * ha_t[ie][None, None, :]).ravel()
-                    cols = (np.arange(space.nh)[:, None, None] * space.s_h
-                            + np.arange(space.na)[None, :, None] * space.s_a
-                            + np.arange(space.ne)[None, None, :]).ravel()
-                    keep = probs > 0.0
-                    blocks_cols[ih, ia, ie] = cols[keep]
-                    blocks_probs[ih, ia, ie] = probs[keep]
+        # rows: rates 0..iq per state, then draws 0..cap per (state, rate)
+        n_rates = space.iq + 1
+        sr_state = np.repeat(np.arange(n), n_rates)
+        sr_r = np.arange(sr_state.size) - np.repeat(np.cumsum(n_rates) - n_rates,
+                                                    n_rates)
+        sr_cap = space.ib[sr_state]
+        if model.restrict_w_to_power:
+            cap = draw_cap_table(params, space.h_values)
+            sr_cap = np.minimum(sr_cap, cap[space.ih[sr_state], sr_r])
+        n_draws = sr_cap + 1
+        sr_of_row = np.repeat(np.arange(sr_state.size), n_draws)
+        wq = np.arange(sr_of_row.size) - np.repeat(np.cumsum(n_draws) - n_draws,
+                                                   n_draws)
+        owner = sr_state[sr_of_row]
+        r = sr_r[sr_of_row]
+        if keep is not None:
+            kept = keep(owner, r, wq)
+            owner, r, wq = owner[kept], r[kept], wq[kept]
+        counts = np.bincount(owner, minlength=n)
+        if not counts.all():
+            raise ValueError(f"state {int(np.argmin(counts))} has no feasible action")
 
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        r_list, wq_list, owner = [], [], []
-        kcols, kprobs, kptr = [], [], [0]
-        nnz = 0
-        for s in range(n):
-            iq, ih, ia = int(space.iq[s]), int(space.ih[s]), int(space.ia[s])
-            ib, ie = int(space.ib[s]), int(space.ie[s])
-            h = float(space.h_values[ih])
-            a_pkts = int(space.arrival_pkts[ia])
-            e_quanta = int(hq[ie])
-            bcols = blocks_cols[ih, ia, ie]
-            bprobs = blocks_probs[ih, ia, ie]
-
-            rates = range(iq + 1) if rates_of is None else rates_of(s)
-            count = 0
-            for r in rates:
-                if draws_of is None:
-                    cap = battery_draw_cap_quanta(params, h, r, ib,
-                                                  model.restrict_w_to_power)
-                    draws = range(cap + 1)
-                else:
-                    draws = draws_of(s, r)
-                iq_next = min(iq - r + a_pkts, space.nq - 1)
-                for wq in draws:
-                    ib_next = min(ib - wq + e_quanta, nb - 1)
-                    r_list.append(r)
-                    wq_list.append(wq)
-                    owner.append(s)
-                    kcols.append(iq_next * space.s_q + ib_next * space.s_b + bcols)
-                    kprobs.append(bprobs)
-                    nnz += bcols.size
-                    kptr.append(nnz)
-                    count += 1
-            if count == 0:
-                raise ValueError(f"state {s} has no feasible action")
-            indptr[s + 1] = indptr[s] + count
-
-        self.indptr = indptr
-        self.n_sa = int(indptr[-1])
-        self.state_of_sa = np.asarray(owner, dtype=np.int64)
-        self.r_sa = np.asarray(r_list, dtype=np.int64)
-        self.wq_sa = np.asarray(wq_list, dtype=np.int64)
+        self.indptr = np.concatenate(([0], np.cumsum(counts)))
+        self.n_sa = int(self.indptr[-1])
+        self.state_of_sa = owner
+        self.r_sa = r
+        self.wq_sa = wq
         # (state, r, w) packed into one ascending key per row, for sa_of_policy
         self._n_r = int(self.r_sa.max()) + 1
         self._n_w = int(self.wq_sa.max()) + 1
         self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
-        self.kernel = sp.csr_matrix(
-            (np.concatenate(kprobs), np.concatenate(kcols), np.asarray(kptr)),
-            shape=(self.n_sa, n))
-        self.kernel.sum_duplicates()
+
+        iq, ib = space.iq[owner], space.ib[owner]
+        ex = (space.ih[owner] * na + space.ia[owner]) * ne + space.ie[owner]
+        raw_q = iq - r + space.arrival_pkts[space.ia[owner]]
+        raw_b = ib - wq + space.harvest_quanta[space.ie[owner]]
+        base = (np.minimum(raw_q, space.nq - 1) * space.s_q
+                + np.minimum(raw_b, nb - 1) * space.s_b)
+        row_nnz = block_nnz[ex]
+        kptr = np.concatenate(([0], np.cumsum(row_nnz)))
+        gather = np.repeat(block_ptr[ex] - kptr[:-1], row_nnz)
+        gather += np.arange(kptr[-1])
+        data, cols = block_probs[gather], block_cols[gather]
+        del gather  # one nnz-long array fewer at the peak
+        cols += np.repeat(base, row_nnz)
+        # each block's columns ascend and are unique, so every row is already
+        # in canonical (sorted, duplicate-free) form
+        self.kernel = sp.csr_matrix((data, cols, kptr), shape=(self.n_sa, n))
 
         w = self.wq_sa * (params.delta_e / params.tau)
         power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
                           for h in space.h_values])
-        p_req = power[space.ih[self.state_of_sa], self.r_sa]
+        p_req = power[space.ih[owner], self.r_sa]
         self.grid_sa = np.maximum(p_req - w, 0.0)
-        self.queue_sa = space.iq[self.state_of_sa].astype(float)
+        self.queue_sa = iq.astype(float)
         # per-slot clamp losses, used for evaluation diagnostics
-        raw_q = (space.iq[self.state_of_sa] - self.r_sa
-                 + space.arrival_pkts[space.ia[self.state_of_sa]])
         self.overflow_sa = np.maximum(raw_q - (space.nq - 1), 0).astype(float)
-        raw_b = (space.ib[self.state_of_sa] - self.wq_sa
-                 + hq[space.ie[self.state_of_sa]])
         self.spill_sa = np.maximum(raw_b - (nb - 1), 0).astype(float) * params.delta_e
 
     def cost(self, beta: float) -> np.ndarray:
@@ -279,8 +283,8 @@ class ActionSpace:
                            delta_e=self.model.params.delta_e, tau=self.model.params.tau)
 
 
-def build_action_space(model: Model, rates_of=None, draws_of=None) -> ActionSpace:
-    return ActionSpace(model, rates_of=rates_of, draws_of=draws_of)
+def build_action_space(model: Model, keep=None) -> ActionSpace:
+    return ActionSpace(model, keep=keep)
 
 
 def transition_kernel(x: SystemState, act: Action, model: Model):
@@ -376,7 +380,8 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
     Stops when the rows repeat, after max_iters evaluations, or at the first
     multichain policy, which has no single gain. Returns the bias of the
     last unichain policy evaluated (zeros if none) and the number of
-    evaluations.
+    evaluations. At reference state 0 the last LU is left in
+    actions.last_lu, where evaluate_policy finds it for the same chain.
     """
     K = actions.kernel
     h = np.zeros(K.shape[1])
@@ -385,7 +390,10 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
         P = K[sa]
         if recurrent_classes(P)[1] != 1:
             break
-        x = _bias_gain_lu(P, ref).solve(c[sa])
+        lu = _bias_gain_lu(P, ref)
+        if ref == 0:
+            actions.last_lu = (P, lu)
+        x = lu.solve(c[sa])
         h = x - x[ref]
         n_eval += 1
         y = c + K @ h
@@ -611,13 +619,16 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
     return splu((sp.identity(n, format="csr") - P + ones_col).tocsc())
 
 
-def stationary_distribution(P: sp.csr_matrix) -> np.ndarray:
-    """Stationary law of a unichain P from the transpose solve of one
-    bias-gain LU (_bias_gain_lu)."""
+def stationary_distribution(P: sp.csr_matrix, lu=None) -> np.ndarray:
+    """Stationary law of a unichain P from the transpose solve of its
+    bias-gain LU at reference state 0 (_bias_gain_lu(P, 0), factorised here
+    unless given)."""
     n = P.shape[0]
     e = np.zeros(n)
     e[0] = 1.0
-    pi = _bias_gain_lu(P, 0).solve(e, trans="T")
+    if lu is None:
+        lu = _bias_gain_lu(P, 0)
+    pi = lu.solve(e, trans="T")
     pi = np.where(pi < 0, 0.0, pi)
     pi = pi / pi.sum()
     resid = np.max(np.abs(pi @ P - pi))
@@ -630,17 +641,27 @@ def stationary_distribution(P: sp.csr_matrix) -> np.ndarray:
 def evaluate_policy(policy, beta: float, model: Model,
                     actions: ActionSpace | None = None) -> PolicyEvaluation:
     """Exact long-run averages (J, B, K) of a stationary (or two-policy
-    mixed) policy; raises MultichainError unless its chain is unichain."""
+    mixed) policy; raises MultichainError unless its chain is unichain.
+
+    When the policy's chain is the one policy iteration last factorised on
+    these actions (actions.last_lu), its LU is reused: the same P gives the
+    same matrix A and so the same stationary law, bit for bit, and policy
+    iteration has already checked that P is unichain.
+    """
     if actions is None:
         actions = build_action_space(model)
     if callable(policy) and not isinstance(policy, (TablePolicy, MixedPolicy)):
         policy = TablePolicy.from_callable(policy, model)
 
     P, per_state = policy_chain(policy, actions)
-    _, n_recurrent = recurrent_classes(P)
-    if n_recurrent != 1:
-        raise MultichainError(f"induced chain has {n_recurrent} recurrent classes")
-    pi = stationary_distribution(P)
+    lu = None
+    if actions.last_lu is not None and _same_csr(actions.last_lu[0], P):
+        lu = actions.last_lu[1]
+    else:
+        _, n_recurrent = recurrent_classes(P)
+        if n_recurrent != 1:
+            raise MultichainError(f"induced chain has {n_recurrent} recurrent classes")
+    pi = stationary_distribution(P, lu)
 
     def average(per_sa):
         return float(pi @ per_state(per_sa))
@@ -650,7 +671,15 @@ def evaluate_policy(policy, beta: float, model: Model,
     return PolicyEvaluation(gain_j=b + beta * k, mean_queue_b=b, mean_grid_k=k,
                             stationary_dist=pi, beta=beta,
                             overflow_rate=average(actions.overflow_sa),
-                            battery_spill_rate=average(actions.spill_sa))
+                            battery_spill_rate=average(actions.spill_sa),
+                            reused_lu=lu is not None)
+
+
+def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
+    return (a.shape == b.shape and a.nnz == b.nnz
+            and np.array_equal(a.indptr, b.indptr)
+            and np.array_equal(a.indices, b.indices)
+            and np.array_equal(a.data, b.data))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,20 @@ def battery_draw_cap_quanta(params: ModelParams, h: float, r: int, ib: int,
     return max(cap, 0)
 
 
+def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
+    """Greedy battery draw cap, in quanta, per (channel level, rate).
+
+    min(ib, cap[ih, r]) equals battery_draw_cap_quanta(params, h_values[ih], r,
+    ib) at every battery level ib of the params' grid. It is the one cap table
+    the state-action builder, the simulator's baselines and the greedy-regime
+    certificate all read.
+    """
+    top = params.n_battery_levels - 1
+    return np.array([[battery_draw_cap_quanta(params, float(h), r, top)
+                      for r in range(params.q_max + 1)] for h in h_values],
+                    dtype=np.int64)
+
+
 def feasible_actions(x: SystemState, params: ModelParams,
                      restrict_w_to_power: bool = True) -> list[Action]:
     """All feasible (r, w) at state x; w on the delta_e/tau grid.

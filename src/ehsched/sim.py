@@ -20,7 +20,6 @@ from .heuristics import (
     HeuristicKind,
     calibrate_xi,
     conservative_rate_table,
-    draw_cap_table,
     make_heuristic,
     mixing_weight,
 )
@@ -31,6 +30,7 @@ from .model import (
     MarkovChainSpec,
     Model,
     SystemState,
+    draw_cap_table,
     required_power,
 )
 

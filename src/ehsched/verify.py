@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .heuristics import draw_cap_table, solve_reduced_rate_mdp
+from .heuristics import solve_reduced_rate_mdp
 from .io import _jsonable
 from .mdp import (
     ActionSpace,
@@ -34,7 +34,7 @@ from .mdp import (
     recurrent_classes,
     relative_value_iteration,
 )
-from .model import Model, battery_draw_cap_quanta
+from .model import Model, battery_draw_cap_quanta, draw_cap_table
 
 PASS = "pass"
 FAIL = "fail"

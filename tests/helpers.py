@@ -1,8 +1,12 @@
 """Shared instance builders and comparison helpers for the test suite."""
 
+from dataclasses import replace
+
 import numpy as np
+import scipy.sparse as sp
 
 from ehsched.mdp import (
+    ActionSpace,
     NonConvergenceError,
     SolveResult,
     ValueTable,
@@ -12,7 +16,13 @@ from ehsched.mdp import (
     discounted_backup,
     evaluate_policy,
 )
-from ehsched.model import MarkovChainSpec, Model, ModelParams
+from ehsched.model import (
+    MarkovChainSpec,
+    Model,
+    ModelParams,
+    battery_draw_cap_quanta,
+    required_power,
+)
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
 
@@ -115,6 +125,13 @@ def desk_model(circuit_c=0.05, p_bar=0.4, restrict=True):
     )
 
 
+def large_desk_model():
+    """3,000 states: desk with q_max 14 and e_max 6, the benchmark's solve
+    instance."""
+    m = desk_model()
+    return replace(m, params=replace(m.params, q_max=14, e_max=6.0))
+
+
 # --- comparisons ------------------------------------------------------------
 
 
@@ -139,6 +156,24 @@ def assert_policies_equivalent(pol_a, pol_b, beta, model, actions=None, tol=1e-6
         assert abs(ev_h.gain_j - ev_a.gain_j) <= tol, (
             f"state {s}: swapping the action changes the gain by "
             f"{ev_h.gain_j - ev_a.gain_j:.3e}")
+
+
+ROW_ARRAYS = ("indptr", "state_of_sa", "r_sa", "wq_sa", "_keys", "grid_sa",
+              "queue_sa", "overflow_sa", "spill_sa")
+
+
+def assert_same_action_space(got, want):
+    """Every per-row array and the kernel's CSR arrays equal, dtypes too."""
+    assert got.n_sa == want.n_sa
+    for name in ROW_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
+    assert got.kernel.shape == want.kernel.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got.kernel, name), getattr(want.kernel, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=f"kernel.{name}")
 
 
 # --- reference implementations ----------------------------------------------
@@ -229,6 +264,109 @@ def cold_relative_value_iteration(cfg, model, actions=None):
                        policy=actions.policy_from_sa(sa), n_iters=it,
                        residual=span, gain_bounds=(lo, hi), trace=trace,
                        actions=actions)
+
+
+class _LoopActionSpace(ActionSpace):
+    """Reference state-action builder: one Python pass per state, rate and
+    draw, appending each pair's kernel row. rates_of(s) and draws_of(s, r),
+    when given, replace the rates 0..q and the draws 0..cap."""
+
+    def __init__(self, model: Model, rates_of=None, draws_of=None):
+        space = model.space
+        params = model.params
+        self.model = model
+        n = space.n_states
+
+        hq = space.harvest_quanta
+        nb = space.nb
+
+        # chain part of the successor distribution, one block per (ih, ia, ie)
+        ch_t = model.channel.transition
+        ar_t = model.arrival.transition
+        ha_t = model.harvest.transition
+        blocks_cols = {}
+        blocks_probs = {}
+        for ih in range(space.nh):
+            for ia in range(space.na):
+                for ie in range(space.ne):
+                    probs = (ch_t[ih][:, None, None]
+                             * ar_t[ia][None, :, None]
+                             * ha_t[ie][None, None, :]).ravel()
+                    cols = (np.arange(space.nh)[:, None, None] * space.s_h
+                            + np.arange(space.na)[None, :, None] * space.s_a
+                            + np.arange(space.ne)[None, None, :]).ravel()
+                    keep = probs > 0.0
+                    blocks_cols[ih, ia, ie] = cols[keep]
+                    blocks_probs[ih, ia, ie] = probs[keep]
+
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        r_list, wq_list, owner = [], [], []
+        kcols, kprobs, kptr = [], [], [0]
+        nnz = 0
+        for s in range(n):
+            iq, ih, ia = int(space.iq[s]), int(space.ih[s]), int(space.ia[s])
+            ib, ie = int(space.ib[s]), int(space.ie[s])
+            h = float(space.h_values[ih])
+            a_pkts = int(space.arrival_pkts[ia])
+            e_quanta = int(hq[ie])
+            bcols = blocks_cols[ih, ia, ie]
+            bprobs = blocks_probs[ih, ia, ie]
+
+            rates = range(iq + 1) if rates_of is None else rates_of(s)
+            count = 0
+            for r in rates:
+                if draws_of is None:
+                    cap = battery_draw_cap_quanta(params, h, r, ib,
+                                                  model.restrict_w_to_power)
+                    draws = range(cap + 1)
+                else:
+                    draws = draws_of(s, r)
+                iq_next = min(iq - r + a_pkts, space.nq - 1)
+                for wq in draws:
+                    ib_next = min(ib - wq + e_quanta, nb - 1)
+                    r_list.append(r)
+                    wq_list.append(wq)
+                    owner.append(s)
+                    kcols.append(iq_next * space.s_q + ib_next * space.s_b + bcols)
+                    kprobs.append(bprobs)
+                    nnz += bcols.size
+                    kptr.append(nnz)
+                    count += 1
+            if count == 0:
+                raise ValueError(f"state {s} has no feasible action")
+            indptr[s + 1] = indptr[s] + count
+
+        self.indptr = indptr
+        self.n_sa = int(indptr[-1])
+        self.state_of_sa = np.asarray(owner, dtype=np.int64)
+        self.r_sa = np.asarray(r_list, dtype=np.int64)
+        self.wq_sa = np.asarray(wq_list, dtype=np.int64)
+        # (state, r, w) packed into one ascending key per row, for sa_of_policy
+        self._n_r = int(self.r_sa.max()) + 1
+        self._n_w = int(self.wq_sa.max()) + 1
+        self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
+        self.kernel = sp.csr_matrix(
+            (np.concatenate(kprobs), np.concatenate(kcols), np.asarray(kptr)),
+            shape=(self.n_sa, n))
+        self.kernel.sum_duplicates()
+
+        w = self.wq_sa * (params.delta_e / params.tau)
+        power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
+                          for h in space.h_values])
+        p_req = power[space.ih[self.state_of_sa], self.r_sa]
+        self.grid_sa = np.maximum(p_req - w, 0.0)
+        self.queue_sa = space.iq[self.state_of_sa].astype(float)
+        # per-slot clamp losses, used for evaluation diagnostics
+        raw_q = (space.iq[self.state_of_sa] - self.r_sa
+                 + space.arrival_pkts[space.ia[self.state_of_sa]])
+        self.overflow_sa = np.maximum(raw_q - (space.nq - 1), 0).astype(float)
+        raw_b = (space.ib[self.state_of_sa] - self.wq_sa
+                 + hq[space.ie[self.state_of_sa]])
+        self.spill_sa = np.maximum(raw_b - (nb - 1), 0).astype(float) * params.delta_e
+
+
+def loop_action_space(model, rates_of=None, draws_of=None):
+    return _LoopActionSpace(model, rates_of=rates_of, draws_of=draws_of)
 
 
 def loop_sa_of_policy(actions, policy):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ehsched import constrained
+from ehsched import constrained, mdp
 from ehsched.constrained import (
     BudgetInfeasibleError,
     ConstrainedSearchError,
@@ -168,6 +168,34 @@ def test_budget_curve_meets_budget_with_zero_duality_gap(model, budgets):
             assert sol.eval_plus.mean_grid_k <= p_bar < sol.eval_minus.mean_grid_k
         queues.append(sol.achieved_b)
     assert all(b <= a for a, b in zip(queues, queues[1:]))
+
+
+def test_budgeted_solves_reuse_policy_iteration_lus(monkeypatch):
+    # a probe's evaluation reuses the LU policy iteration ended on whenever
+    # the extracted policy is that one; n_evaluations counts the LUs made
+    calls = {"lu": 0, "eval": 0, "reused": 0}
+    real_lu, real_eval = mdp._bias_gain_lu, mdp.evaluate_policy
+
+    def counting_lu(P, ref):
+        calls["lu"] += 1
+        return real_lu(P, ref)
+
+    def counting_eval(*args, **kwargs):
+        ev = real_eval(*args, **kwargs)
+        calls["eval"] += 1
+        calls["reused"] += ev.reused_lu
+        return ev
+
+    monkeypatch.setattr(mdp, "_bias_gain_lu", counting_lu)
+    monkeypatch.setattr(constrained, "evaluate_policy", counting_eval)
+    reported = 0
+    for p_bar in np.linspace(0.05, 0.23, 16):
+        sol = solve_constrained(ConstrainedSolverConfig(),
+                                _with_pbar(desk_model(), float(p_bar)))
+        reported += sol.n_evaluations
+        assert sol.n_sweeps >= len(sol.trace)
+    assert calls["lu"] == reported
+    assert calls["reused"] > calls["eval"] / 2
 
 
 class _ColdProber(constrained._Prober):

@@ -21,7 +21,13 @@ from ehsched.mdp import (
 )
 from ehsched.model import Action, ModelParams, SystemState, required_power
 
-from helpers import desk_lite_model, power_delay_model
+from helpers import (
+    assert_same_action_space,
+    desk_lite_model,
+    desk_model,
+    loop_action_space,
+    power_delay_model,
+)
 
 HALF_GRID = ModelParams(tau=1.0, circuit_c=1.0, q_max=20, e_max=10.0, delta_e=0.5)
 
@@ -129,6 +135,18 @@ def test_reduced_solve_matches_full_at_large_beta():
         assert full.policy.w[s] == pytest.approx(w_greedy, abs=1e-12)
 
 
+def test_reduced_solve_offers_the_greedy_draw_at_every_rate():
+    m = desk_model(restrict=False)
+    params = m.params
+
+    def greedy_draws(s, r):
+        wq = greedy_battery(m.space.state_of(s), r, params) * params.tau / params.delta_e
+        return (int(round(wq)),)
+
+    assert_same_action_space(solve_reduced_rate_mdp(1.0, m).actions,
+                             loop_action_space(m, draws_of=greedy_draws))
+
+
 def test_greedy_draw_beats_sampled_alternatives_for_fixed_rate_rule():
     # fix a battery-independent rate rule, then compare greedy battery draw
     # against 200 randomly sampled draw tables
@@ -137,7 +155,7 @@ def test_greedy_draw_beats_sampled_alternatives_for_fixed_rate_rule():
     beta = 1.0
     rate = np.minimum(space.iq, 1)
 
-    actions = build_action_space(m, rates_of=lambda s: (int(rate[s]),))
+    actions = build_action_space(m, keep=lambda s, r, wq: r == rate[s])
     greedy = TablePolicy.from_callable(
         lambda x: Action(min(x.q, 1), greedy_battery(x, min(x.q, 1), m.params)), m)
     g_greedy = evaluate_policy(greedy, beta, m, actions=actions).gain_j

@@ -1,0 +1,38 @@
+import numpy as np
+import pytest
+
+from ehsched.io import policy_rows, rows_to_csv
+from ehsched.mdp import SolverConfig, relative_value_iteration
+
+from helpers import desk_model, large_desk_model
+
+
+def per_state_policy_rows(policy, model, values=None):
+    """Reference rendering: one state_of call per state."""
+    space = model.space
+    rows = []
+    for i in range(space.n_states):
+        x = space.state_of(i)
+        row = {"state": i, "q": x.q, "h": x.h, "a": x.a, "e_b": x.e_b,
+               "e": x.e, "r": int(policy.r[i]),
+               "w": float(policy.w_quanta[i]) * policy.delta_e / policy.tau}
+        if values is not None:
+            row["value"] = float(values[i])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("make", [desk_model, large_desk_model],
+                         ids=["desk", "desk-3000"])
+@pytest.mark.parametrize("with_values", [False, True])
+def test_policy_rows_match_per_state_rendering(make, with_values):
+    m = make()
+    res = relative_value_iteration(SolverConfig(beta=1.3), m)
+    values = res.values.values if with_values else None
+    got = policy_rows(res.policy, m, values)
+    want = per_state_policy_rows(res.policy, m, values)
+    assert got == want
+    for g, w in zip(got, want):
+        assert [type(v) for v in g.values()] == [type(v) for v in w.values()]
+    assert rows_to_csv(got) == rows_to_csv(want)
+    assert np.unique([row["w"] for row in got]).size > 1

@@ -1,10 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ehsched import mdp, model as model_module
 from ehsched.mdp import (
     InstanceTooLargeError,
     _bias_gain_lu,
@@ -18,11 +20,21 @@ from ehsched.mdp import (
     discounted_backup,
     discounted_value_iteration,
     evaluate_policy,
+    policy_chain,
     recurrent_classes,
     relative_value_iteration,
     transition_kernel,
 )
-from ehsched.model import Action, MarkovChainSpec, Model, ModelParams, SystemState
+from ehsched.model import (
+    Action,
+    MarkovChainSpec,
+    Model,
+    ModelParams,
+    SystemState,
+    battery_draw_cap_quanta,
+    draw_cap_table,
+    load_model,
+)
 
 from helpers import (
     assert_policies_equivalent,
@@ -33,6 +45,9 @@ from helpers import (
     dense_stationary_distribution,
     desk_lite_model,
     desk_model,
+    assert_same_action_space,
+    large_desk_model,
+    loop_action_space,
     loop_sa_of_policy,
     per_state_gains,
     power_delay_model,
@@ -116,6 +131,83 @@ def test_kernel_rows_sum_to_one_random_models(seed):
     actions = build_action_space(m)
     sums = np.asarray(actions.kernel.sum(axis=1)).ravel()
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# vectorised state-action build against the per-state loop
+
+MIXED_BUDGET_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "mixed_budget.json"
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans())
+def test_vectorised_build_matches_loop_random_models(seed, restrict):
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    assert_same_action_space(build_action_space(m), loop_action_space(m))
+
+
+@pytest.mark.parametrize("make", [
+    desk_model, desk_lite_model, lambda: load_model(MIXED_BUDGET_CONFIG),
+    large_desk_model, lambda: desk_model(restrict=False)],
+    ids=["desk", "desk-lite", "mixed_budget", "desk-3000", "desk-unrestricted"])
+def test_vectorised_build_matches_loop(make):
+    m = make()
+    assert_same_action_space(build_action_space(m), loop_action_space(m))
+
+
+def test_keep_filter_matches_loop_draws_of_and_rates_of():
+    m = desk_model()
+    space = m.space
+    cap = draw_cap_table(m.params, space.h_values)
+
+    def greedy_draws(s, r):
+        h = float(space.h_values[space.ih[s]])
+        return (battery_draw_cap_quanta(m.params, h, r, int(space.ib[s])),)
+
+    def greedy_keep(state, r, wq):
+        return wq == np.minimum(space.ib[state], cap[space.ih[state], r])
+
+    assert_same_action_space(build_action_space(m, keep=greedy_keep),
+                             loop_action_space(m, draws_of=greedy_draws))
+    rate = np.minimum(space.iq, 1)
+    assert_same_action_space(
+        build_action_space(m, keep=lambda state, r, wq: r == rate[state]),
+        loop_action_space(m, rates_of=lambda s: (int(rate[s]),)))
+
+
+def test_keep_filter_that_empties_a_state_raises():
+    m = desk_lite_model()
+    with pytest.raises(ValueError, match="^state 0 has no feasible action$"):
+        build_action_space(m, keep=lambda state, r, wq: r > 0)
+
+
+def test_kernel_rows_are_canonical():
+    # sorted, duplicate-free columns in every row: sum_duplicates has
+    # nothing to merge
+    K = build_action_space(large_desk_model()).kernel
+    row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
+    same_row = row[1:] == row[:-1]
+    assert (np.diff(K.indices)[same_row] > 0).all()
+    merged = K.copy()
+    merged.has_canonical_format = False
+    merged.sum_duplicates()
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(merged, name), getattr(K, name))
+
+
+def test_build_reads_the_cap_table_not_a_per_state_cap(monkeypatch):
+    calls = []
+    real = model_module.battery_draw_cap_quanta
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "battery_draw_cap_quanta", counting)
+    monkeypatch.setattr(mdp, "battery_draw_cap_quanta", counting, raising=False)
+    m = desk_model()
+    build_action_space(m)
+    assert 0 < len(calls) <= m.space.nh * (m.params.q_max + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -473,6 +565,69 @@ def test_sa_of_policy_names_first_infeasible_state():
                        lambda p: loop_sa_of_policy(actions, p)):
             with pytest.raises(ValueError, match=f"infeasible at state {s}$"):
                 lookup(bad)
+
+
+@pytest.mark.parametrize("beta", [0.3, 1.0, 30.0])
+def test_evaluation_reusing_policy_iteration_lu_equals_a_fresh_one(beta):
+    # restarted from its own optimum, policy iteration last factorises the
+    # policy extraction returns (the budgeted search's warm start)
+    m = desk_model()
+    actions = build_action_space(m)
+    cfg = SolverConfig(beta=beta)
+    res = relative_value_iteration(cfg, m, actions=actions)
+    res = relative_value_iteration(cfg, m, actions=actions, start=res.policy)
+    P, _ = policy_chain(res.policy, actions)
+    assert (actions.last_lu[0] != P).nnz == 0
+    reused = evaluate_policy(res.policy, beta, m, actions=actions)
+    fresh = evaluate_policy(res.policy, beta, m)
+    assert reused.reused_lu and not fresh.reused_lu
+    for name in ("gain_j", "mean_queue_b", "mean_grid_k", "beta",
+                 "overflow_rate", "battery_spill_rate"):
+        assert getattr(reused, name) == getattr(fresh, name), name
+    np.testing.assert_array_equal(reused.stationary_dist, fresh.stationary_dist)
+
+
+def test_policy_iteration_at_another_reference_state_leaves_no_lu():
+    # its LU factorises I - P + 1 e_ref^T, whose transpose solve is not the
+    # stationary law unless ref is 0
+    m = desk_model()
+    actions = build_action_space(m)
+    cfg = SolverConfig(beta=1.0, reference_state=77)
+    res = relative_value_iteration(cfg, m, actions=actions)
+    res = relative_value_iteration(cfg, m, actions=actions, start=res.policy)
+    assert actions.last_lu is None
+    ev = evaluate_policy(res.policy, 1.0, m, actions=actions)
+    assert not ev.reused_lu
+    np.testing.assert_array_equal(ev.stationary_dist,
+                                  evaluate_policy(res.policy, 1.0, m).stationary_dist)
+
+
+def test_evaluation_with_another_chain_factorises_its_own():
+    m = desk_model()
+    actions = build_action_space(m)
+    relative_value_iteration(SolverConfig(beta=1.0), m, actions=actions)
+    idle = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
+    ev = evaluate_policy(idle, 1.0, m, actions=actions)
+    assert not ev.reused_lu
+    assert ev.gain_j == evaluate_policy(idle, 1.0, m).gain_j
+
+
+def test_reused_lu_keeps_the_residual_check():
+    m = desk_model()
+    actions = build_action_space(m)
+    res = relative_value_iteration(SolverConfig(beta=100.0), m, actions=actions)
+    assert evaluate_policy(res.policy, 100.0, m, actions=actions).reused_lu
+    P, lu = actions.last_lu
+
+    class Skewed:
+        def solve(self, b, trans="N"):
+            x = lu.solve(b, trans=trans)
+            x[:5] += 1e-3
+            return x
+
+    actions.last_lu = (P, Skewed())
+    with pytest.raises(NonConvergenceError):
+        evaluate_policy(res.policy, 100.0, m, actions=actions)
 
 
 def test_evaluate_multichain_detected():
