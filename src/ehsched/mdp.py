@@ -1,7 +1,10 @@
 """Average-cost and discounted MDP machinery over the link model.
 
 The decision problem: per slot, pay q + beta * grid_power. The solver works on
-a flattened state-action enumeration with a sparse one-step kernel. Both
+a flattened state-action enumeration; every expectation E[V(next) | s, a] is
+one contraction of V with the exogenous chain and a gather at the row's
+post-decision index, and a policy's sparse chain, for its LU, comes from the
+same index. Both
 solves run Howard policy iteration first, each policy evaluated by one sparse
 LU, and start value iteration from the values of the policy it ends on; the
 sweeps then only mop up rounding error before meeting their usual stopping
@@ -25,7 +28,6 @@ from .model import (
     Action,
     ConfigError,
     Model,
-    SystemState,
     draw_cap_table,
     required_power,
 )
@@ -147,11 +149,12 @@ class PolicyEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# state-action enumeration + kernel
+# state-action enumeration + expectation operator
 
 
 class ActionSpace:
-    """Flat enumeration of feasible state-action pairs with the one-step kernel.
+    """Flat enumeration of feasible state-action pairs and their expectation
+    operator.
 
     Row layout: actions of state s occupy rows indptr[s]:indptr[s+1], ordered
     by (r, w) ascending, so the first minimizer in a segment is the
@@ -160,12 +163,12 @@ class ActionSpace:
     The enumeration is vectorised: rates 0..q per state, then draws 0..cap per
     (state, rate), with cap = min(ib, draw_cap_table[ih, r]) (= ib when the
     model does not restrict draws to the required power). The next (q,
-    battery) is a deterministic function of the row, and the exogenous part
-    of the successor law depends on (h, a, e) only, so kernel row k is the
-    positive entries of the chain product's row (h, a, e) of its state,
-    shifted by the row's next (q, battery) index. keep(state, r, wq), if
-    given, maps the enumerated rows' arrays to a bool mask of the rows to
-    keep; the kept rows stay in the same order.
+    battery) is a deterministic function of the row and the chains move
+    independently of it, so a row stores one post-decision index, post_sa:
+    its next (q, battery) base plus its state's own (h, a, e) offset in the
+    table of post_decision_values. keep(state, r, wq), if given, maps the
+    enumerated rows' arrays to a bool mask of the rows to keep; the kept
+    rows stay in the same order.
     """
 
     # (P, LU) of the last chain policy iteration factorised at reference state
@@ -177,23 +180,20 @@ class ActionSpace:
         params = model.params
         self.model = model
         n = space.n_states
-        nh, na, ne, nb = space.nh, space.na, space.ne, space.nb
+        na, ne, nb = space.na, space.ne, space.nb
 
-        # chain part of the successor distribution: row (ih, ia, ie) of the
-        # product of the three chain matrices, positive entries only, columns
-        # as state-index offsets ascending
-        probs = (model.channel.transition[:, None, None, :, None, None]
-                 * model.arrival.transition[None, :, None, None, :, None]
-                 * model.harvest.transition[None, None, :, None, None, :]
-                 ).reshape(nh * na * ne, nh * na * ne)
-        offsets = (np.arange(nh)[:, None, None] * space.s_h
+        # exogenous chain and, per row (ih, ia, ie), its positive entries with
+        # columns as state-index offsets ascending (the blocks chain() shifts)
+        self.exogenous = exogenous_chain(model)
+        n_ex = self.exogenous.shape[0]
+        offsets = (np.arange(space.nh)[:, None, None] * space.s_h
                    + np.arange(na)[None, :, None] * space.s_a
                    + np.arange(ne)[None, None, :]).ravel()
-        ex_rows, ex_cols = np.nonzero(probs > 0.0)
-        block_cols = offsets[ex_cols]
-        block_probs = probs[ex_rows, ex_cols]
-        block_nnz = np.bincount(ex_rows, minlength=probs.shape[0])
-        block_ptr = np.concatenate(([0], np.cumsum(block_nnz)))
+        ex_rows, ex_cols = np.nonzero(self.exogenous > 0.0)
+        self.block_cols = offsets[ex_cols]
+        self.block_probs = self.exogenous[ex_rows, ex_cols]
+        self.block_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(ex_rows, minlength=n_ex))))
 
         # rows: rates 0..iq per state, then draws 0..cap per (state, rate)
         n_rates = space.iq + 1
@@ -228,21 +228,12 @@ class ActionSpace:
         self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
 
         iq, ib = space.iq[owner], space.ib[owner]
-        ex = (space.ih[owner] * na + space.ia[owner]) * ne + space.ie[owner]
         raw_q = iq - r + space.arrival_pkts[space.ia[owner]]
         raw_b = ib - wq + space.harvest_quanta[space.ie[owner]]
-        base = (np.minimum(raw_q, space.nq - 1) * space.s_q
-                + np.minimum(raw_b, nb - 1) * space.s_b)
-        row_nnz = block_nnz[ex]
-        kptr = np.concatenate(([0], np.cumsum(row_nnz)))
-        gather = np.repeat(block_ptr[ex] - kptr[:-1], row_nnz)
-        gather += np.arange(kptr[-1])
-        data, cols = block_probs[gather], block_cols[gather]
-        del gather  # one nnz-long array fewer at the peak
-        cols += np.repeat(base, row_nnz)
-        # each block's columns ascend and are unique, so every row is already
-        # in canonical (sorted, duplicate-free) form
-        self.kernel = sp.csr_matrix((data, cols, kptr), shape=(self.n_sa, n))
+        self.post_sa = ((np.minimum(raw_q, space.nq - 1) * nb
+                         + np.minimum(raw_b, nb - 1)) * n_ex
+                        + (space.ih[owner] * na + space.ia[owner]) * ne
+                        + space.ie[owner])
 
         w = self.wq_sa * (params.delta_e / params.tau)
         power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
@@ -256,6 +247,31 @@ class ActionSpace:
 
     def cost(self, beta: float) -> np.ndarray:
         return self.queue_sa + beta * self.grid_sa
+
+    def expected_next(self, values: np.ndarray) -> np.ndarray:
+        """E[values(next state) | row] for every row."""
+        table = post_decision_values(values, self.model.space, self.exogenous)
+        return table.ravel()[self.post_sa]
+
+    def chain(self, sa: np.ndarray) -> sp.csr_matrix:
+        """Sparse one-step transition matrix of the rows sa, one row each:
+        the positive entries of the exogenous chain's row for the row's (h,
+        a, e), shifted to its next (q, battery) state index."""
+        space = self.model.space
+        n_ex = self.exogenous.shape[0]
+        post = self.post_sa[sa]
+        ex, qb = post % n_ex, post // n_ex
+        base = (qb // space.nb) * space.s_q + (qb % space.nb) * space.s_b
+        row_nnz = np.diff(self.block_ptr)[ex]
+        ptr = np.concatenate(([0], np.cumsum(row_nnz)))
+        gather = np.repeat(self.block_ptr[ex] - ptr[:-1], row_nnz)
+        gather += np.arange(ptr[-1])
+        cols = self.block_cols[gather]
+        cols += np.repeat(base, row_nnz)
+        # each block's columns ascend and are unique, so every row is already
+        # in canonical (sorted, duplicate-free) form
+        return sp.csr_matrix((self.block_probs[gather], cols, ptr),
+                             shape=(post.size, space.n_states))
 
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
         """Row index of each state's stored action; raises if one is infeasible.
@@ -287,44 +303,26 @@ def build_action_space(model: Model, keep=None) -> ActionSpace:
     return ActionSpace(model, keep=keep)
 
 
-def transition_kernel(x: SystemState, act: Action, model: Model):
-    """One-step successor distribution of a single (state, action) pair.
-
-    Returns (state_indices, probabilities). Kept independent of the bulk
-    ActionSpace kernel builder so the two can cross-check each other.
-    """
-    from .model import feasible_actions, step_battery, step_queue
-
-    params = model.params
+def exogenous_chain(model: Model) -> np.ndarray:
+    """Transition matrix of the joint (channel, arrival, harvest) chain, the
+    product of the three; rows and columns are (ih, ia, ie), ie fastest."""
     space = model.space
-    wq = int(round(act.w * params.tau / params.delta_e))
-    if abs(act.w - wq * params.delta_e / params.tau) > 1e-9:
-        raise ValueError(f"battery draw {act.w} is off the w-grid")
-    if Action(act.r, wq * params.delta_e / params.tau) not in feasible_actions(
-            x, params, model.restrict_w_to_power):
-        raise ValueError(f"action {act} infeasible in state {x}")
+    n_ex = space.nh * space.na * space.ne
+    return (model.channel.transition[:, None, None, :, None, None]
+            * model.arrival.transition[None, :, None, None, :, None]
+            * model.harvest.transition[None, None, :, None, None, :]
+            ).reshape(n_ex, n_ex)
 
-    q_next, _ = step_queue(x.q, act.r, x.a, params.q_max)
-    eb_next, _ = step_battery(x.e_b, act.w, x.e, params)
 
-    ih = int(np.argmin(np.abs(space.h_values - x.h)))
-    ia = int(np.argmin(np.abs(space.arrival_pkts - x.a)))
-    ie = int(np.argmin(np.abs(np.asarray(model.harvest.values) - x.e)))
-
-    idx, probs = [], []
-    for ih2, ph in enumerate(model.channel.transition[ih]):
-        for ia2, pa in enumerate(model.arrival.transition[ia]):
-            for ie2, pe in enumerate(model.harvest.transition[ie]):
-                p = ph * pa * pe
-                if p <= 0.0:
-                    continue
-                nxt = SystemState(q=q_next, h=float(space.h_values[ih2]),
-                                  a=int(space.arrival_pkts[ia2]), e_b=eb_next,
-                                  e=float(np.asarray(model.harvest.values)[ie2]))
-                idx.append(space.index_of(nxt))
-                probs.append(p)
-    order = np.argsort(idx)
-    return np.asarray(idx, dtype=np.int64)[order], np.asarray(probs)[order]
+def post_decision_values(values: np.ndarray, space, exogenous) -> np.ndarray:
+    """Expected next value of every post-decision state: entry ((q, b), (ih,
+    ia, ie)) is E[values(q, h', a', b, e') | h, a, e]; values, reshaped to
+    (nq*nb) x (nh*na*ne), times the exogenous chain's transpose (Powell,
+    Approximate Dynamic Programming, 2nd ed., 2011, ch. 4)."""
+    nq, nb = space.nq, space.nb
+    V = (values.reshape(nq, space.nh * space.na, nb, space.ne)
+         .transpose(0, 2, 1, 3).reshape(nq * nb, exogenous.shape[0]))
+    return V @ exogenous.T
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +371,21 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
                  sa: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
     """Average-cost Howard policy iteration from the policy with rows sa.
 
-    Evaluates each policy by one bias-gain LU of its chain kernel[sa] and
-    improves on y = c + K h. A state keeps its incumbent row wherever that
-    row is within rounding of the segment minimum (the anti-cycling rule of
-    Puterman 1994, sec. 8.6); elsewhere it takes the smallest minimizing row.
+    Evaluates each policy by one bias-gain LU of its chain actions.chain(sa)
+    and improves on y = c + E[h(next)]. A state keeps its incumbent row
+    wherever that row is within rounding of the segment minimum (the
+    anti-cycling rule of Puterman 1994, sec. 8.6); elsewhere it takes the
+    smallest minimizing row.
     Stops when the rows repeat, after max_iters evaluations, or at the first
     multichain policy, which has no single gain. Returns the bias of the
     last unichain policy evaluated (zeros if none) and the number of
     evaluations. At reference state 0 the last LU is left in
     actions.last_lu, where evaluate_policy finds it for the same chain.
     """
-    K = actions.kernel
-    h = np.zeros(K.shape[1])
+    h = np.zeros(actions.indptr.size - 1)
     n_eval = 0
     for _ in range(max_iters):
-        P = K[sa]
+        P = actions.chain(sa)
         if recurrent_classes(P)[1] != 1:
             break
         lu = _bias_gain_lu(P, ref)
@@ -396,7 +394,7 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
         x = lu.solve(c[sa])
         h = x - x[ref]
         n_eval += 1
-        y = c + K @ h
+        y = c + actions.expected_next(h)
         mins = _segment_min(y, actions.indptr)
         keep = y[sa] <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
         better = np.where(keep, sa, _greedy_sa(y, mins, actions, tie_tol=0.0))
@@ -445,7 +443,6 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
         raise ValueError(f"reference_state {ref} out of range")
     kappa = cfg.kappa
     c = actions.cost(cfg.beta)
-    K = actions.kernel
     owner = actions.state_of_sa
 
     if start is None:
@@ -458,7 +455,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     trace = []
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
-        y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
+        y = c + kappa * actions.expected_next(v) + (1.0 - kappa) * v[owner]
         mins = _segment_min(y, actions.indptr)
         d = mins - v
         lo, hi = float(d.min()), float(d.max())
@@ -472,7 +469,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
+    y = c + kappa * actions.expected_next(v) + (1.0 - kappa) * v[owner]
     mins = _segment_min(y, actions.indptr)
     sa = _greedy_sa(y, mins, actions, tie_tol=10.0 * cfg.epsilon)
     d = mins - v
@@ -493,7 +490,7 @@ def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
                       alpha: float,
                       tie_tol: float = GREEDY_TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """One discounted Bellman sweep; returns (new values, greedy sa rows)."""
-    y = actions.cost(beta) + alpha * (actions.kernel @ values)
+    y = actions.cost(beta) + alpha * actions.expected_next(values)
     mins = _segment_min(y, actions.indptr)
     return mins, _greedy_sa(y, mins, actions, tie_tol=tie_tol)
 
@@ -512,8 +509,7 @@ def _howard_values(actions: ActionSpace, beta: float, alpha: float,
     eye = sp.identity(n, format="csc")
     _, sa = discounted_backup(actions, np.zeros(n), beta, alpha, tie_tol=0.0)
     for n_eval in range(1, max_iters + 1):
-        P, per_state = policy_chain(actions.policy_from_sa(sa), actions)
-        v = splu((eye - alpha * P).tocsc()).solve(per_state(c))
+        v = splu((eye - alpha * actions.chain(sa)).tocsc()).solve(c[sa])
         _, greedy = discounted_backup(actions, v, beta, alpha, tie_tol=0.0)
         if np.array_equal(greedy, sa):
             break
@@ -569,10 +565,10 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
 
 
 def policy_chain(policy, actions: ActionSpace):
-    """Chain a fixed stationary policy induces: its sparse kernel P, and a map
+    """Chain a fixed stationary policy induces: its sparse matrix P, and a map
     from a per-(state, action) array to the policy's per-state array.
 
-    Mixed policies marginalize the per-epoch coin into the kernel and costs
+    Mixed policies marginalize the per-epoch coin into the chain and costs
     (xi*P+ + (1-xi)*P-), which equals the product chain of (state, coin)
     exactly since the coin is i.i.d.
     """
@@ -585,7 +581,7 @@ def policy_chain(policy, actions: ActionSpace):
     def per_state(per_sa):
         return sum(w * per_sa[sa] for w, sa in terms)
 
-    P = per_state(actions.kernel).tocsr()
+    P = sum(w * actions.chain(sa) for w, sa in terms).tocsr()
     P.eliminate_zeros()
     return P, per_state
 
@@ -714,7 +710,6 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
             raise InstanceTooLargeError(
                 f"policy count exceeds cap {cap}")
 
-    dense = actions.kernel.toarray()
     cost = actions.queue_sa + beta * actions.grid_sa
     eye = np.eye(n)
     rhs = np.zeros(n)
@@ -726,11 +721,11 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
     base = actions.indptr[:-1]
     for combo in itertools.product(*[range(int(m)) for m in counts]):
         sa = base + np.asarray(combo)
-        P = dense[sa]
-        if recurrent_classes(sp.csr_matrix(P))[1] != 1:
+        P = actions.chain(sa)
+        if recurrent_classes(P)[1] != 1:
             skipped += 1
             continue
-        A = P.T - eye
+        A = P.toarray().T - eye
         A[-1, :] = 1.0
         piv = np.linalg.solve(A, rhs)
         n_eval += 1

@@ -30,7 +30,9 @@ from .mdp import (
     build_action_space,
     discounted_value_iteration,
     evaluate_policy,
+    exogenous_chain,
     policy_chain,
+    post_decision_values,
     recurrent_classes,
     relative_value_iteration,
 )
@@ -226,13 +228,11 @@ class _DifferenceContext:
         if values.alpha is None:
             raise ValueError("difference certificates expect discounted values")
         space = model.space
-        V = values.values.reshape(space.nq, space.nh, space.na, space.nb,
-                                  space.ne)
-        # EV[q', ih, ia, jb', ie] = chain-expected next value
-        self.ev = np.einsum("hH,aA,eE,qHAbE->qhabe",
-                            model.channel.transition,
-                            model.arrival.transition,
-                            model.harvest.transition, V, optimize=True)
+        # ev[q', jb', ih, ia, ie] = chain-expected next value, the solvers'
+        # post-decision table
+        self.ev = post_decision_values(values.values, space,
+                                       exogenous_chain(model)).reshape(
+            space.nq, space.nb, space.nh, space.na, space.ne)
         self.model = model
         self.space = space
         self.alpha = float(values.alpha)
@@ -271,8 +271,8 @@ class _StateDifferences:
         bn = j + self.e_quanta
         if qn < 0 or bn < 0:
             return None
-        return float(self.ctx.ev[min(qn, space.nq - 1), self.ih, self.ia,
-                                 min(bn, space.nb - 1), self.ie])
+        return float(self.ctx.ev[min(qn, space.nq - 1), min(bn, space.nb - 1),
+                                 self.ih, self.ia, self.ie])
 
     def _circuit_step(self, u: int) -> float:
         # one-step circuit-cost change when serving one more packet from u

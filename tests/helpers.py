@@ -13,15 +13,19 @@ from ehsched.mdp import (
     _greedy_sa,
     _segment_min,
     build_action_space,
-    discounted_backup,
     evaluate_policy,
 )
 from ehsched.model import (
+    Action,
     MarkovChainSpec,
     Model,
     ModelParams,
+    SystemState,
     battery_draw_cap_quanta,
+    feasible_actions,
     required_power,
+    step_battery,
+    step_queue,
 )
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
@@ -158,22 +162,74 @@ def assert_policies_equivalent(pol_a, pol_b, beta, model, actions=None, tol=1e-6
             f"{ev_h.gain_j - ev_a.gain_j:.3e}")
 
 
-ROW_ARRAYS = ("indptr", "state_of_sa", "r_sa", "wq_sa", "_keys", "grid_sa",
-              "queue_sa", "overflow_sa", "spill_sa")
+ROW_ARRAYS = ("indptr", "state_of_sa", "r_sa", "wq_sa", "_keys", "post_sa",
+              "grid_sa", "queue_sa", "overflow_sa", "spill_sa")
+
+
+def assert_same_csr(got, want):
+    """Same shape and the same CSR arrays, dtypes too."""
+    assert got.shape == want.shape
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        np.testing.assert_array_equal(a, b, err_msg=name)
 
 
 def assert_same_action_space(got, want):
-    """Every per-row array and the kernel's CSR arrays equal, dtypes too."""
+    """Every per-row array equal, dtypes too, and the chain of all of got's
+    rows equal to the loop oracle's kernel (want must be one)."""
     assert got.n_sa == want.n_sa
     for name in ROW_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert got.kernel.shape == want.kernel.shape
-    for name in ("indptr", "indices", "data"):
-        a, b = getattr(got.kernel, name), getattr(want.kernel, name)
-        assert a.dtype == b.dtype, name
-        np.testing.assert_array_equal(a, b, err_msg=f"kernel.{name}")
+    assert_same_csr(got.chain(np.arange(got.n_sa)), want.kernel)
+
+
+def oracle_kernel(actions):
+    """The loop oracle's materialised one-step kernel over the rows of
+    actions, which must be the full enumeration of its model."""
+    oracle = loop_action_space(actions.model)
+    np.testing.assert_array_equal(oracle._keys, actions._keys)
+    return oracle.kernel
+
+
+def transition_kernel(x: SystemState, act: Action, model: Model):
+    """One-step successor distribution of a single (state, action) pair.
+
+    Returns (state_indices, probabilities), built from the model's step
+    functions and the three chain matrices, independently of ActionSpace.
+    """
+    params = model.params
+    space = model.space
+    wq = int(round(act.w * params.tau / params.delta_e))
+    if abs(act.w - wq * params.delta_e / params.tau) > 1e-9:
+        raise ValueError(f"battery draw {act.w} is off the w-grid")
+    if Action(act.r, wq * params.delta_e / params.tau) not in feasible_actions(
+            x, params, model.restrict_w_to_power):
+        raise ValueError(f"action {act} infeasible in state {x}")
+
+    q_next, _ = step_queue(x.q, act.r, x.a, params.q_max)
+    eb_next, _ = step_battery(x.e_b, act.w, x.e, params)
+
+    ih = int(np.argmin(np.abs(space.h_values - x.h)))
+    ia = int(np.argmin(np.abs(space.arrival_pkts - x.a)))
+    ie = int(np.argmin(np.abs(np.asarray(model.harvest.values) - x.e)))
+
+    idx, probs = [], []
+    for ih2, ph in enumerate(model.channel.transition[ih]):
+        for ia2, pa in enumerate(model.arrival.transition[ia]):
+            for ie2, pe in enumerate(model.harvest.transition[ie]):
+                p = ph * pa * pe
+                if p <= 0.0:
+                    continue
+                nxt = SystemState(q=q_next, h=float(space.h_values[ih2]),
+                                  a=int(space.arrival_pkts[ia2]), e_b=eb_next,
+                                  e=float(np.asarray(model.harvest.values)[ie2]))
+                idx.append(space.index_of(nxt))
+                probs.append(p)
+    order = np.argsort(idx)
+    return np.asarray(idx, dtype=np.int64)[order], np.asarray(probs)[order]
 
 
 # --- reference implementations ----------------------------------------------
@@ -204,23 +260,27 @@ def per_state_gains(P, c):
 
 
 def cold_discounted_value_iteration(cfg, model, actions=None):
-    """Reference discounted solve: Bellman sweeps from V=0 to the residual
-    epsilon*(1-alpha)/(2*alpha), then the same tie-canonical extraction."""
+    """Reference discounted solve: Bellman sweeps on the loop oracle's
+    kernel from V=0 to the residual epsilon*(1-alpha)/(2*alpha), then the
+    same tie-canonical extraction."""
     if actions is None:
         actions = build_action_space(model)
     alpha = cfg.alpha
     threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
+    c = actions.cost(cfg.beta)
+    K = oracle_kernel(actions)
     v = np.zeros(model.space.n_states)
     for it in range(1, cfg.max_iters + 1):
-        mins, _ = discounted_backup(actions, v, cfg.beta, alpha)
+        mins = _segment_min(c + alpha * (K @ v), actions.indptr)
         resid = float(np.max(np.abs(mins - v)))
         v = mins
         if resid < threshold:
             break
     else:
         raise AssertionError(f"no convergence in {cfg.max_iters} sweeps")
-    _, sa = discounted_backup(actions, v, cfg.beta, alpha,
-                              tie_tol=10.0 * cfg.epsilon)
+    y = c + alpha * (K @ v)
+    sa = _greedy_sa(y, _segment_min(y, actions.indptr), actions,
+                    tie_tol=10.0 * cfg.epsilon)
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
@@ -228,14 +288,14 @@ def cold_discounted_value_iteration(cfg, model, actions=None):
 
 
 def cold_relative_value_iteration(cfg, model, actions=None):
-    """Reference average-cost solve: damped relative VI sweeps from V=0 to a
-    span of T V - V below epsilon, then the same tie-canonical extraction
-    and kappa-rescaled bias."""
+    """Reference average-cost solve: damped relative VI sweeps on the loop
+    oracle's kernel from V=0 to a span of T V - V below epsilon, then the
+    same tie-canonical extraction and kappa-rescaled bias."""
     if actions is None:
         actions = build_action_space(model)
     ref, kappa = cfg.reference_state, cfg.kappa
     c = actions.cost(cfg.beta)
-    K = actions.kernel
+    K = oracle_kernel(actions)
     owner = actions.state_of_sa
 
     v = np.zeros(model.space.n_states)
@@ -268,8 +328,9 @@ def cold_relative_value_iteration(cfg, model, actions=None):
 
 class _LoopActionSpace(ActionSpace):
     """Reference state-action builder: one Python pass per state, rate and
-    draw, appending each pair's kernel row. rates_of(s) and draws_of(s, r),
-    when given, replace the rates 0..q and the draws 0..cap."""
+    draw, appending each pair's post-decision index and its materialised
+    kernel row. rates_of(s) and draws_of(s, r), when given, replace the
+    rates 0..q and the draws 0..cap."""
 
     def __init__(self, model: Model, rates_of=None, draws_of=None):
         space = model.space
@@ -299,8 +360,9 @@ class _LoopActionSpace(ActionSpace):
                     blocks_cols[ih, ia, ie] = cols[keep]
                     blocks_probs[ih, ia, ie] = probs[keep]
 
+        n_ex = space.nh * space.na * space.ne
         indptr = np.zeros(n + 1, dtype=np.int64)
-        r_list, wq_list, owner = [], [], []
+        r_list, wq_list, owner, post = [], [], [], []
         kcols, kprobs, kptr = [], [], [0]
         nnz = 0
         for s in range(n):
@@ -327,6 +389,8 @@ class _LoopActionSpace(ActionSpace):
                     r_list.append(r)
                     wq_list.append(wq)
                     owner.append(s)
+                    post.append((iq_next * nb + ib_next) * n_ex
+                                + (ih * space.na + ia) * space.ne + ie)
                     kcols.append(iq_next * space.s_q + ib_next * space.s_b + bcols)
                     kprobs.append(bprobs)
                     nnz += bcols.size
@@ -341,6 +405,7 @@ class _LoopActionSpace(ActionSpace):
         self.state_of_sa = np.asarray(owner, dtype=np.int64)
         self.r_sa = np.asarray(r_list, dtype=np.int64)
         self.wq_sa = np.asarray(wq_list, dtype=np.int64)
+        self.post_sa = np.asarray(post, dtype=np.int64)
         # (state, r, w) packed into one ascending key per row, for sa_of_policy
         self._n_r = int(self.r_sa.max()) + 1
         self._n_w = int(self.wq_sa.max()) + 1

@@ -23,7 +23,6 @@ from ehsched.mdp import (
     policy_chain,
     recurrent_classes,
     relative_value_iteration,
-    transition_kernel,
 )
 from ehsched.model import (
     Action,
@@ -46,18 +45,34 @@ from helpers import (
     desk_lite_model,
     desk_model,
     assert_same_action_space,
+    assert_same_csr,
     large_desk_model,
     loop_action_space,
     loop_sa_of_policy,
+    oracle_kernel,
     per_state_gains,
     power_delay_model,
     random_model,
     tiny_models,
+    transition_kernel,
 )
 
 
 # ---------------------------------------------------------------------------
-# transition kernel
+# transition kernel: the single-pair oracle and the rows' chain
+
+def _chain_row(m, x, act):
+    """Successor indices and probabilities of the pair's row in chain()."""
+    actions = build_action_space(m)
+    s = m.space.index_of(x)
+    wq = int(round(act.w * m.params.tau / m.params.delta_e))
+    seg = np.arange(actions.indptr[s], actions.indptr[s + 1])
+    hit = seg[(actions.r_sa[seg] == act.r) & (actions.wq_sa[seg] == wq)]
+    if hit.size == 0:
+        return None
+    row = actions.chain(hit)
+    return row.indices, row.data
+
 
 def test_kernel_singleton_chains():
     m = battery_model()
@@ -68,6 +83,9 @@ def test_kernel_singleton_chains():
     nxt = m.space.state_of(int(idx[0]))
     assert nxt.q == 1            # 1 - 1 + 1
     assert nxt.e_b == 0.5        # 0.5 - 0.5 + 0.5
+    cols, data = _chain_row(m, x, Action(1, 0.5))
+    np.testing.assert_array_equal(cols, idx)
+    np.testing.assert_array_equal(data, probs)
 
 
 def test_kernel_product_probabilities():
@@ -85,6 +103,9 @@ def test_kernel_product_probabilities():
     # all successors share the deterministic coordinates q'=2, e_b'=0
     for i in idx:
         assert m.space.state_of(int(i)).q == 2
+    cols, data = _chain_row(m, x, Action(0, 0.0))
+    np.testing.assert_array_equal(cols, idx)
+    np.testing.assert_array_equal(data, probs)
 
 
 def test_kernel_rejects_infeasible_and_offgrid():
@@ -94,23 +115,25 @@ def test_kernel_rejects_infeasible_and_offgrid():
         transition_kernel(x, Action(1, 0.0), m)
     with pytest.raises(ValueError):
         transition_kernel(SystemState(1, 1.0, 1, 0.5, 0.5), Action(1, 0.3), m)
+    # the enumeration offers no row for the infeasible pair either
+    assert _chain_row(m, x, Action(1, 0.0)) is None
 
 
 def test_bulk_kernel_matches_single_pair_route():
-    # the ActionSpace builder and transition_kernel are independent codepaths;
+    # the ActionSpace chain and transition_kernel are independent codepaths;
     # they must produce identical rows
     m = desk_lite_model()
     actions = build_action_space(m)
-    rows = actions.kernel
     rng = np.random.default_rng(7)
     picks = rng.choice(actions.n_sa, size=200, replace=False)
-    for sa in picks:
+    rows = actions.chain(picks)
+    for k, sa in enumerate(picks):
         s = int(actions.state_of_sa[sa])
         x = m.space.state_of(s)
         act = Action(int(actions.r_sa[sa]),
                      float(actions.wq_sa[sa]) * m.params.delta_e / m.params.tau)
         idx, probs = transition_kernel(x, act, m)
-        row = rows.getrow(sa)
+        row = rows.getrow(k)
         assert np.array_equal(np.sort(row.indices), idx)
         dense = np.zeros(m.space.n_states)
         dense[idx] = probs
@@ -120,7 +143,7 @@ def test_bulk_kernel_matches_single_pair_route():
 def test_kernel_rows_sum_to_one():
     for m in tiny_models() + [desk_lite_model()]:
         actions = build_action_space(m)
-        sums = np.asarray(actions.kernel.sum(axis=1)).ravel()
+        sums = np.asarray(actions.chain(np.arange(actions.n_sa)).sum(axis=1)).ravel()
         np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -129,7 +152,7 @@ def test_kernel_rows_sum_to_one():
 def test_kernel_rows_sum_to_one_random_models(seed):
     m = random_model(seed)
     actions = build_action_space(m)
-    sums = np.asarray(actions.kernel.sum(axis=1)).ravel()
+    sums = np.asarray(actions.chain(np.arange(actions.n_sa)).sum(axis=1)).ravel()
     np.testing.assert_allclose(sums, 1.0, atol=1e-12)
 
 
@@ -181,10 +204,54 @@ def test_keep_filter_that_empties_a_state_raises():
         build_action_space(m, keep=lambda state, r, wq: r > 0)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.floats(-1e6, 1e6))
+def test_expected_next_matches_oracle_kernel_random_models(seed, restrict, scale):
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    actions = build_action_space(m)
+    v = scale * np.random.default_rng(seed).standard_normal(m.space.n_states)
+    want = loop_action_space(m).kernel @ v
+    tol = 1e-14 * max(1.0, float(np.abs(v).max()))
+    np.testing.assert_allclose(actions.expected_next(v), want, rtol=0, atol=tol)
+
+
+def test_action_space_stores_no_successor_lists():
+    # the expectation is a contraction plus one index per row: no sparse
+    # matrix and no array longer than the rows (or the exogenous chain)
+    m = large_desk_model()
+    actions = build_action_space(m)
+    n_ex = m.space.nh * m.space.na * m.space.ne
+    for name, value in vars(actions).items():
+        assert not hasattr(value, "indptr"), name
+        if isinstance(value, np.ndarray):
+            assert value.size <= max(actions.n_sa + 1, n_ex * n_ex), name
+
+
+def test_policy_chains_are_the_rows_chain():
+    # policy_chain and the discounted policy iteration's direct chain(sa),
+    # c[sa] give the same P and costs, bit for bit, mixtures included
+    m = desk_model()
+    actions = build_action_space(m)
+    rng = np.random.default_rng(3)
+    policy, sa = _random_table_policy(actions, rng)
+    other, sa_other = _random_table_policy(actions, rng)
+    c = actions.cost(1.3)
+    P, per_state = policy_chain(policy, actions)
+    assert_same_csr(P, actions.chain(sa))
+    np.testing.assert_array_equal(per_state(c), c[sa])
+    P, per_state = policy_chain(MixedPolicy(policy, other, xi=0.3), actions)
+    K = oracle_kernel(actions)
+    want = (0.3 * K[sa] + 0.7 * K[sa_other]).tocsr()
+    want.eliminate_zeros()
+    assert_same_csr(P, want)
+    np.testing.assert_array_equal(per_state(c), 0.3 * c[sa] + 0.7 * c[sa_other])
+
+
 def test_kernel_rows_are_canonical():
     # sorted, duplicate-free columns in every row: sum_duplicates has
     # nothing to merge
-    K = build_action_space(large_desk_model()).kernel
+    actions = build_action_space(large_desk_model())
+    K = actions.chain(np.arange(actions.n_sa))
     row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     same_row = row[1:] == row[:-1]
     assert (np.diff(K.indices)[same_row] > 0).all()
@@ -259,7 +326,7 @@ def test_rvi_bias_solves_optimality_equation():
     res = relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12), m)
     actions = build_action_space(m)
     h = res.values.values
-    y = actions.cost(1.0) + actions.kernel @ h
+    y = actions.cost(1.0) + oracle_kernel(actions) @ h
     mins = np.minimum.reduceat(y, actions.indptr[:-1])
     np.testing.assert_allclose(mins - h, res.gain, atol=1e-7)
     assert h[res.values.reference_state] == 0.0
@@ -299,7 +366,8 @@ def test_rvi_matches_cold_sweeps_random_models(seed, beta, with_start):
         # policies: each must earn the gain from every start state
         for res in (warm, cold):
             sa = actions.sa_of_policy(res.policy)
-            gains = per_state_gains(actions.kernel[sa], actions.cost(beta)[sa])
+            gains = per_state_gains(oracle_kernel(actions)[sa],
+                                    actions.cost(beta)[sa])
             np.testing.assert_allclose(gains, warm.gain, rtol=0, atol=1e-6)
 
 
@@ -504,12 +572,13 @@ def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
     actions = build_action_space(m)
     rng = np.random.default_rng(seed + 1)
     policy, sa = _random_table_policy(actions, rng)
-    P = actions.kernel[sa]
+    K = oracle_kernel(actions)
+    P = K[sa]
     c_pi = actions.cost(beta)[sa]
     if xi is not None:  # a two-policy mixture: the coin enters P and c
         other, sa_other = _random_table_policy(actions, rng)
         policy = MixedPolicy(policy, other, xi=xi)
-        P = xi * P + (1.0 - xi) * actions.kernel[sa_other]
+        P = xi * P + (1.0 - xi) * K[sa_other]
         c_pi = xi * c_pi + (1.0 - xi) * actions.cost(beta)[sa_other]
     try:
         ev = evaluate_policy(policy, beta, m, actions=actions)
@@ -526,7 +595,7 @@ def test_bias_gain_lu_gain_is_stationary_average(seed, beta, ref):
     m = random_model(seed)
     actions = build_action_space(m)
     _, sa = _random_table_policy(actions, np.random.default_rng(seed + 1))
-    P = actions.kernel[sa]
+    P = actions.chain(sa)
     if recurrent_classes(P)[1] != 1:
         return
     ref %= m.space.n_states

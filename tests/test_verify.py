@@ -13,6 +13,7 @@ from ehsched.mdp import (
 from ehsched.model import MarkovChainSpec, Model, ModelParams, battery_draw_cap_quanta
 from ehsched.verify import (
     CertificateReport,
+    _DifferenceContext,
     any_hard_failure,
     check_beta_monotonicity,
     check_greedy_regimes,
@@ -114,6 +115,28 @@ def test_value_shape_on_converged_desk(desk, desk_discounted):
     assert rb.status == "pass"
     assert rc.status == "pass"
     assert rq.details["n_compared"] > 0
+
+
+def _einsum_ev(values, model):
+    """The certificates' former expectation: one einsum over the three
+    chain matrices, indexed [q', ih, ia, jb', ie]."""
+    space = model.space
+    V = values.reshape(space.nq, space.nh, space.na, space.nb, space.ne)
+    return np.einsum("hH,aA,eE,qHAbE->qhabe", model.channel.transition,
+                     model.arrival.transition, model.harvest.transition, V,
+                     optimize=True)
+
+
+@pytest.mark.parametrize("make", [desk_model, desk_lite_model,
+                                  lambda: desk_model(restrict=False)])
+def test_difference_context_ev_matches_einsum(make):
+    model = make()
+    v = np.random.default_rng(5).standard_normal(model.space.n_states) * 50
+    ctx = _DifferenceContext(ValueTable(values=v, kind="discounted", beta=1.0,
+                                        alpha=0.99), model)
+    want = _einsum_ev(v, model).transpose(0, 3, 1, 2, 4)
+    np.testing.assert_allclose(ctx.ev, want, rtol=0,
+                               atol=1e-14 * float(np.abs(v).max()))
 
 
 @pytest.mark.parametrize("beta", [1.0, 100.0])
