@@ -3,9 +3,11 @@
 Every run resolves its configuration (JSON file + --set overrides), writes
 its artifacts into --out, and finishes with a manifest.json echoing the
 resolved config, seed and artifact list — enough to reproduce the run
-bit-exactly. Exit codes: 0 success, 2 validation, 3 non-convergence (also a
-multichain model, whose long-run averages depend on the start state),
-4 certificate failure.
+bit-exactly. Exit codes: 0 success, 2 validation (also a policy that has no
+feasible action at a state the simulator reached, and an instance too large
+to build), 3 non-convergence (also a multichain model, whose long-run
+averages depend on the start state), 4 certificate failure. Every typed
+error also lands in --out as error.json.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .io import (
     write_policy_artifacts,
 )
 from .mdp import (
+    InstanceTooLargeError,
     MultichainError,
     NonConvergenceError,
     SolverConfig,
@@ -41,7 +44,14 @@ from .mdp import (
     relative_value_iteration,
 )
 from .model import CapacityError, ConfigError, load_model, model_to_config
-from .sim import SimConfig, run_simulation, sweep_arrival, sweep_budget, sweep_channel
+from .sim import (
+    PolicyDomainError,
+    SimConfig,
+    run_simulation,
+    sweep_arrival,
+    sweep_budget,
+    sweep_channel,
+)
 from .verify import any_hard_failure, format_reports, reports_to_json, run_all_checks
 
 EXIT_OK = 0
@@ -298,6 +308,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CapacityError, BudgetInfeasibleError,
+            PolicyDomainError, InstanceTooLargeError,
             FileNotFoundError, json.JSONDecodeError) as exc:
         _report_error(args, exc)
         return EXIT_VALIDATION

@@ -17,6 +17,7 @@ two-policy mixed) stationary policy from the same bias-gain LU.
 from __future__ import annotations
 
 import itertools
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -160,15 +161,21 @@ class ActionSpace:
     by (r, w) ascending, so the first minimizer in a segment is the
     lexicographically smallest action.
 
+    A row keeps four values, 24 bytes: its post-decision index post_sa
+    (intp, the gather index of every sweep), its rate r_sa and battery draw
+    wq_sa in quanta (int32), and its grid power grid_sa (float64). Whatever
+    belongs to the row's state (the queue cost, the owning state itself, the
+    clamp losses) is derived from the model's state arrays and indptr where
+    it is needed.
+
     The enumeration is vectorised: rates 0..q per state, then draws 0..cap per
     (state, rate), with cap = min(ib, draw_cap_table[ih, r]) (= ib when the
     model does not restrict draws to the required power). The next (q,
     battery) is a deterministic function of the row and the chains move
-    independently of it, so a row stores one post-decision index, post_sa:
-    its next (q, battery) base plus its state's own (h, a, e) offset in the
-    table of post_decision_values. keep(state, r, wq), if given, maps the
-    enumerated rows' arrays to a bool mask of the rows to keep; the kept
-    rows stay in the same order.
+    independently of it, so post_sa is the row's next (q, battery) base plus
+    its state's own (h, a, e) offset in the table of post_decision_values.
+    keep(state, r, wq), if given, maps the enumerated rows' arrays to a bool
+    mask of the rows to keep; the kept rows stay in the same order.
     """
 
     # (P, LU) of the last chain policy iteration factorised at reference state
@@ -195,58 +202,89 @@ class ActionSpace:
         self.block_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(ex_rows, minlength=n_ex))))
 
-        # rows: rates 0..iq per state, then draws 0..cap per (state, rate)
+        # (state, rate) pairs: rates 0..iq per state, each with draws 0..cap
         n_rates = space.iq + 1
+        first_rate = np.cumsum(n_rates) - n_rates
         sr_state = np.repeat(np.arange(n), n_rates)
-        sr_r = np.arange(sr_state.size) - np.repeat(np.cumsum(n_rates) - n_rates,
-                                                    n_rates)
+        sr_r = np.arange(sr_state.size) - np.repeat(first_rate, n_rates)
         sr_cap = space.ib[sr_state]
         if model.restrict_w_to_power:
             cap = draw_cap_table(params, space.h_values)
             sr_cap = np.minimum(sr_cap, cap[space.ih[sr_state], sr_r])
         n_draws = sr_cap + 1
-        sr_of_row = np.repeat(np.arange(sr_state.size), n_draws)
-        wq = np.arange(sr_of_row.size) - np.repeat(np.cumsum(n_draws) - n_draws,
-                                                   n_draws)
-        owner = sr_state[sr_of_row]
-        r = sr_r[sr_of_row]
-        if keep is not None:
+        # every int32 row value (draw, rate, next battery offset) is below
+        # the row count, which is at least the state count
+        n_rows = int(n_draws.sum())
+        if n_rows > np.iinfo(np.int32).max:
+            raise InstanceTooLargeError(f"{n_rows} state-action pairs exceed int32 rows")
+        # what a row shares with its (state, rate): the next queue's part of
+        # the post-decision index plus the state's (h, a, e) offset, the
+        # battery level before the draw and clamp, and the required power
+        ih, ia, ie = space.ih[sr_state], space.ia[sr_state], space.ie[sr_state]
+        next_q = np.minimum(space.iq[sr_state] - sr_r + space.arrival_pkts[ia],
+                            space.nq - 1)
+        sr_post = next_q * (nb * n_ex) + (ih * na + ia) * ne + ie
+        sr_b = space.ib[sr_state] + space.harvest_quanta[ie]
+        power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
+                          for h in space.h_values])
+        sr_power = power[ih, sr_r]
+
+        # rows, in int32 and in place, each row-sized temporary dropped
+        # before the next is made
+        wq = np.arange(n_rows, dtype=np.int32)
+        wq -= np.repeat((np.cumsum(n_draws) - n_draws).astype(np.int32), n_draws)
+        r = np.repeat(sr_r.astype(np.int32), n_draws)
+        next_b = np.repeat(sr_b.astype(np.int32), n_draws)
+        next_b -= wq
+        np.minimum(next_b, nb - 1, out=next_b)
+        next_b *= n_ex
+        post = np.repeat(sr_post.astype(np.intp), n_draws)
+        post += next_b
+        del next_b
+        grid = np.repeat(sr_power, n_draws)
+        w = wq.astype(np.float64)
+        w *= params.delta_e / params.tau
+        grid -= w
+        del w
+        np.maximum(grid, 0.0, out=grid)
+        if keep is None:
+            counts = np.add.reduceat(n_draws, first_rate)
+        else:
+            owner = np.repeat(sr_state, n_draws)
             kept = keep(owner, r, wq)
-            owner, r, wq = owner[kept], r[kept], wq[kept]
-        counts = np.bincount(owner, minlength=n)
+            post, r, wq, grid = post[kept], r[kept], wq[kept], grid[kept]
+            counts = np.bincount(owner[kept], minlength=n)
+            del owner, kept
         if not counts.all():
             raise ValueError(f"state {int(np.argmin(counts))} has no feasible action")
 
         self.indptr = np.concatenate(([0], np.cumsum(counts)))
         self.n_sa = int(self.indptr[-1])
-        self.state_of_sa = owner
+        self.post_sa = post
         self.r_sa = r
         self.wq_sa = wq
-        # (state, r, w) packed into one ascending key per row, for sa_of_policy
-        self._n_r = int(self.r_sa.max()) + 1
-        self._n_w = int(self.wq_sa.max()) + 1
-        self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
-
-        iq, ib = space.iq[owner], space.ib[owner]
-        raw_q = iq - r + space.arrival_pkts[space.ia[owner]]
-        raw_b = ib - wq + space.harvest_quanta[space.ie[owner]]
-        self.post_sa = ((np.minimum(raw_q, space.nq - 1) * nb
-                         + np.minimum(raw_b, nb - 1)) * n_ex
-                        + (space.ih[owner] * na + space.ia[owner]) * ne
-                        + space.ie[owner])
-
-        w = self.wq_sa * (params.delta_e / params.tau)
-        power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
-                          for h in space.h_values])
-        p_req = power[space.ih[owner], self.r_sa]
-        self.grid_sa = np.maximum(p_req - w, 0.0)
-        self.queue_sa = iq.astype(float)
-        # per-slot clamp losses, used for evaluation diagnostics
-        self.overflow_sa = np.maximum(raw_q - (space.nq - 1), 0).astype(float)
-        self.spill_sa = np.maximum(raw_b - (nb - 1), 0).astype(float) * params.delta_e
+        self.grid_sa = grid
+        # bounds of the (state, r, w) key sa_of_policy packs
+        self._n_r = int(r.max()) + 1
+        self._n_w = int(wq.max()) + 1
 
     def cost(self, beta: float) -> np.ndarray:
-        return self.queue_sa + beta * self.grid_sa
+        """Per-row slot cost q + beta * grid power."""
+        queue = self.model.space.iq.astype(float)
+        return np.repeat(queue, np.diff(self.indptr)) + beta * self.grid_sa
+
+    def row_terms(self, sa: np.ndarray):
+        """Queue cost, grid power, packets lost to the buffer clamp and energy
+        spilled at the battery's capacity, at the rows sa (one value each)."""
+        space = self.model.space
+        owner = np.searchsorted(self.indptr, sa, side="right") - 1
+        iq = space.iq[owner]
+        raw_q = iq - self.r_sa[sa] + space.arrival_pkts[space.ia[owner]]
+        raw_b = space.ib[owner] - self.wq_sa[sa] + space.harvest_quanta[space.ie[owner]]
+        return (iq.astype(float), self.grid_sa[sa],
+                np.maximum(raw_q - (space.nq - 1), 0).astype(float),
+                np.maximum(raw_b - (space.nb - 1), 0).astype(float)
+                * self.model.params.delta_e)
 
     def expected_next(self, values: np.ndarray) -> np.ndarray:
         """E[values(next state) | row] for every row."""
@@ -276,17 +314,21 @@ class ActionSpace:
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
         """Row index of each state's stored action; raises if one is infeasible.
 
-        Rows are sorted by (state, r, w), so one search on the combined key
-        finds every state's row at once.
+        Rows are sorted by (state, r, w), so one search on the combined key,
+        packed for this call, finds every state's row at once.
         """
         n = self.indptr.size - 1
         n_r, n_w = self._n_r, self._n_w
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n_r, np.diff(self.indptr))
+        keys += self.r_sa
+        keys *= n_w
+        keys += self.wq_sa
         r = np.asarray(policy.r)
         wq = np.asarray(policy.w_quanta)
         want = (np.arange(n) * n_r + r) * n_w + wq
-        rows = np.minimum(np.searchsorted(self._keys, want), self.n_sa - 1)
+        rows = np.minimum(np.searchsorted(keys, want), self.n_sa - 1)
         ok = ((r >= 0) & (r < n_r) & (wq >= 0) & (wq < n_w)
-              & (self._keys[rows] == want))
+              & (keys[rows] == want))
         if not ok.all():
             s = int(np.flatnonzero(~ok)[0])
             raise ValueError(
@@ -295,7 +337,8 @@ class ActionSpace:
         return rows
 
     def policy_from_sa(self, sa: np.ndarray) -> TablePolicy:
-        return TablePolicy(r=self.r_sa[sa].copy(), w_quanta=self.wq_sa[sa].copy(),
+        return TablePolicy(r=self.r_sa[sa].astype(np.int64),
+                           w_quanta=self.wq_sa[sa].astype(np.int64),
                            delta_e=self.model.params.delta_e, tau=self.model.params.tau)
 
 
@@ -347,11 +390,18 @@ def _greedy_sa(y: np.ndarray, mins: np.ndarray, actions: ActionSpace,
                tie_tol: float = GREEDY_TIE_TOL) -> np.ndarray:
     tol = tie_tol + 1e-12 * np.abs(mins)
     n = actions.indptr.size - 1
-    mask = y <= np.repeat(mins + tol, np.diff(actions.indptr))
+    hits = np.flatnonzero(y <= np.repeat(mins + tol, np.diff(actions.indptr)))
+    # hits ascend, so each state's first hit is its smallest
+    owner = np.searchsorted(actions.indptr, hits, side="right") - 1
+    first = np.ones(hits.size, dtype=bool)
+    first[1:] = owner[1:] != owner[:-1]
     best = np.full(n, actions.n_sa, dtype=np.int64)
-    hits = np.flatnonzero(mask)
-    np.minimum.at(best, actions.state_of_sa[hits], hits)
+    best[owner[first]] = hits[first]
     return best
+
+
+# a solve's trace keeps its last TRACE_ROWS sweeps; n_iters counts them all
+TRACE_ROWS = 10_000
 
 
 @dataclass
@@ -394,7 +444,8 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
         x = lu.solve(c[sa])
         h = x - x[ref]
         n_eval += 1
-        y = c + actions.expected_next(h)
+        y = actions.expected_next(h)
+        y += c
         mins = _segment_min(y, actions.indptr)
         keep = y[sa] <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
         better = np.where(keep, sa, _greedy_sa(y, mins, actions, tie_tol=0.0))
@@ -418,8 +469,9 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     at the reference state each sweep keeps the iterates bounded. Where
     policy iteration reaches the optimum, one sweep meets the rule. If it
     meets a multichain policy it stops there, and the sweeps start from the
-    last unichain bias (or from 0). n_iters and trace count the sweeps,
-    n_evaluations the policies evaluated.
+    last unichain bias (or from 0). n_iters counts the sweeps and trace
+    keeps the last TRACE_ROWS of them; n_evaluations counts the policies
+    evaluated.
 
     Raises MultichainError before the first evaluation when an exogenous
     chain has more than one recurrent class: no policy can move the chain
@@ -443,7 +495,17 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
         raise ValueError(f"reference_state {ref} out of range")
     kappa = cfg.kappa
     c = actions.cost(cfg.beta)
-    owner = actions.state_of_sa
+    counts = np.diff(actions.indptr)
+
+    def damped_backup(v):
+        # c + kappa E[v(next)] + (1 - kappa) v, row by row, in place
+        y = actions.expected_next(v)
+        y *= kappa
+        y += c
+        t = np.repeat(v, counts)
+        t *= 1.0 - kappa
+        y += t
+        return y
 
     if start is None:
         sa = _greedy_sa(c, _segment_min(c, actions.indptr), actions, tie_tol=0.0)
@@ -452,10 +514,10 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     h, n_eval = _howard_bias(actions, c, ref, sa, cfg.max_iters)
 
     v = h / kappa
-    trace = []
+    trace = deque(maxlen=TRACE_ROWS)
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
-        y = c + kappa * actions.expected_next(v) + (1.0 - kappa) * v[owner]
+        y = damped_backup(v)
         mins = _segment_min(y, actions.indptr)
         d = mins - v
         lo, hi = float(d.min()), float(d.max())
@@ -469,7 +531,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    y = c + kappa * actions.expected_next(v) + (1.0 - kappa) * v[owner]
+    y = damped_backup(v)
     mins = _segment_min(y, actions.indptr)
     sa = _greedy_sa(y, mins, actions, tie_tol=10.0 * cfg.epsilon)
     d = mins - v
@@ -482,7 +544,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
                       beta=cfg.beta, reference_state=ref)
     return SolveResult(gain=float(gain), values=bias,
                        policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=span, gain_bounds=(lo, hi), trace=trace,
+                       residual=span, gain_bounds=(lo, hi), trace=list(trace),
                        actions=actions, n_evaluations=n_eval)
 
 
@@ -490,7 +552,9 @@ def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
                       alpha: float,
                       tie_tol: float = GREEDY_TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
     """One discounted Bellman sweep; returns (new values, greedy sa rows)."""
-    y = actions.cost(beta) + alpha * actions.expected_next(values)
+    y = actions.expected_next(values)
+    y *= alpha
+    y += actions.cost(beta)
     mins = _segment_min(y, actions.indptr)
     return mins, _greedy_sa(y, mins, actions, tie_tol=tie_tol)
 
@@ -527,7 +591,8 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     iteration converges to (Puterman 1994, sec. 6.4) rather than from V=0,
     so they only mop up its rounding error: a handful of sweeps where a cold
     start needs tens of thousands at alpha=0.999. The start changes neither
-    the stopping rule nor its guarantee; n_iters and trace count the sweeps.
+    the stopping rule nor its guarantee; n_iters counts the sweeps and trace
+    keeps the last TRACE_ROWS of them.
     """
     if cfg.alpha is None:
         raise ValueError("discounted mode requires alpha")
@@ -538,7 +603,7 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
 
     v, n_eval = _howard_values(actions, cfg.beta, alpha, cfg.max_iters)
     resid = np.inf
-    trace = []
+    trace = deque(maxlen=TRACE_ROWS)
     for it in range(1, cfg.max_iters + 1):
         mins, _ = discounted_backup(actions, v, cfg.beta, alpha)
         resid = float(np.max(np.abs(mins - v)))
@@ -556,7 +621,7 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=resid, trace=trace, actions=actions,
+                       residual=resid, trace=list(trace), actions=actions,
                        n_evaluations=n_eval)
 
 
@@ -572,18 +637,41 @@ def policy_chain(policy, actions: ActionSpace):
     (xi*P+ + (1-xi)*P-), which equals the product chain of (state, coin)
     exactly since the coin is i.i.d.
     """
-    if isinstance(policy, MixedPolicy):
-        terms = [(policy.xi, actions.sa_of_policy(policy.policy_plus)),
-                 (1.0 - policy.xi, actions.sa_of_policy(policy.policy_minus))]
-    else:
-        terms = [(1.0, actions.sa_of_policy(policy))]
+    terms = _policy_terms(policy, actions)
 
     def per_state(per_sa):
         return sum(w * per_sa[sa] for w, sa in terms)
 
+    return _terms_chain(terms, actions), per_state
+
+
+# The rows of a chain sum to one only within the spacing of floats at 1, so a
+# mixture weight at or below it is lost in their rounding: where the other
+# policy's chain is multichain, such a weight alone would join its classes,
+# and the stationary law would be rounding noise.
+MIX_WEIGHT_ROUNDING = float(np.finfo(float).eps)
+
+
+def _policy_terms(policy, actions: ActionSpace) -> list:
+    """(weight, rows) of each table policy a stationary policy plays. A
+    mixture plays only its other policy where one weight is at or below
+    MIX_WEIGHT_ROUNDING (both policies are still checked for feasibility)."""
+    if not isinstance(policy, MixedPolicy):
+        return [(1.0, actions.sa_of_policy(policy))]
+    plus = actions.sa_of_policy(policy.policy_plus)
+    minus = actions.sa_of_policy(policy.policy_minus)
+    xi = policy.xi
+    if 1.0 - xi <= MIX_WEIGHT_ROUNDING:
+        return [(1.0, plus)]
+    if xi <= MIX_WEIGHT_ROUNDING:
+        return [(1.0, minus)]
+    return [(xi, plus), (1.0 - xi, minus)]
+
+
+def _terms_chain(terms, actions: ActionSpace) -> sp.csr_matrix:
     P = sum(w * actions.chain(sa) for w, sa in terms).tocsr()
     P.eliminate_zeros()
-    return P, per_state
+    return P
 
 
 def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -612,7 +700,11 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
     n = P.shape[0]
     ones_col = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, ref))),
                              shape=(n, n))
-    return splu((sp.identity(n, format="csr") - P + ones_col).tocsc())
+    try:
+        return splu((sp.identity(n, format="csr") - P + ones_col).tocsc())
+    except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
+        raise MultichainError(f"bias-gain matrix is singular ({exc}): P is "
+                              f"multichain in floating point") from exc
 
 
 def stationary_distribution(P: sp.csr_matrix, lu=None) -> np.ndarray:
@@ -639,17 +731,21 @@ def evaluate_policy(policy, beta: float, model: Model,
     """Exact long-run averages (J, B, K) of a stationary (or two-policy
     mixed) policy; raises MultichainError unless its chain is unichain.
 
-    When the policy's chain is the one policy iteration last factorised on
-    these actions (actions.last_lu), its LU is reused: the same P gives the
-    same matrix A and so the same stationary law, bit for bit, and policy
-    iteration has already checked that P is unichain.
+    The per-slot quantities (queue, grid power, overflow, spill) are worked
+    out at the policy's own rows only, n values per mixture term
+    (ActionSpace.row_terms). When the policy's chain is the one policy
+    iteration last factorised on these actions (actions.last_lu), its LU is
+    reused: the same P gives the same matrix A and so the same stationary
+    law, bit for bit, and policy iteration has already checked that P is
+    unichain.
     """
     if actions is None:
         actions = build_action_space(model)
     if callable(policy) and not isinstance(policy, (TablePolicy, MixedPolicy)):
         policy = TablePolicy.from_callable(policy, model)
 
-    P, per_state = policy_chain(policy, actions)
+    terms = _policy_terms(policy, actions)
+    P = _terms_chain(terms, actions)
     lu = None
     if actions.last_lu is not None and _same_csr(actions.last_lu[0], P):
         lu = actions.last_lu[1]
@@ -659,16 +755,13 @@ def evaluate_policy(policy, beta: float, model: Model,
             raise MultichainError(f"induced chain has {n_recurrent} recurrent classes")
     pi = stationary_distribution(P, lu)
 
-    def average(per_sa):
-        return float(pi @ per_state(per_sa))
-
-    b = average(actions.queue_sa)
-    k = average(actions.grid_sa)
+    at_rows = [actions.row_terms(sa) for _, sa in terms]
+    b, k, overflow, spill = (
+        float(pi @ sum(w * x[i] for (w, _), x in zip(terms, at_rows)))
+        for i in range(4))
     return PolicyEvaluation(gain_j=b + beta * k, mean_queue_b=b, mean_grid_k=k,
-                            stationary_dist=pi, beta=beta,
-                            overflow_rate=average(actions.overflow_sa),
-                            battery_spill_rate=average(actions.spill_sa),
-                            reused_lu=lu is not None)
+                            stationary_dist=pi, beta=beta, overflow_rate=overflow,
+                            battery_spill_rate=spill, reused_lu=lu is not None)
 
 
 def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
@@ -710,7 +803,7 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
             raise InstanceTooLargeError(
                 f"policy count exceeds cap {cap}")
 
-    cost = actions.queue_sa + beta * actions.grid_sa
+    cost = actions.cost(beta)
     eye = np.eye(n)
     rhs = np.zeros(n)
     rhs[-1] = 1.0

@@ -14,6 +14,7 @@ from ehsched.mdp import (
     _segment_min,
     build_action_space,
     evaluate_policy,
+    recurrent_classes,
 )
 from ehsched.model import (
     Action,
@@ -162,8 +163,9 @@ def assert_policies_equivalent(pol_a, pol_b, beta, model, actions=None, tol=1e-6
             f"{ev_h.gain_j - ev_a.gain_j:.3e}")
 
 
-ROW_ARRAYS = ("indptr", "state_of_sa", "r_sa", "wq_sa", "_keys", "post_sa",
-              "grid_sa", "queue_sa", "overflow_sa", "spill_sa")
+# what an ActionSpace row keeps, and its dtype
+ROW_ARRAYS = {"post_sa": np.intp, "r_sa": np.int32, "wq_sa": np.int32,
+              "grid_sa": np.float64}
 
 
 def assert_same_csr(got, want):
@@ -176,21 +178,34 @@ def assert_same_csr(got, want):
 
 
 def assert_same_action_space(got, want):
-    """Every per-row array equal, dtypes too, and the chain of all of got's
-    rows equal to the loop oracle's kernel (want must be one)."""
+    """got's rows equal the loop oracle's (want must be one): indptr, dtype
+    too; each kept row array by value, in its own narrow dtype; the row
+    quantities derived from the states bit for bit against the oracle's full
+    arrays; and the chain of all of got's rows equal to the oracle's
+    kernel."""
     assert got.n_sa == want.n_sa
-    for name in ROW_ARRAYS:
-        a, b = getattr(got, name), getattr(want, name)
+    assert got.indptr.dtype == want.indptr.dtype
+    np.testing.assert_array_equal(got.indptr, want.indptr)
+    for name, dtype in ROW_ARRAYS.items():
+        a = getattr(got, name)
+        assert a.dtype == dtype, name
+        np.testing.assert_array_equal(a, getattr(want, name), err_msg=name)
+    rows = np.arange(got.n_sa)
+    for name, a in zip(("queue_sa", "grid_sa", "overflow_sa", "spill_sa"),
+                       got.row_terms(rows)):
+        b = getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert_same_csr(got.chain(np.arange(got.n_sa)), want.kernel)
+    assert_same_csr(got.chain(rows), want.kernel)
 
 
 def oracle_kernel(actions):
     """The loop oracle's materialised one-step kernel over the rows of
     actions, which must be the full enumeration of its model."""
     oracle = loop_action_space(actions.model)
-    np.testing.assert_array_equal(oracle._keys, actions._keys)
+    np.testing.assert_array_equal(oracle.indptr, actions.indptr)
+    np.testing.assert_array_equal(oracle.r_sa, actions.r_sa)
+    np.testing.assert_array_equal(oracle.wq_sa, actions.wq_sa)
     return oracle.kernel
 
 
@@ -247,6 +262,31 @@ def dense_stationary_distribution(P):
     return np.linalg.solve(A, b)
 
 
+def gth_stationary_distribution(P):
+    """Reference stationary law of a unichain P by Grassmann-Taksar-Heyman
+    state elimination (Grassmann, Taksar & Heyman, Oper. Res. 33, 1985). It
+    reads only the off-diagonal entries and never subtracts, so it stays
+    accurate where P is nearly decomposable, e.g. a mixture whose weight on
+    the policy joining another's recurrent classes is 1e-16. Recurrent
+    states are eliminated last, so every state eliminated still leads to
+    one that is left."""
+    recurrent, n_classes = recurrent_classes(sp.csr_matrix(P))
+    assert n_classes == 1
+    order = np.concatenate((np.flatnonzero(recurrent), np.flatnonzero(~recurrent)))
+    A = P.toarray()[np.ix_(order, order)]
+    n = A.shape[0]
+    for k in range(n - 1, 0, -1):
+        A[:k, k] /= A[k, :k].sum()
+        A[:k, :k] += np.outer(A[:k, k], A[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ A[:k, k]
+    out = np.empty(n)
+    out[order] = pi / pi.sum()
+    return out
+
+
 def per_state_gains(P, c):
     """Long-run average of c from every start state, for any chain P,
     multichain ones included: the Cesaro limit of P's powers, taken as the
@@ -296,7 +336,7 @@ def cold_relative_value_iteration(cfg, model, actions=None):
     ref, kappa = cfg.reference_state, cfg.kappa
     c = actions.cost(cfg.beta)
     K = oracle_kernel(actions)
-    owner = actions.state_of_sa
+    owner = np.repeat(np.arange(model.space.n_states), np.diff(actions.indptr))
 
     v = np.zeros(model.space.n_states)
     trace = []
@@ -329,8 +369,11 @@ def cold_relative_value_iteration(cfg, model, actions=None):
 class _LoopActionSpace(ActionSpace):
     """Reference state-action builder: one Python pass per state, rate and
     draw, appending each pair's post-decision index and its materialised
-    kernel row. rates_of(s) and draws_of(s, r), when given, replace the
-    rates 0..q and the draws 0..cap."""
+    kernel row. It keeps every per-row array in full and in int64/float64
+    (the owning state, the queue cost, the clamp losses), as the reference
+    for what ActionSpace derives from the states. rates_of(s) and
+    draws_of(s, r), when given, replace the rates 0..q and the draws
+    0..cap."""
 
     def __init__(self, model: Model, rates_of=None, draws_of=None):
         space = model.space
@@ -406,10 +449,6 @@ class _LoopActionSpace(ActionSpace):
         self.r_sa = np.asarray(r_list, dtype=np.int64)
         self.wq_sa = np.asarray(wq_list, dtype=np.int64)
         self.post_sa = np.asarray(post, dtype=np.int64)
-        # (state, r, w) packed into one ascending key per row, for sa_of_policy
-        self._n_r = int(self.r_sa.max()) + 1
-        self._n_w = int(self.wq_sa.max()) + 1
-        self._keys = (self.state_of_sa * self._n_r + self.r_sa) * self._n_w + self.wq_sa
         self.kernel = sp.csr_matrix(
             (np.concatenate(kprobs), np.concatenate(kcols), np.asarray(kptr)),
             shape=(self.n_sa, n))

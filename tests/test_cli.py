@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
+from ehsched import cli
 from ehsched.cli import main
+from ehsched.mdp import InstanceTooLargeError
+from ehsched.sim import PolicyDomainError
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
 
@@ -155,3 +158,28 @@ def test_verify_exit_code_flags_certificate_failure(tmp_path, capsys):
     assert run("verify", "--config", coarse, "--out", out) == 4
     reports = {r["name"]: r for r in read_json(out / "certificates.json")}
     assert reports["value-convex-in-backlog-battery"]["status"] == "fail"
+
+
+def test_policy_domain_error_exits_two(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise PolicyDomainError("action (3, 0.0) infeasible at state 17")
+
+    monkeypatch.setattr(cli, "run_simulation", fail)
+    out = tmp_path / "run"
+    assert run("simulate", "--config", DESK_CONFIG, "--out", out,
+               "--policy", "radical", "--n-slots", 100) == 2
+    err = read_json(out / "error.json")
+    assert err == {"error": "PolicyDomainError",
+                   "message": "action (3, 0.0) infeasible at state 17"}
+
+
+def test_instance_too_large_exits_two(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise InstanceTooLargeError("3000000000 state-action pairs exceed int32 rows")
+
+    monkeypatch.setattr(cli, "relative_value_iteration", fail)
+    out = tmp_path / "run"
+    assert run("solve", "--config", DESK_CONFIG, "--out", out) == 2
+    err = read_json(out / "error.json")
+    assert err["error"] == "InstanceTooLargeError"
+    assert "int32 rows" in err["message"]

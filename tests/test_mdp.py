@@ -1,8 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -45,6 +47,7 @@ from helpers import (
     desk_lite_model,
     desk_model,
     assert_same_action_space,
+    gth_stationary_distribution,
     assert_same_csr,
     large_desk_model,
     loop_action_space,
@@ -128,7 +131,7 @@ def test_bulk_kernel_matches_single_pair_route():
     picks = rng.choice(actions.n_sa, size=200, replace=False)
     rows = actions.chain(picks)
     for k, sa in enumerate(picks):
-        s = int(actions.state_of_sa[sa])
+        s = int(np.searchsorted(actions.indptr, sa, side="right")) - 1
         x = m.space.state_of(s)
         act = Action(int(actions.r_sa[sa]),
                      float(actions.wq_sa[sa]) * m.params.delta_e / m.params.tau)
@@ -225,6 +228,77 @@ def test_action_space_stores_no_successor_lists():
         assert not hasattr(value, "indptr"), name
         if isinstance(value, np.ndarray):
             assert value.size <= max(actions.n_sa + 1, n_ex * n_ex), name
+
+
+def test_action_space_keeps_24_bytes_per_row():
+    # four row arrays (intp post index, int32 rate and draw, float64 grid
+    # power). Build, solve and evaluate together peak at 10.9 MB here; with
+    # nine 8-byte row arrays the build alone peaked at 26 MB.
+    m = large_desk_model()
+    tracemalloc.start()
+    try:
+        actions = build_action_space(m)
+        res = relative_value_iteration(SolverConfig(beta=1.0), m, actions)
+        evaluate_policy(res.policy, 1.0, m, actions=actions)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+    arrays = {k: v for k, v in vars(actions).items() if isinstance(v, np.ndarray)}
+    per_row = {k for k, v in arrays.items() if v.size == actions.n_sa}
+    assert per_row == {"post_sa", "r_sa", "wq_sa", "grid_sa"}
+    assert sum(arrays[k].nbytes for k in per_row) <= 24 * actions.n_sa
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(), st.floats(0.0, 100.0))
+def test_cost_matches_loop_oracle_random_models(seed, restrict, beta):
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    oracle = loop_action_space(m)
+    np.testing.assert_array_equal(build_action_space(m).cost(beta),
+                                  oracle.queue_sa + beta * oracle.grid_sa)
+
+
+def _assert_row_averages_match_oracle(m, actions, oracle, policy, beta):
+    # B, K, overflow and spill from the oracle's full per-row arrays, under
+    # the same stationary law, equal evaluate_policy's bit for bit
+    try:
+        ev = evaluate_policy(policy, beta, m, actions=actions)
+    except MultichainError:
+        return
+    terms = mdp._policy_terms(policy, actions)
+    for got, name in ((ev.mean_queue_b, "queue_sa"), (ev.mean_grid_k, "grid_sa"),
+                      (ev.overflow_rate, "overflow_sa"),
+                      (ev.battery_spill_rate, "spill_sa")):
+        per_sa = getattr(oracle, name)
+        want = float(ev.stationary_dist @ sum(w * per_sa[sa] for w, sa in terms))
+        assert got == want, name
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0),
+       st.one_of(st.none(), st.floats(0.0, 1.0)))
+def test_evaluate_row_averages_match_loop_oracle_random_models(seed, beta, xi):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    rng = np.random.default_rng(seed + 3)
+    policy, _ = _random_table_policy(actions, rng)
+    if xi is not None:
+        policy = MixedPolicy(policy, _random_table_policy(actions, rng)[0], xi=xi)
+    _assert_row_averages_match_oracle(m, actions, loop_action_space(m), policy, beta)
+
+
+def test_evaluate_row_averages_match_loop_oracle_desk():
+    m = desk_model()
+    actions = build_action_space(m)
+    oracle = loop_action_space(m)
+    rng = np.random.default_rng(11)
+    solved = relative_value_iteration(SolverConfig(beta=1.0), m, actions).policy
+    idle = TablePolicy.from_callable(lambda x: Action(0, 0.0), m)
+    for policy in (solved, idle, MixedPolicy(solved, idle, xi=0.4),
+                   _random_table_policy(actions, rng)[0],
+                   MixedPolicy(_random_table_policy(actions, rng)[0], solved, xi=0.7)):
+        _assert_row_averages_match_oracle(m, actions, oracle, policy, 1.0)
 
 
 def test_policy_chains_are_the_rows_chain():
@@ -480,6 +554,39 @@ def test_dvi_warm_start_leaves_few_sweeps():
     assert len(res.trace) == res.n_iters
 
 
+def _cold_start(monkeypatch):
+    # policy iteration skipped: the sweeps start from V = 0
+    def zeros(actions, *args):
+        return np.zeros(actions.indptr.size - 1), 0
+    monkeypatch.setattr(mdp, "_howard_values", zeros)
+    monkeypatch.setattr(mdp, "_howard_bias", zeros)
+
+
+def test_dvi_trace_keeps_the_last_rows_of_a_long_run(monkeypatch):
+    # 28,430 cold sweeps at alpha 0.999: the trace keeps the last TRACE_ROWS,
+    # n_iters counts them all
+    _cold_start(monkeypatch)
+    res = discounted_value_iteration(
+        SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999), power_delay_model())
+    assert res.n_iters > mdp.TRACE_ROWS
+    assert len(res.trace) == mdp.TRACE_ROWS
+    assert [row[0] for row in res.trace] == list(
+        range(res.n_iters - mdp.TRACE_ROWS + 1, res.n_iters + 1))
+    assert res.trace[-1][1] == res.residual
+
+
+def test_rvi_trace_keeps_the_last_rows(monkeypatch):
+    # 74 cold sweeps on desk; a 16-row trace is the full trace's tail
+    _cold_start(monkeypatch)
+    cfg = SolverConfig(beta=1.0)
+    full = relative_value_iteration(cfg, desk_model())
+    monkeypatch.setattr(mdp, "TRACE_ROWS", 16)
+    short = relative_value_iteration(cfg, desk_model())
+    assert short.n_iters == full.n_iters == 74
+    assert short.trace == full.trace[-16:]
+    assert short.policy == full.policy and short.gain == full.gain
+
+
 def test_dvi_truncated_start_still_meets_the_stopping_rule():
     # max_iters bounds the policy evaluations too: one evaluation does not
     # reach the optimum here, and one sweep cannot close the gap
@@ -537,6 +644,50 @@ def test_evaluate_degenerate_mixture_equals_pure_policy():
     assert all_minus.gain_j == ev_idle.gain_j
 
 
+def test_evaluate_mixture_weight_below_rounding_plays_the_other_policy():
+    # a weight at or below the float spacing at 1 is lost in the rounding
+    # of the chain's rows: the mixture evaluates as its other policy
+    m = desk_lite_model()
+    actions = build_action_space(m)
+    serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
+    idle = TablePolicy.from_callable(lambda x: Action(0, 0.0), m)
+    eps = mdp.MIX_WEIGHT_ROUNDING
+    for xi, pure in ((1.0 - eps / 2, serve), (1.0 - eps, serve), (eps, idle),
+                     (1e-30, idle)):
+        got = evaluate_policy(MixedPolicy(serve, idle, xi=xi), 1.0, m, actions=actions)
+        want = evaluate_policy(pure, 1.0, m, actions=actions)
+        assert (got.gain_j, got.mean_grid_k) == (want.gain_j, want.mean_grid_k)
+        np.testing.assert_array_equal(got.stationary_dist, want.stationary_dist)
+    # just above it both policies enter the chain
+    P_mixed, _ = policy_chain(MixedPolicy(serve, idle, xi=1.0 - 2 * eps), actions)
+    assert P_mixed.nnz > policy_chain(serve, actions)[0].nnz
+    # the dropped policy is still checked for feasibility
+    bad = TablePolicy(r=idle.r + 1, w_quanta=idle.w_quanta, delta_e=idle.delta_e,
+                      tau=idle.tau)
+    with pytest.raises(ValueError, match="infeasible at state 0$"):
+        evaluate_policy(MixedPolicy(serve, bad, xi=1.0), 1.0, m, actions=actions)
+
+
+def test_evaluate_mixture_below_rounding_of_a_multichain_policy_is_multichain():
+    # seed 2459: policy_plus has two recurrent classes, and 1 - xi = 1.1e-16
+    # alone would join them; the balance equations' answer was rounding noise
+    m = random_model(2459)
+    actions = build_action_space(m)
+    rng = np.random.default_rng(2460)
+    plus, sa = _random_table_policy(actions, rng)
+    minus, _ = _random_table_policy(actions, rng)
+    assert recurrent_classes(actions.chain(sa))[1] == 2
+    with pytest.raises(MultichainError):
+        evaluate_policy(MixedPolicy(plus, minus, xi=0.9999999999999999), 0.0, m,
+                        actions=actions)
+
+
+def test_singular_bias_gain_matrix_is_multichain():
+    # two absorbing states: I - P + 1 e_0^T has a zero column
+    with pytest.raises(MultichainError, match="singular"):
+        _bias_gain_lu(scipy.sparse.identity(2, format="csr"), 0)
+
+
 def test_evaluate_mixture_interpolates_costs_linearly_in_stationary_terms():
     m = desk_lite_model()
     actions = build_action_space(m)
@@ -564,10 +715,13 @@ def _random_table_policy(actions, rng):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 10.0),
        st.one_of(st.none(), st.floats(0.01, 1.0)))
+@example(seed=2459, beta=0.0, xi=0.9999999999999999)
 def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
-    # xi stays above 0.01: a mixture with a multichain policy is nearly
-    # decomposable at tiny xi (seed 240 at xi 1e-30 down to 2e-311), where
-    # the dense reference's LU meets an exactly zero pivot
+    # a mixture with a multichain policy is nearly decomposable when the
+    # other policy's weight is tiny: at seed 2459, xi 1 - 1.1e-16 the balance
+    # equations' dense LU returns entries down to -0.34, while the GTH
+    # elimination, which never subtracts, agrees with evaluate_policy to
+    # 1.1e-16 (as it does at 1 - xi from 1e-16 to 1e-2)
     m = random_model(seed)
     actions = build_action_space(m)
     rng = np.random.default_rng(seed + 1)
@@ -584,7 +738,7 @@ def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
         ev = evaluate_policy(policy, beta, m, actions=actions)
     except MultichainError:
         return
-    pi = dense_stationary_distribution(P)
+    pi = gth_stationary_distribution(P)
     np.testing.assert_allclose(ev.stationary_dist, pi, rtol=0, atol=1e-12)
     assert ev.gain_j == pytest.approx(float(pi @ c_pi), rel=0, abs=1e-12)
 
