@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -197,9 +198,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     model, cfg = _load(args)
     out = _out_dir(args)
-    points = [float(p) for p in args.points.split(",") if p.strip()]
-    if not points:
-        raise ConfigError("--points needs a comma-separated list of numbers")
+    try:
+        points = [float(p) for p in args.points.split(",") if p.strip()]
+    except ValueError:
+        points = []
+    if not points or not all(map(math.isfinite, points)):
+        raise ConfigError("--points needs a comma-separated list of finite "
+                          "numbers")
     sim_cfg = SimConfig(n_slots=args.n_slots, seed=args.seed)
     if args.axis == "arrival":
         rows = sweep_arrival(model, points, args.policy, sim_cfg,

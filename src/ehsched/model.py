@@ -76,6 +76,10 @@ class ModelParams:
     p_bar: float = 0.0
 
     def __post_init__(self):
+        for name in self.__dataclass_fields__:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
         if self.tau <= 0:
             raise ConfigError("tau must be positive")
         if self.b <= 0 or self.n_uses <= 0:
@@ -111,6 +115,8 @@ def _as_prob_matrix(transition, n: int) -> np.ndarray:
     t = np.asarray(transition, dtype=float)
     if t.shape != (n, n):
         raise ConfigError(f"transition matrix must be {n}x{n}, got {t.shape}")
+    if not np.isfinite(t).all():
+        raise ConfigError("transition probabilities must be finite")
     if np.any(t < -GRID_EPS):
         raise ConfigError("transition probabilities must be nonnegative")
     rowsums = t.sum(axis=1)
@@ -131,6 +137,8 @@ class MarkovChainSpec:
         values = tuple(float(v) for v in self.values)
         if not values:
             raise ConfigError("chain needs at least one level")
+        if not all(map(math.isfinite, values)):
+            raise ConfigError(f"chain levels must be finite, got {values!r}")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("chain levels must be strictly increasing")
         object.__setattr__(self, "values", values)

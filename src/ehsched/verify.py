@@ -9,7 +9,10 @@ The finite-difference machinery mirrors the grid: queue differences step one
 packet, battery differences step one quantum (delta_e of energy, delta_e/tau
 of power), and clamped coordinates are differenced after clamping, so a
 saturated transition contributes a zero difference rather than an
-out-of-range lookup.
+out-of-range lookup. It is array code over all states at once: marginals are
+gathered from the solvers' post-decision table at per-state leftover
+(queue, battery) arrays, and feasibility reads the one draw-cap table
+(model.draw_cap_table) the state-action builder and the baselines read.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .mdp import (
     recurrent_classes,
     relative_value_iteration,
 )
-from .model import Model, battery_draw_cap_quanta, draw_cap_table
+from .model import Model, draw_cap_table
 
 PASS = "pass"
 FAIL = "fail"
@@ -121,8 +124,8 @@ def _shape_report(name: str, viol: np.ndarray, model: Model,
     if viol.size and worst > 0.0:
         at = np.unravel_index(int(np.argmax(viol)), coords_shape)
         space = model.space
-        idx = (at[0] * space.s_q + at[1] * space.s_h + at[2] * space.s_a
-               + at[3] * space.s_b + at[4])
+        idx = np.ravel_multi_index(at, (space.nq, space.nh, space.na,
+                                        space.nb, space.ne))
         return CertificateReport(name, FAIL, worst_violation=worst,
                                  witness=_state_witness(model, idx),
                                  details={"tolerance": tol})
@@ -197,9 +200,7 @@ def check_value_shape(values: ValueTable, model: Model,
                     worst = m
                     at = np.unravel_index(int(np.argmax(viol)), seg.shape)
                     worst_report = _state_witness(
-                        model,
-                        (at[0] * space.s_q + at[1] * space.s_h
-                         + at[2] * space.s_a + at[3] * space.s_b + at[4]))
+                        model, np.ravel_multi_index(at, V.shape))
             if worst > 0.0:
                 rep_c = CertificateReport(name_c, FAIL, worst_violation=worst,
                                           witness=worst_report,
@@ -214,117 +215,98 @@ def check_value_shape(values: ValueTable, model: Model,
 # backward-difference optimality certificates
 
 
-class _DifferenceContext:
-    """Per-state access to expected-continuation differences.
+def _post_decision_table(values: ValueTable, model: Model) -> np.ndarray:
+    """The solvers' post-decision table, indexed [q', jb', ih, ia, ie]: the
+    chain-expected next value after leaving q' packets and jb' quanta."""
+    if values.alpha is None:
+        raise ValueError("difference certificates expect discounted values")
+    space = model.space
+    return post_decision_values(values.values, space,
+                                exogenous_chain(model)).reshape(
+        space.nq, space.nb, space.nh, space.na, space.ne)
 
-    The continuation of playing (leftover queue u, leftover battery j) from
-    state x is W(u, j) = E[V(next)] where the current arrival and harvest
-    enter deterministically (clamped) and the chains advance one step. All
-    certificate quantities are algebraic combinations of W differences, of
-    the circuit-cost steps, and of the grid-power price.
+
+def _difference_algebra(values: ValueTable, model: Model):
+    """Marginals, feasibility and prices of every state, as array functions.
+
+    Leaving u packets queued and j quanta stored at state x continues with
+    W(u, j) = ev[u + a, j + e, h, a, e]: the current arrival and harvest enter
+    deterministically (clamped at the top) and the chains advance one step.
+    u and j are per-state integer arrays or scalars; each function returns
+    one entry per state, and indices off the grid are clipped only where the
+    returned validity mask is False. All certificate quantities are
+    combinations of W differences, of the circuit-cost step and of the
+    grid-power price.
     """
+    ev = _post_decision_table(values, model)
+    space = model.space
+    p = model.params
+    alpha, beta = float(values.alpha), float(values.beta)
+    dstep = p.delta_e / p.tau
+    nq, nb = space.nq, space.nb
+    iq, ih, ia, ib, ie = space.iq, space.ih, space.ia, space.ib, space.ie
+    a_pkts = space.arrival_pkts[ia]
+    e_quanta = space.harvest_quanta[ie]
+    cap = draw_cap_table(p, space.h_values)
+    # math.exp, not np.exp: the two may differ in the last ulp
+    exp_theta = np.array([math.exp(p.theta * u) for u in range(nq + 1)])
 
-    def __init__(self, values: ValueTable, model: Model):
-        if values.alpha is None:
-            raise ValueError("difference certificates expect discounted values")
-        space = model.space
-        # ev[q', jb', ih, ia, ie] = chain-expected next value, the solvers'
-        # post-decision table
-        self.ev = post_decision_values(values.values, space,
-                                       exogenous_chain(model)).reshape(
-            space.nq, space.nb, space.nh, space.na, space.ne)
-        self.model = model
-        self.space = space
-        self.alpha = float(values.alpha)
-        self.beta = float(values.beta)
-        self.params = model.params
-        self.theta = self.params.theta
-        self.dstep = self.params.delta_e / self.params.tau
+    def w(u, j):
+        qn, bn = u + a_pkts, j + e_quanta
+        return (ev[np.clip(qn, 0, nq - 1), np.clip(bn, 0, nb - 1), ih, ia, ie],
+                (qn >= 0) & (bn >= 0))
 
-    def state_view(self, s: int) -> "_StateDifferences":
-        return _StateDifferences(self, s)
+    def marginal(u, j, du, dj):
+        """alpha (W(u, j) - W(u - du, j - dj)) plus the one-step cost change
+        of the move; a move that serves a packet (du = 1) is normalised by
+        exp(theta u). Valid where both continuations stay on the grid."""
+        w1, ok1 = w(u, j)
+        w0, ok0 = w(u - du, j - dj)
+        z = alpha * (w1 - w0)
+        if du:
+            # circuit-cost change when serving one more packet from u
+            circuit_step = (np.where(iq - u > 0, p.circuit_c, 0.0)
+                            - np.where(iq - u + 1 > 0, p.circuit_c, 0.0))
+            z = z + beta * circuit_step
+            if dj:
+                z = z + beta * dstep
+            z = exp_theta[np.clip(u, 0, nq)] * z
+        return z, ok1 & ok0
 
-
-class _StateDifferences:
-    def __init__(self, ctx: _DifferenceContext, s: int):
-        space = ctx.space
-        self.ctx = ctx
-        self.s = s
-        self.iq = int(space.iq[s])
-        self.ih = int(space.ih[s])
-        self.ia = int(space.ia[s])
-        self.ib = int(space.ib[s])
-        self.ie = int(space.ie[s])
-        self.h = float(space.h_values[self.ih])
-        self.a_pkts = int(space.arrival_pkts[self.ia])
-        self.e_quanta = int(space.harvest_quanta[self.ie])
-        p = ctx.params
-        self.rate_price = (ctx.beta * p.rho * (p.sigma2 / self.h)
-                           * math.exp(ctx.theta * self.iq)
-                           * (math.exp(ctx.theta) - 1.0))
-        self.draw_price = -ctx.beta * ctx.dstep
-
-    def w(self, u: int, j: int) -> float | None:
-        """Expected continuation; None when the backward shift leaves the grid."""
-        space = self.ctx.space
-        qn = u + self.a_pkts
-        bn = j + self.e_quanta
-        if qn < 0 or bn < 0:
-            return None
-        return float(self.ctx.ev[min(qn, space.nq - 1), min(bn, space.nb - 1),
-                                 self.ih, self.ia, self.ie])
-
-    def _circuit_step(self, u: int) -> float:
-        # one-step circuit-cost change when serving one more packet from u
-        c = self.ctx.params.circuit_c
-        now = c if (self.iq - u) > 0 else 0.0
-        more = c if (self.iq - u + 1) > 0 else 0.0
-        return now - more
-
-    def z_rate(self, u: int, j: int) -> float | None:
-        """Normalised marginal of the one-step target along the queue axis."""
-        w1, w0 = self.w(u, j), self.w(u - 1, j)
-        if w1 is None or w0 is None:
-            return None
-        return math.exp(self.ctx.theta * u) * (
-            self.ctx.alpha * (w1 - w0) + self.ctx.beta * self._circuit_step(u))
-
-    def z_draw(self, u: int, j: int) -> float | None:
-        """Marginal along the battery axis, per quantum."""
-        w1, w0 = self.w(u, j), self.w(u, j - 1)
-        if w1 is None or w0 is None:
-            return None
-        return self.ctx.alpha * (w1 - w0)
-
-    def z_diag(self, u: int, j: int) -> float | None:
-        """Marginal along the serve-one-more-paid-by-battery diagonal."""
-        w1, w0 = self.w(u, j), self.w(u - 1, j - 1)
-        if w1 is None or w0 is None:
-            return None
-        return math.exp(self.ctx.theta * u) * (
-            self.ctx.alpha * (w1 - w0)
-            + self.ctx.beta * self._circuit_step(u)
-            + self.ctx.beta * self.ctx.dstep)
-
-    def feasible(self, u: int, j: int) -> bool:
+    def feasible(u, j):
         """Leftover pair reachable without drawing beyond the required power.
 
         The cap is enforced for the certificate even when the model allows
         larger draws: past it the grid-power hinge is active and the smooth
         difference algebra no longer represents the one-step cost.
         """
-        if not (0 <= u <= self.iq and 0 <= j <= self.ib):
-            return False
-        cap = battery_draw_cap_quanta(self.ctx.params, self.h, self.iq - u,
-                                      self.ib, True)
-        return self.ib - j <= cap
+        inside = (0 <= u) & (u <= iq) & (0 <= j) & (j <= ib)
+        r = np.clip(iq - u, 0, nq - 1)
+        return inside & (ib - j <= np.minimum(ib, cap[ih, r]))
+
+    rate_price = (beta * p.rho * (p.sigma2 / space.h_values)[ih]
+                  * exp_theta[iq] * (math.exp(p.theta) - 1.0))
+    draw_price = np.full(space.n_states, -beta * dstep)
+    return marginal, feasible, rate_price, draw_price
 
 
-def _cmp_tol(tol: float, *magnitudes: float) -> float:
-    scale = 1.0
-    for m in magnitudes:
-        scale = max(scale, abs(m))
-    return tol * scale
+def _cmp_tol(tol: float, a, b):
+    return tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+
+
+def _first_worst(viol: np.ndarray):
+    """Row, column and value of the first strict maximum of a per-state
+    violation table in (state, column) order, or None when none is positive:
+    the entry a sequential `violation > worst` scan would keep."""
+    k = int(np.argmax(viol))
+    s, col = divmod(k, viol.shape[1])
+    return (s, col, float(viol[s, col])) if viol[s, col] > 0.0 else None
+
+
+# (condition, du, dj): the perturbed action leaves (u + du, j + dj)
+_SIDES = (("serve-one-less", 1, 0), ("serve-one-more", -1, 0),
+          ("draw-one-less", 0, 1), ("draw-one-more", 0, -1),
+          ("serve-less-draw-less", 1, 1), ("serve-more-draw-more", -1, -1))
 
 
 def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
@@ -339,71 +321,44 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
     one-sided checks). Tolerance is relative above unit scale.
     """
     name = "action-first-order-conditions"
-    ctx = _DifferenceContext(values, model)
-    n_checked = 0
-    n_skipped = 0
-    n_states_skipped = 0
-    worst = 0.0
-    witness = None
+    marginal, feasible, rate_price, draw_price = _difference_algebra(values,
+                                                                     model)
+    space = model.space
+    u = space.iq - policy.r
+    j = space.ib - policy.w_quanta
+    # a stored action that draws past the required power (only possible when
+    # the model relaxes the draw cap) is skipped: the algebra does not apply
+    at_action = feasible(u, j)
+    sides = []
+    for _, du, dj in _SIDES:
+        # the marginal of a move sits at its upper end
+        z, ok = marginal(np.maximum(u, u + du), np.maximum(j, j + dj),
+                         abs(du), abs(dj))
+        price = rate_price if du else draw_price
+        sides.append((at_action & feasible(u + du, j + dj) & ok,
+                      price - z if du + dj > 0 else z - price, price, z))
+    # (state, side) tables
+    checked, raw, prices, zs = (np.stack(col, axis=1) for col in zip(*sides))
+    bad = checked & (raw - _cmp_tol(tol, prices, zs) > 0)
 
-    for s in range(model.space.n_states):
-        sd = ctx.state_view(s)
-        r_star, wq_star = int(policy.r[s]), int(policy.w_quanta[s])
-        u, j = sd.iq - r_star, sd.ib - wq_star
-        if not sd.feasible(u, j):
-            # stored action draws past the required power (only possible when
-            # the model relaxes the draw cap); the marginal algebra does not
-            # apply there
-            n_states_skipped += 1
-            continue
-        t_rate = sd.rate_price
-        t_draw = sd.draw_price
-        sides = []
-        if u + 1 <= sd.iq and sd.feasible(u + 1, j):
-            z = sd.z_rate(u + 1, j)
-            if z is not None:
-                sides.append(("serve-one-less", t_rate - z, t_rate, z))
-        if u >= 1 and sd.feasible(u - 1, j):
-            z = sd.z_rate(u, j)
-            if z is not None:
-                sides.append(("serve-one-more", z - t_rate, t_rate, z))
-        if j + 1 <= sd.ib and sd.feasible(u, j + 1):
-            z = sd.z_draw(u, j + 1)
-            if z is not None:
-                sides.append(("draw-one-less", t_draw - z, t_draw, z))
-        if j >= 1 and sd.feasible(u, j - 1):
-            z = sd.z_draw(u, j)
-            if z is not None:
-                sides.append(("draw-one-more", z - t_draw, t_draw, z))
-        if u + 1 <= sd.iq and j + 1 <= sd.ib and sd.feasible(u + 1, j + 1):
-            z = sd.z_diag(u + 1, j + 1)
-            if z is not None:
-                sides.append(("serve-less-draw-less", t_rate - z, t_rate, z))
-        if u >= 1 and j >= 1 and sd.feasible(u - 1, j - 1):
-            z = sd.z_diag(u, j)
-            if z is not None:
-                sides.append(("serve-more-draw-more", z - t_rate, t_rate, z))
-
-        for side_name, raw_violation, lhs, rhs in sides:
-            n_checked += 1
-            margin = raw_violation - _cmp_tol(tol, lhs, rhs)
-            if margin > 0 and raw_violation > worst:
-                worst = raw_violation
-                witness = _state_witness(model, s, r=r_star,
-                                         w=wq_star * ctx.dstep,
-                                         condition=side_name,
-                                         marginal=rhs, price=lhs)
-        n_skipped += 6 - len(sides)
-
+    n_checked = int(checked.sum())
+    n_at_action = int(at_action.sum())
     details = _jsonable({"n_sides_checked": n_checked,
-                       "n_sides_skipped": n_skipped,
-                       "n_states_skipped": n_states_skipped,
-                       "alpha": ctx.alpha, "beta": ctx.beta,
-                       "tolerance": tol})
-    if witness is not None:
-        return CertificateReport(name, FAIL, worst_violation=worst,
-                                 witness=witness, details=details)
-    return CertificateReport(name, PASS, details=details)
+                         "n_sides_skipped": 6 * n_at_action - n_checked,
+                         "n_states_skipped": space.n_states - n_at_action,
+                         "alpha": float(values.alpha),
+                         "beta": float(values.beta), "tolerance": tol})
+    worst = _first_worst(np.where(bad, raw, 0.0))
+    if worst is None:
+        return CertificateReport(name, PASS, details=details)
+    s, k, violation = worst
+    dstep = model.params.delta_e / model.params.tau
+    witness = _state_witness(model, s, r=int(policy.r[s]),
+                             w=int(policy.w_quanta[s]) * dstep,
+                             condition=_SIDES[k][0], marginal=zs[s, k],
+                             price=prices[s, k])
+    return CertificateReport(name, FAIL, worst_violation=violation,
+                             witness=witness, details=details)
 
 
 def check_special_states(values: ValueTable, policy: TablePolicy,
@@ -421,116 +376,89 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
     (0, 0) whenever draws are capped by required power.
     """
     name = "closed-form-special-states"
-    ctx = _DifferenceContext(values, model)
-    params = model.params
-    n_serve_all = n_idle = n_empty = 0
-    n_side_excluded = 0
-    n_unevaluable = 0
-    worst = 0.0
-    witness = None
+    marginal, feasible, rate_price, draw_price = _difference_algebra(values,
+                                                                     model)
+    space = model.space
+    q, ib = space.iq, space.ib
+    r, wq = policy.r, policy.w_quanta
+    busy = q > 0
 
-    def _note(violation, wit):
-        nonlocal worst, witness
-        if violation > worst:
-            worst = violation
-            witness = wit
+    # extremes of the rate and draw marginals over each state's feasible
+    # lattice 0 <= u <= q, 0 <= j <= e_b; an empty lattice keeps lo > hi
+    n = space.n_states
+    rate_lo, draw_lo = np.full(n, np.inf), np.full(n, np.inf)
+    rate_hi, draw_hi = np.full(n, -np.inf), np.full(n, -np.inf)
+    for uu in range(space.nq):
+        for jj in range(space.nb):
+            reach = feasible(uu, jj)
+            for du, dj, lo, hi in ((1, 0, rate_lo, rate_hi),
+                                   (0, 1, draw_lo, draw_hi)):
+                if uu >= du and jj >= dj:
+                    z, ok = marginal(uu, jj, du, dj)
+                    np.minimum(lo, z, out=lo, where=reach & ok)
+                    np.maximum(hi, z, out=hi, where=reach & ok)
 
-    for s in range(model.space.n_states):
-        sd = ctx.state_view(s)
-        r_star, wq_star = int(policy.r[s]), int(policy.w_quanta[s])
-        q, ib = sd.iq, sd.ib
+    # serve-everything regime: marginals at (0, j_full), strictly above price
+    cap_full = np.minimum(ib, draw_cap_table(model.params, space.h_values)[
+        space.ih, q])
+    z1, ok1 = marginal(0, ib - cap_full, 1, 0)
+    z2, ok2 = marginal(0, ib - cap_full, 0, 1)
+    serve_eval = busy & ok1 & ok2
+    prem = ((z1 > rate_price + _cmp_tol(tol, rate_price, z1))
+            & (z2 > draw_price + _cmp_tol(tol, draw_price, z2)))
+    ordered = (((rate_lo > rate_hi)
+                | (z1 <= rate_lo + _cmp_tol(tol, z1, rate_lo)))
+               & ((draw_lo > draw_hi)
+                  | (z2 <= draw_lo + _cmp_tol(tol, z2, draw_lo))))
+    serve_all = serve_eval & prem & ordered
+    serve_excluded = serve_eval & prem & ~ordered
 
-        if q == 0:
-            if model.restrict_w_to_power:
-                n_empty += 1
-                if r_star != 0 or wq_star != 0:
-                    _note(1.0, _state_witness(model, s, r=r_star,
-                                              w=wq_star * ctx.dstep,
-                                              expected="(0, 0)",
-                                              regime="empty-backlog"))
-            continue
+    # idle regime: marginals at (q, e_b), strictly below price
+    z1, ok1 = marginal(q, ib, 1, 0)
+    z2, ok2 = marginal(q, ib, 0, 1)
+    idle_eval = busy & ok1 & ok2
+    prem = ((z1 < rate_price - _cmp_tol(tol, rate_price, z1))
+            & (z2 < draw_price - _cmp_tol(tol, draw_price, z2)))
+    ordered = (((rate_lo > rate_hi)
+                | (z1 >= rate_hi - _cmp_tol(tol, z1, rate_hi)))
+               & ((draw_lo > draw_hi)
+                  | (z2 >= draw_hi - _cmp_tol(tol, z2, draw_hi))))
+    idle = idle_eval & prem & ordered
+    idle_excluded = idle_eval & prem & ~ordered
 
-        cap_full = min(ib, battery_draw_cap_quanta(params, sd.h, q, ib, True))
-        j_full = ib - cap_full
+    empty = ~busy if model.restrict_w_to_power else np.zeros_like(busy)
+    acts = (r != 0) | (wq != 0)
 
-        lattice_rate = []
-        lattice_draw = []
-        for uu in range(0, q + 1):
-            for jj in range(0, ib + 1):
-                if not sd.feasible(uu, jj):
-                    continue
-                if uu >= 1:
-                    z = sd.z_rate(uu, jj)
-                    if z is not None:
-                        lattice_rate.append(z)
-                if jj >= 1:
-                    z = sd.z_draw(uu, jj)
-                    if z is not None:
-                        lattice_draw.append(z)
-
-        # serve-everything regime: marginals at (0, j_full), strictly above price
-        z1 = sd.z_rate(0, j_full)
-        z2 = sd.z_draw(0, j_full)
-        if z1 is not None and z2 is not None:
-            prem = (z1 > sd.rate_price + _cmp_tol(tol, sd.rate_price, z1)
-                    and z2 > sd.draw_price + _cmp_tol(tol, sd.draw_price, z2))
-            if prem:
-                ordered = ((not lattice_rate or z1 <= min(lattice_rate)
-                            + _cmp_tol(tol, z1, min(lattice_rate)))
-                           and (not lattice_draw or z2 <= min(lattice_draw)
-                                + _cmp_tol(tol, z2, min(lattice_draw))))
-                if not ordered:
-                    n_side_excluded += 1
-                else:
-                    n_serve_all += 1
-                    if r_star != q or abs(wq_star - cap_full) > 1:
-                        _note(float(max(abs(q - r_star),
-                                        abs(wq_star - cap_full))),
-                              _state_witness(model, s, r=r_star,
-                                             w=wq_star * ctx.dstep,
-                                             expected_r=q,
-                                             expected_w=cap_full * ctx.dstep,
-                                             regime="serve-everything"))
-        else:
-            n_unevaluable += 1
-
-        # idle regime: marginals at (q, ib), strictly below price
-        z1 = sd.z_rate(q, ib)
-        z2 = sd.z_draw(q, ib)
-        if z1 is not None and z2 is not None:
-            prem = (z1 < sd.rate_price - _cmp_tol(tol, sd.rate_price, z1)
-                    and z2 < sd.draw_price - _cmp_tol(tol, sd.draw_price, z2))
-            if prem:
-                ordered = ((not lattice_rate or z1 >= max(lattice_rate)
-                            - _cmp_tol(tol, z1, max(lattice_rate)))
-                           and (not lattice_draw or z2 >= max(lattice_draw)
-                                - _cmp_tol(tol, z2, max(lattice_draw))))
-                if not ordered:
-                    n_side_excluded += 1
-                else:
-                    n_idle += 1
-                    if r_star != 0 or wq_star != 0:
-                        _note(float(max(r_star, wq_star)),
-                              _state_witness(model, s, r=r_star,
-                                             w=wq_star * ctx.dstep,
-                                             expected="(0, 0)",
-                                             regime="idle"))
-        else:
-            n_unevaluable += 1
-
-    details = _jsonable({"n_serve_all_states": n_serve_all,
-                       "n_idle_states": n_idle,
-                       "n_empty_backlog_states": n_empty,
-                       "n_ordering_excluded": n_side_excluded,
-                       "n_unevaluable": n_unevaluable,
-                       "alpha": ctx.alpha, "beta": ctx.beta,
-                       "tolerance": tol})
-    if witness is not None:
-        return CertificateReport(name, FAIL, worst_violation=worst,
-                                 witness=witness, details=details)
-    if n_serve_all + n_idle + n_empty == 0:
-        return CertificateReport(name, NOT_APPLICABLE, details=details)
-    return CertificateReport(name, PASS, details=details)
+    details = _jsonable({"n_serve_all_states": serve_all.sum(),
+                         "n_idle_states": idle.sum(),
+                         "n_empty_backlog_states": empty.sum(),
+                         "n_ordering_excluded": serve_excluded.sum()
+                         + idle_excluded.sum(),
+                         "n_unevaluable": (busy & ~serve_eval).sum()
+                         + (busy & ~idle_eval).sum(),
+                         "alpha": float(values.alpha),
+                         "beta": float(values.beta), "tolerance": tol})
+    off_serve_all = serve_all & ((r != q) | (np.abs(wq - cap_full) > 1))
+    viol = np.stack([
+        np.where(empty & acts, 1.0, 0.0),
+        np.where(off_serve_all,
+                 np.maximum(np.abs(q - r), np.abs(wq - cap_full)), 0),
+        np.where(idle & acts, np.maximum(r, wq), 0)], axis=1)
+    worst = _first_worst(viol)
+    if worst is None:
+        status = PASS if (serve_all | idle | empty).any() else NOT_APPLICABLE
+        return CertificateReport(name, status, details=details)
+    s, k, violation = worst
+    dstep = model.params.delta_e / model.params.tau
+    expected = ({"expected": "(0, 0)", "regime": "empty-backlog"},
+                {"expected_r": int(q[s]),
+                 "expected_w": int(cap_full[s]) * dstep,
+                 "regime": "serve-everything"},
+                {"expected": "(0, 0)", "regime": "idle"})[k]
+    witness = _state_witness(model, s, r=int(r[s]), w=int(wq[s]) * dstep,
+                             **expected)
+    return CertificateReport(name, FAIL, worst_violation=violation,
+                             witness=witness, details=details)
 
 
 # ---------------------------------------------------------------------------
@@ -607,10 +535,10 @@ def check_policy_monotonicity(policy: TablePolicy,
             if m > 0 and float(m) > worst:
                 worst = float(m)
                 at = np.unravel_index(int(np.argmax(drop)), drop.shape)
-                idx = (at[0] * space.s_q + at[1] * space.s_h
-                       + at[2] * space.s_a + at[3] * space.s_b + at[4])
-                witness = _state_witness(model, idx, quantity=label,
-                                         axis=axis_name, drop=m)
+                witness = _state_witness(model,
+                                         np.ravel_multi_index(at, shape),
+                                         quantity=label, axis=axis_name,
+                                         drop=m)
     if witness is not None:
         return CertificateReport(name, FAIL, worst_violation=worst,
                                  witness=witness,

@@ -1,19 +1,24 @@
 """Shared instance builders and comparison helpers for the test suite."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
 
+from ehsched.io import _jsonable
 from ehsched.mdp import (
     ActionSpace,
     NonConvergenceError,
     SolveResult,
+    TablePolicy,
     ValueTable,
     _greedy_sa,
     _segment_min,
     build_action_space,
     evaluate_policy,
+    exogenous_chain,
+    post_decision_values,
     recurrent_classes,
 )
 from ehsched.model import (
@@ -28,6 +33,7 @@ from ehsched.model import (
     step_battery,
     step_queue,
 )
+from ehsched.verify import FAIL, NOT_APPLICABLE, PASS, CertificateReport, _state_witness
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
 
@@ -502,3 +508,327 @@ def loop_chain_path(chain, gen, n):
         path.append(i)
         i = sample(cum[i], u[t])
     return np.array(path)
+
+
+# --- reference difference certificates -------------------------------------
+
+
+class _LoopDifferences:
+    """Reference difference algebra of the two difference certificates,
+    one state at a time: per-state scalars, Python-float marginals and one
+    battery_draw_cap_quanta call per feasibility test.
+
+    The continuation of playing (leftover queue u, leftover battery j) from
+    state x is W(u, j) = E[V(next)] where the current arrival and harvest
+    enter deterministically (clamped) and the chains advance one step. All
+    certificate quantities are algebraic combinations of W differences, of
+    the circuit-cost steps, and of the grid-power price.
+    """
+
+    def __init__(self, values: ValueTable, model: Model):
+        if values.alpha is None:
+            raise ValueError("difference certificates expect discounted values")
+        space = model.space
+        # ev[q', jb', ih, ia, ie] = chain-expected next value, the solvers'
+        # post-decision table
+        self.ev = post_decision_values(values.values, space,
+                                       exogenous_chain(model)).reshape(
+            space.nq, space.nb, space.nh, space.na, space.ne)
+        self.model = model
+        self.space = space
+        self.alpha = float(values.alpha)
+        self.beta = float(values.beta)
+        self.params = model.params
+        self.theta = self.params.theta
+        self.dstep = self.params.delta_e / self.params.tau
+
+    def state_view(self, s: int) -> "_LoopStateDifferences":
+        return _LoopStateDifferences(self, s)
+
+
+class _LoopStateDifferences:
+    def __init__(self, ctx: _LoopDifferences, s: int):
+        space = ctx.space
+        self.ctx = ctx
+        self.s = s
+        self.iq = int(space.iq[s])
+        self.ih = int(space.ih[s])
+        self.ia = int(space.ia[s])
+        self.ib = int(space.ib[s])
+        self.ie = int(space.ie[s])
+        self.h = float(space.h_values[self.ih])
+        self.a_pkts = int(space.arrival_pkts[self.ia])
+        self.e_quanta = int(space.harvest_quanta[self.ie])
+        p = ctx.params
+        self.rate_price = (ctx.beta * p.rho * (p.sigma2 / self.h)
+                           * math.exp(ctx.theta * self.iq)
+                           * (math.exp(ctx.theta) - 1.0))
+        self.draw_price = -ctx.beta * ctx.dstep
+
+    def w(self, u: int, j: int) -> float | None:
+        """Expected continuation; None when the backward shift leaves the grid."""
+        space = self.ctx.space
+        qn = u + self.a_pkts
+        bn = j + self.e_quanta
+        if qn < 0 or bn < 0:
+            return None
+        return float(self.ctx.ev[min(qn, space.nq - 1), min(bn, space.nb - 1),
+                                 self.ih, self.ia, self.ie])
+
+    def _circuit_step(self, u: int) -> float:
+        # one-step circuit-cost change when serving one more packet from u
+        c = self.ctx.params.circuit_c
+        now = c if (self.iq - u) > 0 else 0.0
+        more = c if (self.iq - u + 1) > 0 else 0.0
+        return now - more
+
+    def z_rate(self, u: int, j: int) -> float | None:
+        """Normalised marginal of the one-step target along the queue axis."""
+        w1, w0 = self.w(u, j), self.w(u - 1, j)
+        if w1 is None or w0 is None:
+            return None
+        return math.exp(self.ctx.theta * u) * (
+            self.ctx.alpha * (w1 - w0) + self.ctx.beta * self._circuit_step(u))
+
+    def z_draw(self, u: int, j: int) -> float | None:
+        """Marginal along the battery axis, per quantum."""
+        w1, w0 = self.w(u, j), self.w(u, j - 1)
+        if w1 is None or w0 is None:
+            return None
+        return self.ctx.alpha * (w1 - w0)
+
+    def z_diag(self, u: int, j: int) -> float | None:
+        """Marginal along the serve-one-more-paid-by-battery diagonal."""
+        w1, w0 = self.w(u, j), self.w(u - 1, j - 1)
+        if w1 is None or w0 is None:
+            return None
+        return math.exp(self.ctx.theta * u) * (
+            self.ctx.alpha * (w1 - w0)
+            + self.ctx.beta * self._circuit_step(u)
+            + self.ctx.beta * self.ctx.dstep)
+
+    def feasible(self, u: int, j: int) -> bool:
+        """Leftover pair reachable without drawing beyond the required power.
+
+        The cap is enforced for the certificate even when the model allows
+        larger draws: past it the grid-power hinge is active and the smooth
+        difference algebra no longer represents the one-step cost.
+        """
+        if not (0 <= u <= self.iq and 0 <= j <= self.ib):
+            return False
+        cap = battery_draw_cap_quanta(self.ctx.params, self.h, self.iq - u,
+                                      self.ib, True)
+        return self.ib - j <= cap
+
+
+def _loop_cmp_tol(tol: float, *magnitudes: float) -> float:
+    scale = 1.0
+    for m in magnitudes:
+        scale = max(scale, abs(m))
+    return tol * scale
+
+
+def loop_necessary_conditions(values: ValueTable, policy: TablePolicy,
+                               model: Model,
+                               tol: float = 1e-7) -> CertificateReport:
+    """Reference for verify.check_necessary_conditions, one state at a time.
+
+    Each feasible one-step perturbation of the action (serve one more/less,
+    draw one quantum more/less, and the two paired moves) must not improve
+    the one-step target; rewritten as marginal-vs-price comparisons. Sides
+    whose perturbed action is infeasible are skipped (boundary states get
+    one-sided checks). Tolerance is relative above unit scale.
+    """
+    name = "action-first-order-conditions"
+    ctx = _LoopDifferences(values, model)
+    n_checked = 0
+    n_skipped = 0
+    n_states_skipped = 0
+    worst = 0.0
+    witness = None
+
+    for s in range(model.space.n_states):
+        sd = ctx.state_view(s)
+        r_star, wq_star = int(policy.r[s]), int(policy.w_quanta[s])
+        u, j = sd.iq - r_star, sd.ib - wq_star
+        if not sd.feasible(u, j):
+            # stored action draws past the required power (only possible when
+            # the model relaxes the draw cap); the marginal algebra does not
+            # apply there
+            n_states_skipped += 1
+            continue
+        t_rate = sd.rate_price
+        t_draw = sd.draw_price
+        sides = []
+        if u + 1 <= sd.iq and sd.feasible(u + 1, j):
+            z = sd.z_rate(u + 1, j)
+            if z is not None:
+                sides.append(("serve-one-less", t_rate - z, t_rate, z))
+        if u >= 1 and sd.feasible(u - 1, j):
+            z = sd.z_rate(u, j)
+            if z is not None:
+                sides.append(("serve-one-more", z - t_rate, t_rate, z))
+        if j + 1 <= sd.ib and sd.feasible(u, j + 1):
+            z = sd.z_draw(u, j + 1)
+            if z is not None:
+                sides.append(("draw-one-less", t_draw - z, t_draw, z))
+        if j >= 1 and sd.feasible(u, j - 1):
+            z = sd.z_draw(u, j)
+            if z is not None:
+                sides.append(("draw-one-more", z - t_draw, t_draw, z))
+        if u + 1 <= sd.iq and j + 1 <= sd.ib and sd.feasible(u + 1, j + 1):
+            z = sd.z_diag(u + 1, j + 1)
+            if z is not None:
+                sides.append(("serve-less-draw-less", t_rate - z, t_rate, z))
+        if u >= 1 and j >= 1 and sd.feasible(u - 1, j - 1):
+            z = sd.z_diag(u, j)
+            if z is not None:
+                sides.append(("serve-more-draw-more", z - t_rate, t_rate, z))
+
+        for side_name, raw_violation, lhs, rhs in sides:
+            n_checked += 1
+            margin = raw_violation - _loop_cmp_tol(tol, lhs, rhs)
+            if margin > 0 and raw_violation > worst:
+                worst = raw_violation
+                witness = _state_witness(model, s, r=r_star,
+                                         w=wq_star * ctx.dstep,
+                                         condition=side_name,
+                                         marginal=rhs, price=lhs)
+        n_skipped += 6 - len(sides)
+
+    details = _jsonable({"n_sides_checked": n_checked,
+                       "n_sides_skipped": n_skipped,
+                       "n_states_skipped": n_states_skipped,
+                       "alpha": ctx.alpha, "beta": ctx.beta,
+                       "tolerance": tol})
+    if witness is not None:
+        return CertificateReport(name, FAIL, worst_violation=worst,
+                                 witness=witness, details=details)
+    return CertificateReport(name, PASS, details=details)
+
+
+def loop_special_states(values: ValueTable, policy: TablePolicy,
+                         model: Model, tol: float = 1e-7) -> CertificateReport:
+    """Reference for verify.check_special_states, one state at a time.
+
+    Two regimes admit closed forms: serve-everything with the largest
+    feasible draw (when even the full-service marginals beat the prices
+    strictly), and full idling (when even the idle marginals lose to the
+    prices strictly). The certificates additionally require the marginal
+    arrays to be extremal at the closed-form action over the whole feasible
+    lattice -- the assumption the regimes rest on; states where that ordering
+    fails numerically are excluded rather than failed. Premises must hold
+    strictly beyond tolerance. The empty-backlog state pins the policy to
+    (0, 0) whenever draws are capped by required power.
+    """
+    name = "closed-form-special-states"
+    ctx = _LoopDifferences(values, model)
+    params = model.params
+    n_serve_all = n_idle = n_empty = 0
+    n_side_excluded = 0
+    n_unevaluable = 0
+    worst = 0.0
+    witness = None
+
+    def _note(violation, wit):
+        nonlocal worst, witness
+        if violation > worst:
+            worst = violation
+            witness = wit
+
+    for s in range(model.space.n_states):
+        sd = ctx.state_view(s)
+        r_star, wq_star = int(policy.r[s]), int(policy.w_quanta[s])
+        q, ib = sd.iq, sd.ib
+
+        if q == 0:
+            if model.restrict_w_to_power:
+                n_empty += 1
+                if r_star != 0 or wq_star != 0:
+                    _note(1.0, _state_witness(model, s, r=r_star,
+                                              w=wq_star * ctx.dstep,
+                                              expected="(0, 0)",
+                                              regime="empty-backlog"))
+            continue
+
+        cap_full = min(ib, battery_draw_cap_quanta(params, sd.h, q, ib, True))
+        j_full = ib - cap_full
+
+        lattice_rate = []
+        lattice_draw = []
+        for uu in range(0, q + 1):
+            for jj in range(0, ib + 1):
+                if not sd.feasible(uu, jj):
+                    continue
+                if uu >= 1:
+                    z = sd.z_rate(uu, jj)
+                    if z is not None:
+                        lattice_rate.append(z)
+                if jj >= 1:
+                    z = sd.z_draw(uu, jj)
+                    if z is not None:
+                        lattice_draw.append(z)
+
+        # serve-everything regime: marginals at (0, j_full), strictly above price
+        z1 = sd.z_rate(0, j_full)
+        z2 = sd.z_draw(0, j_full)
+        if z1 is not None and z2 is not None:
+            prem = (z1 > sd.rate_price + _loop_cmp_tol(tol, sd.rate_price, z1)
+                    and z2 > sd.draw_price + _loop_cmp_tol(tol, sd.draw_price, z2))
+            if prem:
+                ordered = ((not lattice_rate or z1 <= min(lattice_rate)
+                            + _loop_cmp_tol(tol, z1, min(lattice_rate)))
+                           and (not lattice_draw or z2 <= min(lattice_draw)
+                                + _loop_cmp_tol(tol, z2, min(lattice_draw))))
+                if not ordered:
+                    n_side_excluded += 1
+                else:
+                    n_serve_all += 1
+                    if r_star != q or abs(wq_star - cap_full) > 1:
+                        _note(float(max(abs(q - r_star),
+                                        abs(wq_star - cap_full))),
+                              _state_witness(model, s, r=r_star,
+                                             w=wq_star * ctx.dstep,
+                                             expected_r=q,
+                                             expected_w=cap_full * ctx.dstep,
+                                             regime="serve-everything"))
+        else:
+            n_unevaluable += 1
+
+        # idle regime: marginals at (q, ib), strictly below price
+        z1 = sd.z_rate(q, ib)
+        z2 = sd.z_draw(q, ib)
+        if z1 is not None and z2 is not None:
+            prem = (z1 < sd.rate_price - _loop_cmp_tol(tol, sd.rate_price, z1)
+                    and z2 < sd.draw_price - _loop_cmp_tol(tol, sd.draw_price, z2))
+            if prem:
+                ordered = ((not lattice_rate or z1 >= max(lattice_rate)
+                            - _loop_cmp_tol(tol, z1, max(lattice_rate)))
+                           and (not lattice_draw or z2 >= max(lattice_draw)
+                                - _loop_cmp_tol(tol, z2, max(lattice_draw))))
+                if not ordered:
+                    n_side_excluded += 1
+                else:
+                    n_idle += 1
+                    if r_star != 0 or wq_star != 0:
+                        _note(float(max(r_star, wq_star)),
+                              _state_witness(model, s, r=r_star,
+                                             w=wq_star * ctx.dstep,
+                                             expected="(0, 0)",
+                                             regime="idle"))
+        else:
+            n_unevaluable += 1
+
+    details = _jsonable({"n_serve_all_states": n_serve_all,
+                       "n_idle_states": n_idle,
+                       "n_empty_backlog_states": n_empty,
+                       "n_ordering_excluded": n_side_excluded,
+                       "n_unevaluable": n_unevaluable,
+                       "alpha": ctx.alpha, "beta": ctx.beta,
+                       "tolerance": tol})
+    if witness is not None:
+        return CertificateReport(name, FAIL, worst_violation=worst,
+                                 witness=witness, details=details)
+    if n_serve_all + n_idle + n_empty == 0:
+        return CertificateReport(name, NOT_APPLICABLE, details=details)
+    return CertificateReport(name, PASS, details=details)

@@ -109,7 +109,27 @@ def test_malformed_transition_row_fails_validation(tmp_path):
      "mixed policy needs xi in [0, 1]"),
     (("sweep", "--axis", "channel", "--points", "0.5", "--n-levels", "0",
       "--n-slots", "100"), "n_levels must be at least 1"),
-], ids=["negative-beta", "xi-above-one", "no-channel-levels"])
+    (("sweep", "--axis", "arrival", "--points", "0.5,x", "--n-slots", "100"),
+     "--points needs a comma-separated list of finite numbers"),
+    (("sweep", "--axis", "arrival", "--points", "nan", "--n-slots", "100"),
+     "--points needs a comma-separated list of finite numbers"),
+    (("sweep", "--axis", "budget", "--points", "0.1,inf", "--n-slots", "100"),
+     "--points needs a comma-separated list of finite numbers"),
+    (("sweep", "--axis", "channel", "--points", "nan", "--n-slots", "100"),
+     "--points needs a comma-separated list of finite numbers"),
+    (("solve", "--constrained", "--set", "params.p_bar=NaN"),
+     "p_bar must be finite, got nan"),
+    (("solve", "--set", "params.tau=NaN"), "tau must be finite, got nan"),
+    (("solve", "--set", "params.circuit_c=Infinity"),
+     "circuit_c must be finite, got inf"),
+    (("solve", "--set", "channel.values=[NaN,1.4]"),
+     "channel: chain levels must be finite, got (nan, 1.4)"),
+    (("solve", "--set", "channel.transition=[[NaN,0.3],[0.4,0.6]]"),
+     "channel: transition probabilities must be finite"),
+], ids=["negative-beta", "xi-above-one", "no-channel-levels",
+        "points-not-a-number", "points-nan-arrival", "points-inf-budget",
+        "points-nan-channel", "nan-budget", "nan-slot-length",
+        "inf-circuit-power", "nan-channel-level", "nan-transition-entry"])
 def test_bad_arguments_fail_validation(tmp_path, argv, message):
     out = tmp_path / "run"
     assert run(*argv, "--config", DESK_CONFIG, "--out", out) == 2

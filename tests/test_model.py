@@ -233,6 +233,18 @@ def test_chain_rejects_bad_rows():
         MarkovChainSpec((2.0, 1.0), np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_chain_rejects_non_finite_entries(bad):
+    with pytest.raises(ConfigError, match="levels must be finite"):
+        MarkovChainSpec((1.0, bad), np.eye(2))
+    with pytest.raises(ConfigError, match="levels must be finite"):
+        MarkovChainSpec.iid((bad,), (1.0,))
+    with pytest.raises(ConfigError, match="probabilities must be finite"):
+        MarkovChainSpec((1.0, 2.0), np.array([[bad, 0.5], [0.5, 0.5]]))
+    with pytest.raises(ConfigError, match="probabilities must be finite"):
+        MarkovChainSpec.iid((1.0, 2.0), (bad, 1.0))
+
+
 def test_chain_stationary_law():
     c = MarkovChainSpec((0.0, 1.0), np.array([[0.5, 0.5], [0.35, 0.65]]))
     pi = c.stationary()
@@ -294,6 +306,13 @@ def test_load_model_names_bad_section():
     good = {**cfg, "channel": {"values": [0.5, 1.5], "transition": [[0.7, 0.3], [0.4, 0.6]]}}
     with pytest.raises(ConfigError, match="harvest"):
         load_model({k: v for k, v in good.items() if k != "harvest"})
+
+
+@pytest.mark.parametrize("name", sorted(ModelParams.__dataclass_fields__))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_params_reject_non_finite_fields(name, bad):
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        ModelParams(**{name: bad})
 
 
 def test_params_validation():

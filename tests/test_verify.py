@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ehsched.mdp import (
     SolverConfig,
@@ -10,10 +12,16 @@ from ehsched.mdp import (
     discounted_value_iteration,
     relative_value_iteration,
 )
-from ehsched.model import MarkovChainSpec, Model, ModelParams, battery_draw_cap_quanta
+from ehsched.model import (
+    MarkovChainSpec,
+    Model,
+    ModelParams,
+    battery_draw_cap_quanta,
+    draw_cap_table,
+)
 from ehsched.verify import (
     CertificateReport,
-    _DifferenceContext,
+    _post_decision_table,
     any_hard_failure,
     check_beta_monotonicity,
     check_greedy_regimes,
@@ -23,6 +31,7 @@ from ehsched.verify import (
     check_special_states,
     check_value_shape,
     format_reports,
+    report_to_dict,
     reports_to_json,
     run_all_checks,
 )
@@ -31,7 +40,11 @@ from helpers import (
     cold_discounted_value_iteration,
     desk_lite_model,
     desk_model,
+    loop_necessary_conditions,
+    loop_special_states,
     power_delay_model,
+    random_model,
+    tiny_models,
 )
 
 
@@ -132,10 +145,10 @@ def _einsum_ev(values, model):
 def test_difference_context_ev_matches_einsum(make):
     model = make()
     v = np.random.default_rng(5).standard_normal(model.space.n_states) * 50
-    ctx = _DifferenceContext(ValueTable(values=v, kind="discounted", beta=1.0,
-                                        alpha=0.99), model)
+    ev = _post_decision_table(ValueTable(values=v, kind="discounted",
+                                         beta=1.0, alpha=0.99), model)
     want = _einsum_ev(v, model).transpose(0, 3, 1, 2, 4)
-    np.testing.assert_allclose(ctx.ev, want, rtol=0,
+    np.testing.assert_allclose(ev, want, rtol=0,
                                atol=1e-14 * float(np.abs(v).max()))
 
 
@@ -234,6 +247,60 @@ def test_special_states_catch_idling_where_serving_certified(desk, desk_discount
     assert rep.status == "fail"
     assert rep.witness is not None
     assert rep.witness["regime"] == "serve-everything"
+
+
+# --- array certificates against the per-state loops ---------------------------
+
+
+def probe_policies(model, solved):
+    """The solved policy, idling, serving everything with the greedy draw,
+    and the solved policy serving one packet less at every third busy state:
+    FAIL witnesses get compared as well as passes."""
+    space, p = model.space, model.params
+    cap = draw_cap_table(p, space.h_values)
+
+    def table(r, w):
+        return TablePolicy(r=r, w_quanta=w, delta_e=p.delta_e, tau=p.tau)
+
+    r, w = solved.r.copy(), solved.w_quanta.copy()
+    less = (np.arange(space.n_states) % 3 == 0) & (r >= 1)
+    r[less] -= 1
+    w[less] = np.minimum(w[less], np.minimum(space.ib, cap[space.ih, r])[less])
+    return [solved, idle_policy(model),
+            table(space.iq.copy(), np.minimum(space.ib, cap[space.ih, space.iq])),
+            table(r, w)]
+
+
+def assert_certificates_match_loops(model, beta):
+    res = discounted_value_iteration(
+        SolverConfig(beta=beta, alpha=0.999, epsilon=1e-9), model)
+    for pol in probe_policies(model, res.policy):
+        for check, loop in ((check_necessary_conditions, loop_necessary_conditions),
+                            (check_special_states, loop_special_states)):
+            got = json.dumps(report_to_dict(check(res.values, pol, model)),
+                             sort_keys=True)
+            want = json.dumps(report_to_dict(loop(res.values, pol, model)),
+                              sort_keys=True)
+            assert got == want
+
+
+@pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0, 100.0])
+def test_difference_certificates_match_loops_desk(beta):
+    assert_certificates_match_loops(desk_model(), beta)
+
+
+@pytest.mark.parametrize("model", [desk_model(restrict=False),
+                                   desk_lite_model(), *tiny_models()],
+                         ids=["desk-unrestricted", "desk-lite", "power-delay",
+                              "battery", "channel"])
+def test_difference_certificates_match_loops(model):
+    assert_certificates_match_loops(model, 1.0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000))
+def test_difference_certificates_match_loops_random_models(seed):
+    assert_certificates_match_loops(random_model(seed), 1.0)
 
 
 # --- price monotonicity -------------------------------------------------------
