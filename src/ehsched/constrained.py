@@ -116,7 +116,7 @@ class ConstrainedSolution:
     beta_minus: float | None = None
     eval_plus: PolicyEvaluation | None = None
     eval_minus: PolicyEvaluation | None = None
-    n_evaluations: int = 0  # the search's LUs plus one per mixture iterate
+    n_evaluations: int = 0  # LUs factorised: the search's and the mixture iterates'
     n_sweeps: int = 0
 
 
@@ -143,8 +143,13 @@ class _Prober:
         self.actions = actions if actions is not None else build_action_space(model)
         self.trace: list[TraceRow] = []
         self._probes: list[Probe] = []
-        self.n_evaluations = 0
+        self._lu_start = self.actions.n_factorised
         self.n_sweeps = 0
+
+    @property
+    def n_evaluations(self) -> int:
+        """LUs factorised on the actions since this prober was made."""
+        return self.actions.n_factorised - self._lu_start
 
     def __call__(self, beta: float) -> Probe:
         sc = SolverConfig(beta=beta, epsilon=self.cfg.epsilon,
@@ -152,7 +157,6 @@ class _Prober:
         res = relative_value_iteration(sc, self.model, actions=self.actions,
                                        start=self._start(beta))
         ev = evaluate_policy(res.policy, beta, self.model, actions=self.actions)
-        self.n_evaluations += res.n_evaluations + (not ev.reused_lu)
         self.n_sweeps += res.n_iters
         self.trace.append(TraceRow(len(self.trace) + 1, beta, ev.gain_j,
                                    ev.mean_queue_b, ev.mean_grid_k))
@@ -232,6 +236,7 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
     k_tol = _k_tolerance(cfg, model)
     if actions is None:
         actions = build_action_space(model)
+    lu_start = actions.n_factorised
     search = beta_star_search(cfg, model, actions)
     ev_plus, minus = search.evaluation, search.minus
 
@@ -242,14 +247,12 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
             achieved_k=ev_plus.mean_grid_k, trace=search.trace,
             n_evaluations=search.n_evaluations, n_sweeps=search.n_sweeps)
 
-    n_evaluations = search.n_evaluations
     xi_lo, k_lo = 0.0, minus.evaluation.mean_grid_k
     xi_hi, k_hi = 1.0, ev_plus.mean_grid_k
     for _ in range(cfg.max_outer_iters - len(search.trace)):
         xi = xi_lo + (k_lo - p_bar) * (xi_hi - xi_lo) / (k_lo - k_hi)
         mixed = MixedPolicy(search.policy, minus.policy, xi)
         ev = evaluate_policy(mixed, search.beta_star, model, actions=actions)
-        n_evaluations += not ev.reused_lu
         k = ev.mean_grid_k
         if abs(k - p_bar) <= k_tol:
             return ConstrainedSolution(
@@ -257,7 +260,8 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
                 evaluation=ev, achieved_b=ev.mean_queue_b, achieved_k=k,
                 trace=search.trace, xi=xi, beta_plus=search.beta_plus,
                 beta_minus=minus.beta, eval_plus=ev_plus, eval_minus=minus.evaluation,
-                n_evaluations=n_evaluations, n_sweeps=search.n_sweeps)
+                n_evaluations=actions.n_factorised - lu_start,
+                n_sweeps=search.n_sweeps)
         if k > p_bar:
             xi_lo, k_lo = xi, k
         else:

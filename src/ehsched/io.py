@@ -64,9 +64,28 @@ def rows_to_csv(rows, fieldnames=None) -> str:
     return buf.getvalue()
 
 
+def columns_to_csv(columns: dict) -> str:
+    """Render a dict of equal-length columns as rows_to_csv renders the
+    same cells as dict rows: each column formatted at once (%.12g where
+    every cell is a float, else cell by cell as rows_to_csv does) and the
+    columns joined line by line. Cells are numbers: none needs quoting."""
+    cells = []
+    for col in columns.values():
+        col = list(col)
+        if all(type(v) is float for v in col):
+            cells.append([f"{v:.12g}" for v in col])
+        else:
+            cells.append([format_float(v) if isinstance(v, (float, np.floating))
+                          else str(v) for v in col])
+    lines = [",".join(columns), *map(",".join, zip(*cells))]
+    return "\n".join(lines) + "\n"
+
+
 def write_csv(path, rows, fieldnames=None) -> Path:
+    """Write dict rows, or a dict of equal-length columns, as CSV."""
     path = Path(path)
-    path.write_text(rows_to_csv(rows, fieldnames))
+    path.write_text(columns_to_csv(rows) if isinstance(rows, dict)
+                    else rows_to_csv(rows, fieldnames))
     return path
 
 
@@ -74,8 +93,9 @@ def write_csv(path, rows, fieldnames=None) -> Path:
 # domain-object renderings
 
 
-def policy_rows(policy: TablePolicy, model: Model, values=None) -> list[dict]:
-    """One row per state: coordinates, chosen action, optionally the value.
+def policy_columns(policy: TablePolicy, model: Model, values=None) -> dict:
+    """One column per field, one cell per state: coordinates, chosen action,
+    optionally the value.
 
     The coordinates come from the state space's index arrays; every cell is
     a Python int or float computed by the same expression as
@@ -96,6 +116,12 @@ def policy_rows(policy: TablePolicy, model: Model, values=None) -> list[dict]:
     }
     if values is not None:
         columns["value"] = np.asarray(values, dtype=float).tolist()
+    return columns
+
+
+def policy_rows(policy: TablePolicy, model: Model, values=None) -> list[dict]:
+    """policy_columns as one dict row per state."""
+    columns = policy_columns(policy, model, values)
     return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
 
@@ -159,11 +185,11 @@ def write_policy_artifacts(out_dir: Path, policy, model: Model,
     written = []
     if isinstance(policy, MixedPolicy):
         write_csv(out_dir / "policy_plus.csv",
-                  policy_rows(policy.policy_plus, model, values))
+                  policy_columns(policy.policy_plus, model, values))
         write_csv(out_dir / "policy_minus.csv",
-                  policy_rows(policy.policy_minus, model))
+                  policy_columns(policy.policy_minus, model))
         written += ["policy_plus.csv", "policy_minus.csv"]
     else:
-        write_csv(out_dir / "policy.csv", policy_rows(policy, model, values))
+        write_csv(out_dir / "policy.csv", policy_columns(policy, model, values))
         written.append("policy.csv")
     return written

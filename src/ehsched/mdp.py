@@ -146,7 +146,7 @@ class PolicyEvaluation:
     beta: float
     overflow_rate: float = 0.0       # mean packets lost to the buffer clamp per slot
     battery_spill_rate: float = 0.0  # mean energy lost to the capacity clamp per slot
-    reused_lu: bool = False  # the chain's LU came from policy iteration
+    reused_lu: bool = False  # the chain's LU was the ActionSpace's last one
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +178,13 @@ class ActionSpace:
     mask of the rows to keep; the kept rows stay in the same order.
     """
 
-    # (P, LU) of the last chain policy iteration factorised at reference state
-    # 0; evaluate_policy reuses it for the same chain
+    # The last bias-gain LU factorised on these actions at reference state 0,
+    # whoever made it (policy iteration or evaluate_policy): (P, lu, key),
+    # key the weight and the rows' post-decision indices of each policy the
+    # chain plays, which fix P. One entry: a new chain replaces it.
     last_lu = None
+    # sparse LUs factorised on these actions, bias-gain and discounted
+    n_factorised = 0
 
     def __init__(self, model: Model, keep=None):
         space = model.space
@@ -429,18 +433,17 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
     Stops when the rows repeat, after max_iters evaluations, or at the first
     multichain policy, which has no single gain. Returns the bias of the
     last unichain policy evaluated (zeros if none) and the number of
-    evaluations. At reference state 0 the last LU is left in
-    actions.last_lu, where evaluate_policy finds it for the same chain.
+    evaluations. At reference state 0 each step takes its LU from
+    actions.last_lu when that is the same chain's (a warm start's first
+    step) and leaves the LU it factorises there, where the next solve and
+    evaluate_policy find it.
     """
     h = np.zeros(actions.indptr.size - 1)
     n_eval = 0
     for _ in range(max_iters):
-        P = actions.chain(sa)
-        if recurrent_classes(P)[1] != 1:
+        _, lu, _ = _chain_lu(actions, [(1.0, sa)], ref)
+        if lu is None:
             break
-        lu = _bias_gain_lu(P, ref)
-        if ref == 0:
-            actions.last_lu = (P, lu)
         x = lu.solve(c[sa])
         h = x - x[ref]
         n_eval += 1
@@ -570,10 +573,10 @@ def _howard_values(actions: ActionSpace, beta: float, alpha: float,
     """
     n = actions.indptr.size - 1
     c = actions.cost(beta)
-    eye = sp.identity(n, format="csc")
     _, sa = discounted_backup(actions, np.zeros(n), beta, alpha, tie_tol=0.0)
     for n_eval in range(1, max_iters + 1):
-        v = splu((eye - alpha * actions.chain(sa)).tocsc()).solve(c[sa])
+        v = splu(_identity_minus(actions.chain(sa), alpha)).solve(c[sa])
+        actions.n_factorised += 1
         _, greedy = discounted_backup(actions, v, beta, alpha, tie_tol=0.0)
         if np.array_equal(greedy, sa):
             break
@@ -669,23 +672,88 @@ def _policy_terms(policy, actions: ActionSpace) -> list:
 
 
 def _terms_chain(terms, actions: ActionSpace) -> sp.csr_matrix:
+    if len(terms) == 1:  # weight 1: the chain of the rows itself
+        return actions.chain(terms[0][1])
     P = sum(w * actions.chain(sa) for w, sa in terms).tocsr()
     P.eliminate_zeros()
     return P
+
+
+def _chain_lu(actions: ActionSpace, terms, ref: int = 0):
+    """(P, lu, reused): the chain the (weight, rows) terms play, its
+    bias-gain LU at reference state ref, and whether that LU was
+    actions.last_lu. At ref 0 a chain whose key matches the stored one is
+    neither built nor checked again; any other is built, checked and, when
+    unichain, factorised (counted in actions.n_factorised) and stored in
+    place of the last. lu is None when P is not unichain.
+    """
+    key = tuple((w, actions.post_sa[sa].tobytes()) for w, sa in terms)
+    memo = actions.last_lu
+    if ref == 0 and memo is not None and memo[2] == key:
+        return memo[0], memo[1], True
+    P = _terms_chain(terms, actions)
+    if recurrent_classes(P)[1] != 1:
+        return P, None, False
+    lu = _bias_gain_lu(P, ref)
+    actions.n_factorised += 1
+    if ref == 0:
+        actions.last_lu = (P, lu, key)
+    return P, lu, False
 
 
 def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
     """Mask of the states in recurrent classes of P, and the number of them.
 
     A recurrent class is a strongly connected component with no edge leaving
-    it. P must hold no explicit zeros: every stored entry counts as an edge.
+    it. P must be CSR and hold no explicit zeros: every stored entry counts
+    as an edge, read from its indptr and indices.
     """
     n_comp, labels = connected_components(P, directed=True, connection="strong")
-    rows, cols = P.nonzero()
+    src = np.repeat(labels, np.diff(P.indptr))
+    dst = labels[P.indices]
+    crossing = src != dst
     closed = np.ones(n_comp, dtype=bool)
-    crossing = labels[rows] != labels[cols]
-    closed[labels[rows[crossing]]] = False
+    closed[src[crossing]] = False
     return closed[labels], int(np.count_nonzero(closed))
+
+
+def _identity_minus(P: sp.csr_matrix, scale: float = 1.0,
+                    ref: int | None = None) -> sp.csc_matrix:
+    """I - scale * P, plus 1 e_ref^T when ref is given, in CSC, built from
+    the canonical CSR arrays of P (sorted, duplicate-free, no explicit
+    zeros) without sparse arithmetic.
+
+    Its entries are those of scipy's (I - scale * P (+ ones)).tocsc(), bit
+    for bit: -(scale*p), then + 1 on the diagonal (1 - scale*p, the same
+    double), then + 1 in column ref; the zeros scipy drops (1 - p_ii of an
+    absorbing row, -p + 1 where p is 1) are dropped; and each column's rows
+    ascend. SuperLU therefore factorises the same matrix.
+    """
+    n = P.shape[0]
+    entries = (np.repeat(np.arange(n), np.diff(P.indptr)),
+               P.indices.astype(np.int64), -(P.data * scale))
+
+    def plus_one(rows, cols, vals, target):
+        # + 1 at (i, target[i]) in every row i: onto the entry there, or as
+        # a new entry where there is none
+        at = cols == target[rows]
+        vals[at] += 1.0
+        bare = np.ones(n, dtype=bool)
+        bare[rows[at]] = False
+        i = np.flatnonzero(bare)
+        return (np.concatenate((rows, i)), np.concatenate((cols, target[i])),
+                np.concatenate((vals, np.ones(i.size))))
+
+    entries = plus_one(*entries, np.arange(n))
+    if ref is not None:
+        entries = plus_one(*entries, np.full(n, ref))
+    rows, cols, vals = entries
+    kept = vals != 0.0
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    # the constructor narrows the indices to scipy's dtype, int32 where they fit
+    return sp.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
 
 
 def _bias_gain_lu(P: sp.csr_matrix, ref: int):
@@ -697,11 +765,8 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
     lu.solve(e_ref, trans="T") gives the stationary law pi, since
     pi A = e_ref^T.
     """
-    n = P.shape[0]
-    ones_col = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, ref))),
-                             shape=(n, n))
     try:
-        return splu((sp.identity(n, format="csr") - P + ones_col).tocsc())
+        return splu(_identity_minus(P, ref=ref))
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise MultichainError(f"bias-gain matrix is singular ({exc}): P is "
                               f"multichain in floating point") from exc
@@ -709,8 +774,9 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
 
 def stationary_distribution(P: sp.csr_matrix, lu=None) -> np.ndarray:
     """Stationary law of a unichain P from the transpose solve of its
-    bias-gain LU at reference state 0 (_bias_gain_lu(P, 0), factorised here
-    unless given)."""
+    bias-gain LU at reference state 0: lu when given (evaluate_policy passes
+    the one _chain_lu found or made), else _bias_gain_lu(P, 0). Either way
+    the residual |pi P - pi| is checked against P."""
     n = P.shape[0]
     e = np.zeros(n)
     e[0] = 1.0
@@ -733,11 +799,12 @@ def evaluate_policy(policy, beta: float, model: Model,
 
     The per-slot quantities (queue, grid power, overflow, spill) are worked
     out at the policy's own rows only, n values per mixture term
-    (ActionSpace.row_terms). When the policy's chain is the one policy
-    iteration last factorised on these actions (actions.last_lu), its LU is
-    reused: the same P gives the same matrix A and so the same stationary
-    law, bit for bit, and policy iteration has already checked that P is
-    unichain.
+    (ActionSpace.row_terms). The LU comes from actions.last_lu when that is
+    the same chain's, whoever factorised it (policy iteration's last step,
+    an earlier evaluation, a mixture iterate): the same P gives the same
+    matrix A and so the same stationary law, bit for bit, and P was checked
+    unichain when it was stored. Otherwise P is built, checked, factorised
+    and stored there in its place.
     """
     if actions is None:
         actions = build_action_space(model)
@@ -745,14 +812,10 @@ def evaluate_policy(policy, beta: float, model: Model,
         policy = TablePolicy.from_callable(policy, model)
 
     terms = _policy_terms(policy, actions)
-    P = _terms_chain(terms, actions)
-    lu = None
-    if actions.last_lu is not None and _same_csr(actions.last_lu[0], P):
-        lu = actions.last_lu[1]
-    else:
-        _, n_recurrent = recurrent_classes(P)
-        if n_recurrent != 1:
-            raise MultichainError(f"induced chain has {n_recurrent} recurrent classes")
+    P, lu, reused = _chain_lu(actions, terms)
+    if lu is None:
+        raise MultichainError(
+            f"induced chain has {recurrent_classes(P)[1]} recurrent classes")
     pi = stationary_distribution(P, lu)
 
     at_rows = [actions.row_terms(sa) for _, sa in terms]
@@ -761,14 +824,7 @@ def evaluate_policy(policy, beta: float, model: Model,
         for i in range(4))
     return PolicyEvaluation(gain_j=b + beta * k, mean_queue_b=b, mean_grid_k=k,
                             stationary_dist=pi, beta=beta, overflow_rate=overflow,
-                            battery_spill_rate=spill, reused_lu=lu is not None)
-
-
-def _same_csr(a: sp.csr_matrix, b: sp.csr_matrix) -> bool:
-    return (a.shape == b.shape and a.nnz == b.nnz
-            and np.array_equal(a.indptr, b.indptr)
-            and np.array_equal(a.indices, b.indices)
-            and np.array_equal(a.data, b.data))
+                            battery_spill_rate=spill, reused_lu=reused)
 
 
 # ---------------------------------------------------------------------------

@@ -149,7 +149,9 @@ def _table_lookup(policy: TablePolicy, model: Model):
         raise PolicyDomainError(
             f"policy action infeasible at state {int(bad[0])}",
             state=space.state_of(int(bad[0])))
-    return policy.r, policy.w_quanta
+    # lists of Python ints, made once: the slot loop indexes them per slot
+    return (np.asarray(policy.r).astype(np.int64).tolist(),
+            np.asarray(policy.w_quanta).astype(np.int64).tolist())
 
 
 def _baseline_actor(radical_weight: float, model: Model):
@@ -193,7 +195,7 @@ def _make_actor(policy, model: Model):
 
         def act(q, ih, ia, ib, ie, coin):
             i = q * sq + ih * sh + ia * sa + ib * sb + ie
-            return int(r_tab[i]), int(wq_tab[i])
+            return r_tab[i], wq_tab[i]
 
         return act
 
@@ -207,8 +209,8 @@ def _make_actor(policy, model: Model):
         def act(q, ih, ia, ib, ie, coin):
             i = q * sq + ih * sh + ia * sa + ib * sb + ie
             if coin < xi:
-                return int(rp[i]), int(wp[i])
-            return int(rm[i]), int(wm[i])
+                return rp[i], wp[i]
+            return rm[i], wm[i]
 
         return act
 

@@ -226,6 +226,10 @@ def _post_decision_table(values: ValueTable, model: Model) -> np.ndarray:
         space.nq, space.nb, space.nh, space.na, space.ne)
 
 
+# the state axis's index when a difference function takes every state
+_ALL_STATES = slice(None)
+
+
 def _difference_algebra(values: ValueTable, model: Model):
     """Marginals, feasibility and prices of every state, as array functions.
 
@@ -234,9 +238,11 @@ def _difference_algebra(values: ValueTable, model: Model):
     deterministically (clamped at the top) and the chains advance one step.
     u and j are per-state integer arrays or scalars; each function returns
     one entry per state, and indices off the grid are clipped only where the
-    returned validity mask is False. All certificate quantities are
-    combinations of W differences, of the circuit-cost step and of the
-    grid-power price.
+    returned validity mask is False. Given at, a basic index into the state
+    axis (a slice, perhaps with a new trailing axis), the functions work on
+    those states alone and u, j broadcast against their arrays. All
+    certificate quantities are combinations of W differences, of the
+    circuit-cost step and of the grid-power price.
     """
     ev = _post_decision_table(values, model)
     space = model.space
@@ -251,38 +257,41 @@ def _difference_algebra(values: ValueTable, model: Model):
     # math.exp, not np.exp: the two may differ in the last ulp
     exp_theta = np.array([math.exp(p.theta * u) for u in range(nq + 1)])
 
-    def w(u, j):
-        qn, bn = u + a_pkts, j + e_quanta
-        return (ev[np.clip(qn, 0, nq - 1), np.clip(bn, 0, nb - 1), ih, ia, ie],
+    def w(u, j, at):
+        qn, bn = u + a_pkts[at], j + e_quanta[at]
+        return (ev[np.clip(qn, 0, nq - 1), np.clip(bn, 0, nb - 1),
+                   ih[at], ia[at], ie[at]],
                 (qn >= 0) & (bn >= 0))
 
-    def marginal(u, j, du, dj):
+    def marginal(u, j, du, dj, at=_ALL_STATES):
         """alpha (W(u, j) - W(u - du, j - dj)) plus the one-step cost change
         of the move; a move that serves a packet (du = 1) is normalised by
         exp(theta u). Valid where both continuations stay on the grid."""
-        w1, ok1 = w(u, j)
-        w0, ok0 = w(u - du, j - dj)
+        w1, ok1 = w(u, j, at)
+        w0, ok0 = w(u - du, j - dj, at)
         z = alpha * (w1 - w0)
         if du:
             # circuit-cost change when serving one more packet from u
-            circuit_step = (np.where(iq - u > 0, p.circuit_c, 0.0)
-                            - np.where(iq - u + 1 > 0, p.circuit_c, 0.0))
+            q = iq[at]
+            circuit_step = (np.where(q - u > 0, p.circuit_c, 0.0)
+                            - np.where(q - u + 1 > 0, p.circuit_c, 0.0))
             z = z + beta * circuit_step
             if dj:
                 z = z + beta * dstep
             z = exp_theta[np.clip(u, 0, nq)] * z
         return z, ok1 & ok0
 
-    def feasible(u, j):
+    def feasible(u, j, at=_ALL_STATES):
         """Leftover pair reachable without drawing beyond the required power.
 
         The cap is enforced for the certificate even when the model allows
         larger draws: past it the grid-power hinge is active and the smooth
         difference algebra no longer represents the one-step cost.
         """
-        inside = (0 <= u) & (u <= iq) & (0 <= j) & (j <= ib)
-        r = np.clip(iq - u, 0, nq - 1)
-        return inside & (ib - j <= np.minimum(ib, cap[ih, r]))
+        q, b = iq[at], ib[at]
+        inside = (0 <= u) & (u <= q) & (0 <= j) & (j <= b)
+        r = np.clip(q - u, 0, nq - 1)
+        return inside & (b - j <= np.minimum(b, cap[ih[at], r]))
 
     rate_price = (beta * p.rho * (p.sigma2 / space.h_values)[ih]
                   * exp_theta[iq] * (math.exp(p.theta) - 1.0))
@@ -384,19 +393,26 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
     busy = q > 0
 
     # extremes of the rate and draw marginals over each state's feasible
-    # lattice 0 <= u <= q, 0 <= j <= e_b; an empty lattice keeps lo > hi
+    # lattice 0 <= u <= q, 0 <= j <= e_b; an empty lattice keeps lo > hi.
+    # Offset u belongs to the lattices of the states with q >= u, a suffix of
+    # the state order (q varies slowest): each step takes those states, one
+    # row each, against every j at once
     n = space.n_states
     rate_lo, draw_lo = np.full(n, np.inf), np.full(n, np.inf)
     rate_hi, draw_hi = np.full(n, -np.inf), np.full(n, -np.inf)
+    jj = np.arange(space.nb)
     for uu in range(space.nq):
-        for jj in range(space.nb):
-            reach = feasible(uu, jj)
-            for du, dj, lo, hi in ((1, 0, rate_lo, rate_hi),
-                                   (0, 1, draw_lo, draw_hi)):
-                if uu >= du and jj >= dj:
-                    z, ok = marginal(uu, jj, du, dj)
-                    np.minimum(lo, z, out=lo, where=reach & ok)
-                    np.maximum(hi, z, out=hi, where=reach & ok)
+        at = np.s_[uu * space.s_q:, None]
+        reach = feasible(uu, jj, at)
+        for du, dj, lo, hi in ((1, 0, rate_lo, rate_hi),
+                               (0, 1, draw_lo, draw_hi)):
+            if uu >= du:
+                z, ok = marginal(uu, jj, du, dj, at)
+                use = reach & ok & (jj >= dj)
+                np.minimum(lo[at[0]], z.min(axis=1, initial=np.inf, where=use),
+                           out=lo[at[0]])
+                np.maximum(hi[at[0]], z.max(axis=1, initial=-np.inf, where=use),
+                           out=hi[at[0]])
 
     # serve-everything regime: marginals at (0, j_full), strictly above price
     cap_full = np.minimum(ib, draw_cap_table(model.params, space.h_values)[
@@ -474,7 +490,10 @@ def check_beta_monotonicity(model: Model, beta_grid,
     Raising the grid-power price never lowers the optimal combined gain,
     never lowers the backlog average, and never raises the grid-power
     average. Each grid point is solved and then evaluated exactly (stationary
-    law), so comparisons are meaningful at 1e-9.
+    law), so comparisons are meaningful at 1e-9. The grid is walked in
+    ascending order and each solve's policy iteration starts from the
+    previous price's policy, whose LU the previous evaluation left on the
+    actions; as in the budgeted search, the start only saves evaluations.
     """
     name = "price-monotonicity"
     betas = sorted(float(b) for b in beta_grid)
@@ -482,11 +501,13 @@ def check_beta_monotonicity(model: Model, beta_grid,
         raise ValueError("beta_grid must be non-empty")
     actions = actions if actions is not None else build_action_space(model)
     rows = []
+    policy = None
     for b in betas:
         res = relative_value_iteration(
             SolverConfig(beta=b, epsilon=epsilon, kappa=kappa), model,
-            actions=actions)
-        ev = evaluate_policy(res.policy, b, model, actions=actions)
+            actions=actions, start=policy)
+        policy = res.policy
+        ev = evaluate_policy(policy, b, model, actions=actions)
         rows.append({"beta": b, "gain_j": ev.gain_j,
                      "mean_queue_b": ev.mean_queue_b,
                      "mean_grid_k": ev.mean_grid_k})

@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from ehsched.io import _jsonable
 from ehsched.mdp import (
@@ -254,6 +255,30 @@ def transition_kernel(x: SystemState, act: Action, model: Model):
 
 
 # --- reference implementations ----------------------------------------------
+
+
+def scipy_bias_gain_matrix(P, ref):
+    """I - P + 1 e_ref^T by scipy's sparse arithmetic, in CSC: the assembly
+    mdp._identity_minus replaces."""
+    n = P.shape[0]
+    ones_col = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, ref))),
+                             shape=(n, n))
+    return (sp.identity(n, format="csr") - P + ones_col).tocsc()
+
+
+def scipy_discount_matrix(P, alpha):
+    """I - alpha P by scipy's sparse arithmetic, in CSC."""
+    return (sp.identity(P.shape[0], format="csc") - alpha * P).tocsc()
+
+
+def nonzero_recurrent_classes(P):
+    """recurrent_classes with its edges read through P.nonzero()."""
+    n_comp, labels = connected_components(P, directed=True, connection="strong")
+    rows, cols = P.nonzero()
+    closed = np.ones(n_comp, dtype=bool)
+    crossing = labels[rows] != labels[cols]
+    closed[labels[rows[crossing]]] = False
+    return closed[labels], int(np.count_nonzero(closed))
 
 
 def dense_stationary_distribution(P):

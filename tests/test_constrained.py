@@ -12,6 +12,7 @@ from ehsched.constrained import (
 from ehsched.mdp import (
     MixedPolicy,
     SolverConfig,
+    build_action_space,
     evaluate_policy,
     relative_value_iteration,
 )
@@ -196,6 +197,21 @@ def test_budgeted_solves_reuse_policy_iteration_lus(monkeypatch):
         assert sol.n_sweeps >= len(sol.trace)
     assert calls["lu"] == reported
     assert calls["reused"] > calls["eval"] / 2
+
+
+def test_budgeted_solves_factorise_each_chain_once_in_a_row():
+    # LUs factorised over the 16 desk budgets: every policy-iteration step
+    # and evaluation looks in the one stored LU first, so a warm start's
+    # first step is a hit (510 LUs if only a probe's evaluation could reuse
+    # policy iteration's last LU)
+    total = 0
+    for p_bar in np.linspace(0.05, 0.23, 16):
+        m = _with_pbar(desk_model(), float(p_bar))
+        actions = build_action_space(m)
+        sol = solve_constrained(ConstrainedSolverConfig(), m, actions)
+        assert sol.n_evaluations == actions.n_factorised
+        total += sol.n_evaluations
+    assert total == 404
 
 
 class _ColdProber(constrained._Prober):

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
 
-from ehsched.io import policy_rows, rows_to_csv
-from ehsched.mdp import SolverConfig, relative_value_iteration
+from ehsched.io import (
+    columns_to_csv,
+    policy_rows,
+    rows_to_csv,
+    write_policy_artifacts,
+)
+from ehsched.mdp import MixedPolicy, SolverConfig, relative_value_iteration
 
 from helpers import desk_model, large_desk_model
 
@@ -36,3 +41,27 @@ def test_policy_rows_match_per_state_rendering(make, with_values):
         assert [type(v) for v in g.values()] == [type(v) for v in w.values()]
     assert rows_to_csv(got) == rows_to_csv(want)
     assert np.unique([row["w"] for row in got]).size > 1
+
+
+@pytest.mark.parametrize("make", [desk_model, large_desk_model],
+                         ids=["desk", "desk-3000"])
+def test_policy_csvs_written_by_column_match_dict_rows(make, tmp_path):
+    m = make()
+    plus = relative_value_iteration(SolverConfig(beta=1.3), m)
+    minus = relative_value_iteration(SolverConfig(beta=13.0), m).policy
+    values = plus.values.values
+    assert write_policy_artifacts(tmp_path, plus.policy, m, values) == ["policy.csv"]
+    assert (tmp_path / "policy.csv").read_text() == rows_to_csv(
+        per_state_policy_rows(plus.policy, m, values))
+    write_policy_artifacts(tmp_path, MixedPolicy(plus.policy, minus, 0.5), m, values)
+    assert (tmp_path / "policy_plus.csv").read_text() == rows_to_csv(
+        per_state_policy_rows(plus.policy, m, values))
+    assert (tmp_path / "policy_minus.csv").read_text() == rows_to_csv(
+        per_state_policy_rows(minus, m))
+
+
+def test_columns_to_csv_matches_rows_to_csv_on_mixed_cells():
+    columns = {"i": [0, 1, 2], "x": [0.1, 1e-20, float(np.float32(2.5))],
+               "y": [np.float64(1 / 3), 2.0, 7], "z": ["a", "b", "c"]}
+    rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
+    assert columns_to_csv(columns) == rows_to_csv(rows)

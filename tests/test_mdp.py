@@ -52,10 +52,13 @@ from helpers import (
     large_desk_model,
     loop_action_space,
     loop_sa_of_policy,
+    nonzero_recurrent_classes,
     oracle_kernel,
     per_state_gains,
     power_delay_model,
     random_model,
+    scipy_bias_gain_matrix,
+    scipy_discount_matrix,
     tiny_models,
     transition_kernel,
 )
@@ -762,6 +765,74 @@ def test_bias_gain_lu_gain_is_stationary_average(seed, beta, ref):
     np.testing.assert_allclose(gain + bias, c_pi + P @ bias, rtol=0, atol=1e-10)
 
 
+def _assert_assembly_matches_scipy(P):
+    """_identity_minus gives scipy's CSC arrays, dtypes too, for the
+    bias-gain matrix at the first, second and last reference state and for
+    two discount factors."""
+    n = P.shape[0]
+    for ref in sorted({0, 1 % n, n - 1}):
+        assert_same_csr(mdp._identity_minus(P, ref=ref),
+                        scipy_bias_gain_matrix(P, ref))
+    for alpha in (0.5, 0.999):
+        assert_same_csr(mdp._identity_minus(P, alpha),
+                        scipy_discount_matrix(P, alpha))
+
+
+@pytest.mark.parametrize("make", [desk_model, large_desk_model],
+                         ids=["desk", "desk-3000"])
+def test_identity_minus_matches_scipy_arithmetic(make):
+    m = make()
+    actions = build_action_space(m)
+    solved = relative_value_iteration(SolverConfig(beta=1.0), m, actions).policy
+    drawn, sa = _random_table_policy(actions, np.random.default_rng(3))
+    _assert_assembly_matches_scipy(actions.chain(actions.sa_of_policy(solved)))
+    _assert_assembly_matches_scipy(actions.chain(sa))
+    _assert_assembly_matches_scipy(
+        policy_chain(MixedPolicy(solved, drawn, xi=0.3), actions)[0])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.01, 0.99))
+def test_identity_minus_matches_scipy_arithmetic_random_models(seed, xi):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    rng = np.random.default_rng(seed + 1)
+    plus, sa = _random_table_policy(actions, rng)
+    minus, _ = _random_table_policy(actions, rng)
+    _assert_assembly_matches_scipy(actions.chain(sa))
+    _assert_assembly_matches_scipy(
+        policy_chain(MixedPolicy(plus, minus, xi=xi), actions)[0])
+
+
+def test_identity_minus_drops_the_zeros_scipy_drops():
+    # row 0 is absorbing (1 - p_00 = 0), row 1 moves to state 0 surely
+    # (-1 + 1 = 0 in column 0 at ref 0), row 2 has no diagonal entry
+    P = scipy.sparse.csr_matrix(np.array([[1.0, 0.0, 0.0, 0.0],
+                                          [1.0, 0.0, 0.0, 0.0],
+                                          [0.25, 0.75, 0.0, 0.0],
+                                          [0.0, 0.0, 0.5, 0.5]]))
+    _assert_assembly_matches_scipy(P)
+    for ref in range(4):
+        assert_same_csr(mdp._identity_minus(P, ref=ref),
+                        scipy_bias_gain_matrix(P, ref))
+    at0 = mdp._identity_minus(P, ref=0).toarray()
+    assert at0[1, 0] == 0.0 and at0[0, 0] == 1.0 and at0[2, 2] == 1.0
+    assert (mdp._identity_minus(P, ref=0).data != 0.0).all()
+    assert 0 not in mdp._identity_minus(P, ref=3).indices[:2]  # (0, 0) dropped
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000))
+def test_recurrent_classes_from_csr_arrays_match_nonzero_edges(seed):
+    m = random_model(seed)
+    actions = build_action_space(m)
+    _, sa = _random_table_policy(actions, np.random.default_rng(seed))
+    P = actions.chain(sa)
+    got, want = recurrent_classes(P), nonzero_recurrent_classes(P)
+    np.testing.assert_array_equal(got[0], want[0])
+    assert got[1] == want[1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_sa_of_policy_matches_segment_scan(seed):
@@ -810,6 +881,83 @@ def test_evaluation_reusing_policy_iteration_lu_equals_a_fresh_one(beta):
     np.testing.assert_array_equal(reused.stationary_dist, fresh.stationary_dist)
 
 
+@pytest.mark.parametrize("beta", [0.3, 30.0])
+def test_memo_hit_gives_a_fresh_lus_bias_and_law_bit_for_bit(beta):
+    # a warm start's first policy-iteration step and a repeated evaluation,
+    # a mixture's included, take the stored LU: no chain is factorised, and
+    # bias, gain and stationary law equal those of a fresh LU
+    m = desk_model()
+    actions = build_action_space(m)
+    c = actions.cost(beta)
+    solved = relative_value_iteration(SolverConfig(beta=beta), m, actions).policy
+    sa = actions.sa_of_policy(solved)
+    evaluate_policy(solved, beta, m, actions=actions)
+    before = actions.n_factorised
+    h_hit, _ = mdp._howard_bias(actions, c, 0, sa, 1)
+    assert actions.n_factorised == before
+    h_fresh, _ = mdp._howard_bias(build_action_space(m), c, 0, sa, 1)
+    np.testing.assert_array_equal(h_hit, h_fresh)
+
+    other = relative_value_iteration(SolverConfig(beta=3.0 * beta), m).policy
+    for policy in (solved, MixedPolicy(solved, other, xi=0.37)):
+        evaluate_policy(policy, beta, m, actions=actions)
+        before = actions.n_factorised
+        hit = evaluate_policy(policy, beta, m, actions=actions)
+        fresh = evaluate_policy(policy, beta, m)
+        assert hit.reused_lu and not fresh.reused_lu
+        assert actions.n_factorised == before
+        np.testing.assert_array_equal(hit.stationary_dist, fresh.stationary_dist)
+        assert (hit.gain_j, hit.mean_queue_b, hit.mean_grid_k) == (
+            fresh.gain_j, fresh.mean_queue_b, fresh.mean_grid_k)
+
+
+def test_memo_keys_on_the_chain_and_holds_one_entry():
+    m = desk_model()
+    actions = build_action_space(m)
+    serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
+    idle = TablePolicy.from_callable(lambda x: Action(0, 0.0), m)
+    first = evaluate_policy(serve, 1.0, m, actions=actions)
+    assert not first.reused_lu and actions.n_factorised == 1
+    assert not evaluate_policy(idle, 1.0, m, actions=actions).reused_lu
+    # idle's chain replaced serve's, so serve is factorised again
+    assert not evaluate_policy(serve, 1.0, m, actions=actions).reused_lu
+    # another price, the same chain: a hit
+    assert evaluate_policy(serve, 7.0, m, actions=actions).reused_lu
+    assert actions.n_factorised == 3
+    # a mixture weight is part of the key
+    mix = MixedPolicy(serve, idle, xi=0.5)
+    evaluate_policy(mix, 1.0, m, actions=actions)
+    assert evaluate_policy(mix, 1.0, m, actions=actions).reused_lu
+    assert not evaluate_policy(MixedPolicy(serve, idle, xi=0.25), 1.0, m,
+                               actions=actions).reused_lu
+    assert actions.n_factorised == 5
+
+
+def test_policies_with_one_chain_share_its_lu():
+    # two draws that both fill the battery to its top leave the same next
+    # state, so policies differing only there play one chain: the key is
+    # the rows' post-decision indices, not the rows
+    m = desk_model()
+    actions = build_action_space(m)
+    owner = np.searchsorted(actions.indptr, np.arange(actions.n_sa),
+                            side="right") - 1
+    row = int(np.flatnonzero((np.diff(actions.post_sa) == 0)
+                             & (np.diff(owner) == 0))[0])
+    s = int(owner[row])
+    serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
+    sa = actions.sa_of_policy(serve)
+    sa[s] = row
+    a = actions.policy_from_sa(sa)
+    sa[s] = row + 1
+    b = actions.policy_from_sa(sa)
+    assert a != b
+    ev_a = evaluate_policy(a, 1.0, m, actions=actions)
+    ev_b = evaluate_policy(b, 1.0, m, actions=actions)
+    assert ev_b.reused_lu and actions.n_factorised == 1
+    np.testing.assert_array_equal(ev_a.stationary_dist, ev_b.stationary_dist)
+    assert ev_b.gain_j == evaluate_policy(b, 1.0, m).gain_j
+
+
 def test_policy_iteration_at_another_reference_state_leaves_no_lu():
     # its LU factorises I - P + 1 e_ref^T, whose transpose solve is not the
     # stationary law unless ref is 0
@@ -840,7 +988,7 @@ def test_reused_lu_keeps_the_residual_check():
     actions = build_action_space(m)
     res = relative_value_iteration(SolverConfig(beta=100.0), m, actions=actions)
     assert evaluate_policy(res.policy, 100.0, m, actions=actions).reused_lu
-    P, lu = actions.last_lu
+    P, lu, key = actions.last_lu
 
     class Skewed:
         def solve(self, b, trans="N"):
@@ -848,7 +996,7 @@ def test_reused_lu_keeps_the_residual_check():
             x[:5] += 1e-3
             return x
 
-    actions.last_lu = (P, Skewed())
+    actions.last_lu = (P, Skewed(), key)
     with pytest.raises(NonConvergenceError):
         evaluate_policy(res.policy, 100.0, m, actions=actions)
 

@@ -18,9 +18,11 @@ from ehsched.heuristics import (
     mixed_action,
     radical_policy,
 )
+from ehsched.io import sim_result_dict
 from ehsched.mdp import (
     MixedPolicy,
     SolverConfig,
+    TablePolicy,
     evaluate_policy,
     relative_value_iteration,
 )
@@ -163,6 +165,33 @@ def test_mixed_table_policy_matches_exact_averages(lite):
     res = run_simulation(mix, lite, SimConfig(n_slots=100_000, seed=17))
     assert abs(res.mean_queue - ev.mean_queue_b) <= 3 * res.mean_queue_se
     assert abs(res.mean_grid_power - ev.mean_grid_k) <= 3 * res.mean_grid_power_se
+
+
+def _per_slot_table_actor(policy, model):
+    """The table policy (or mixture of two) as an act(state, coin) object:
+    the simulator builds a SystemState every slot and looks the action up by
+    the state's index."""
+    space = model.space
+    tables = ([(1.0, policy)] if isinstance(policy, TablePolicy)
+              else [(policy.xi, policy.policy_plus), (1.0, policy.policy_minus)])
+
+    def act(x, coin):
+        pol = next(p for w, p in tables if coin < w)
+        return pol.action(space.index_of(x))
+
+    return SimpleNamespace(act=act)
+
+
+def test_table_actors_match_per_slot_lookup_bit_for_bit(lite, lite_solved):
+    other = relative_value_iteration(SolverConfig(beta=6.0, epsilon=1e-10), lite)
+    cfg = SimConfig(n_slots=10_000, seed=29, record_trace=True)
+    for policy in (lite_solved.policy,
+                   MixedPolicy(lite_solved.policy, other.policy, xi=0.4)):
+        got = run_simulation(policy, lite, cfg)
+        want = run_simulation(_per_slot_table_actor(policy, lite), lite, cfg)
+        assert sim_result_dict(got) == sim_result_dict(want)
+        for key, series in want.trace.items():
+            np.testing.assert_array_equal(got.trace[key], series, err_msg=key)
 
 
 def test_mixed_heuristic_edge_weights_reduce_to_pure(lite):

@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ehsched import verify
 from ehsched.mdp import (
     SolverConfig,
     TablePolicy,
     ValueTable,
+    build_action_space,
     discounted_value_iteration,
     relative_value_iteration,
 )
@@ -313,6 +315,27 @@ def test_price_monotonicity_on_grid(desk):
     assert [r["beta"] for r in rows] == [0.01, 0.1, 1.0, 10.0, 100.0]
     ks = [r["mean_grid_k"] for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(ks, ks[1:]))
+
+
+@pytest.mark.parametrize("make", [desk_model, desk_lite_model],
+                         ids=["desk", "desk-lite"])
+def test_price_monotonicity_warm_walk_matches_cold_solves(make, monkeypatch):
+    # each grid price starts from the previous price's policy: the same
+    # report as solving every price cold, from fewer LUs
+    model = make()
+    grid = (100.0, 0.01, 1.0, 0.1, 10.0)
+    warm_actions = build_action_space(model)
+    warm = check_beta_monotonicity(model, grid, actions=warm_actions)
+
+    def cold(cfg, model, actions=None, start=None):
+        return relative_value_iteration(cfg, model, actions=actions)
+
+    monkeypatch.setattr(verify, "relative_value_iteration", cold)
+    cold_actions = build_action_space(model)
+    want = check_beta_monotonicity(model, grid, actions=cold_actions)
+    assert json.dumps(report_to_dict(warm), sort_keys=True) == json.dumps(
+        report_to_dict(want), sort_keys=True)
+    assert warm_actions.n_factorised < cold_actions.n_factorised
 
 
 def test_price_monotonicity_single_point():
