@@ -30,7 +30,6 @@ from .io import (
     evaluation_dict,
     search_trace_rows,
     sim_result_dict,
-    sim_trace_rows,
     solve_trace_rows,
     write_csv,
     write_json,
@@ -188,7 +187,8 @@ def cmd_simulate(args) -> int:
     write_json(out / "sim.json", summary)
     artifacts = ["sim.json"]
     if args.trace:
-        write_csv(out / "sim_trace.csv", sim_trace_rows(res.trace))
+        write_csv(out / "sim_trace.csv",
+                  {"slot": range(res.n_slots), **res.trace})
         artifacts.append("sim_trace.csv")
     _write_manifest(out, args, cfg, artifacts,
                     {"policy": args.policy, "n_slots": args.n_slots})

@@ -8,8 +8,11 @@ draw forced greedy, collapsing the two-dimensional action to one.
 
 On a model's grid the baselines are two small integer tables: the greedy draw
 cap per (channel level, rate) and the conservative rate per (channel level,
-battery level). The actors make_heuristic returns carry the marker the
-simulator uses to run them from those tables.
+battery level). make_heuristic's baselines carry their params and the
+probability of playing radical (radical_weight); run_simulation reads the two
+and runs the baseline from those tables, on a model with the same params only.
+For exact evaluation, TablePolicy.from_callable turns radical_policy or
+conservative_policy into a table.
 """
 
 from __future__ import annotations
@@ -92,7 +95,7 @@ class MixedHeuristic:
 
     @property
     def radical_weight(self) -> float:
-        """Baseline marker: radical plays when the slot's coin is below it."""
+        """Radical plays when the slot's coin is below it."""
         return self.xi
 
 
@@ -151,11 +154,13 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> Calibrati
 
 
 def make_heuristic(kind: HeuristicKind, model: Model):
-    """Actor for run_simulation: a plain callable, or MixedHeuristic for mixed.
+    """Baseline for run_simulation: a per-state callable, or MixedHeuristic
+    for mixed.
 
-    Every actor carries its params and a radical_weight (1 for radical, 0 for
-    conservative, xi for mixed): the marker run_simulation reads to run it from
-    draw_cap_table and conservative_rate_table.
+    Every baseline carries its params and a radical_weight (1 for radical, 0
+    for conservative, xi for mixed). run_simulation runs it from
+    draw_cap_table and conservative_rate_table, on a model with those params
+    only (PolicyDomainError otherwise).
     """
     params = model.params
     if kind.kind == "mixed":

@@ -8,8 +8,6 @@ same seeded command are compared byte-for-byte.
 
 from __future__ import annotations
 
-import csv
-import io as _io
 import json
 from pathlib import Path
 
@@ -49,29 +47,17 @@ def write_json(path, obj) -> Path:
     return path
 
 
-def rows_to_csv(rows, fieldnames=None) -> str:
-    """Render dict rows with %.12g floats; field order fixed by the first row
-    unless given explicitly."""
-    rows = list(rows)
-    if fieldnames is None:
-        fieldnames = list(rows[0]) if rows else []
-    buf = _io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: format_float(v) if isinstance(v, (float, np.floating))
-                         else v for k, v in row.items()})
-    return buf.getvalue()
-
-
 def columns_to_csv(columns: dict) -> str:
-    """Render a dict of equal-length columns as rows_to_csv renders the
-    same cells as dict rows: each column formatted at once (%.12g where
-    every cell is a float, else cell by cell as rows_to_csv does) and the
-    columns joined line by line. Cells are numbers: none needs quoting."""
+    """Render a dict of equal-length columns as CSV, floats at %.12g.
+
+    A column is any sequence; a numpy array is read through tolist(). A
+    column of Python floats is formatted at once; any other column cell by
+    cell (format_float for floats, str for the rest). Cells are numbers and
+    names: none needs quoting.
+    """
     cells = []
     for col in columns.values():
-        col = list(col)
+        col = col.tolist() if isinstance(col, np.ndarray) else list(col)
         if all(type(v) is float for v in col):
             cells.append([f"{v:.12g}" for v in col])
         else:
@@ -81,11 +67,14 @@ def columns_to_csv(columns: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path, rows, fieldnames=None) -> Path:
-    """Write dict rows, or a dict of equal-length columns, as CSV."""
+def write_csv(path, rows) -> Path:
+    """Write a dict of equal-length columns, or a list of dict rows keyed
+    like the first row, as CSV."""
+    if not isinstance(rows, dict):
+        rows = list(rows)
+        rows = {k: [row[k] for row in rows] for k in (rows[0] if rows else ())}
     path = Path(path)
-    path.write_text(columns_to_csv(rows) if isinstance(rows, dict)
-                    else rows_to_csv(rows, fieldnames))
+    path.write_text(columns_to_csv(rows))
     return path
 
 
@@ -117,12 +106,6 @@ def policy_columns(policy: TablePolicy, model: Model, values=None) -> dict:
     if values is not None:
         columns["value"] = np.asarray(values, dtype=float).tolist()
     return columns
-
-
-def policy_rows(policy: TablePolicy, model: Model, values=None) -> list[dict]:
-    """policy_columns as one dict row per state."""
-    columns = policy_columns(policy, model, values)
-    return [dict(zip(columns, cells)) for cells in zip(*columns.values())]
 
 
 def evaluation_dict(ev: PolicyEvaluation) -> dict:
@@ -169,13 +152,6 @@ def sim_result_dict(res) -> dict:
         "warmup": res.warmup,
         "seed": res.seed,
     }
-
-
-def sim_trace_rows(trace: dict) -> list[dict]:
-    keys = list(trace)
-    n = len(trace[keys[0]])
-    return [{"slot": t, **{k: float(trace[k][t]) for k in keys}}
-            for t in range(n)]
 
 
 def write_policy_artifacts(out_dir: Path, policy, model: Model,

@@ -794,8 +794,8 @@ def stationary_distribution(P: sp.csr_matrix, lu=None) -> np.ndarray:
 
 def evaluate_policy(policy, beta: float, model: Model,
                     actions: ActionSpace | None = None) -> PolicyEvaluation:
-    """Exact long-run averages (J, B, K) of a stationary (or two-policy
-    mixed) policy; raises MultichainError unless its chain is unichain.
+    """Exact long-run averages (J, B, K) of a TablePolicy or a MixedPolicy;
+    raises MultichainError unless its chain is unichain.
 
     The per-slot quantities (queue, grid power, overflow, spill) are worked
     out at the policy's own rows only, n values per mixture term
@@ -806,11 +806,13 @@ def evaluate_policy(policy, beta: float, model: Model,
     unichain when it was stored. Otherwise P is built, checked, factorised
     and stored there in its place.
     """
+    if not isinstance(policy, (TablePolicy, MixedPolicy)):
+        raise TypeError(
+            f"evaluate_policy takes a TablePolicy or a MixedPolicy, not "
+            f"{type(policy).__name__}; TablePolicy.from_callable turns a "
+            f"per-state function into a TablePolicy")
     if actions is None:
         actions = build_action_space(model)
-    if callable(policy) and not isinstance(policy, (TablePolicy, MixedPolicy)):
-        policy = TablePolicy.from_callable(policy, model)
-
     terms = _policy_terms(policy, actions)
     P, lu, reused = _chain_lu(actions, terms)
     if lu is None:

@@ -1,4 +1,9 @@
-"""Seeded Monte-Carlo rollout of any scheduling policy, plus sweep runners.
+"""Seeded Monte-Carlo rollout of a scheduling policy, plus sweep runners.
+
+The simulator runs policies as data: a TablePolicy, a MixedPolicy of two,
+or one of make_heuristic's baselines, whose actions come from two integer
+tables of the model (draw_cap_table and conservative_rate_table). A
+per-state function is turned into a table first (TablePolicy.from_callable).
 
 The three exogenous chains are stepped from independent substreams of one
 counter-based generator (Philox), so runs are bit-reproducible and every
@@ -18,7 +23,6 @@ import numpy as np
 
 from .heuristics import (
     HeuristicKind,
-    calibrate_xi,
     conservative_rate_table,
     make_heuristic,
     mixing_weight,
@@ -36,7 +40,8 @@ from .model import (
 
 
 class PolicyDomainError(RuntimeError):
-    """The policy produced no feasible action at a state the rollout reached."""
+    """The policy's data do not fit the model: a table of another size or
+    grid, an infeasible action, or a baseline built for other params."""
 
     def __init__(self, message: str, state: SystemState | None = None):
         super().__init__(message)
@@ -177,17 +182,13 @@ def _baseline_actor(radical_weight: float, model: Model):
 
 
 def _make_actor(policy, model: Model):
-    """Normalize the accepted policy forms to act(q, ih, ia, ib, ie, coin).
+    """act(q, ih, ia, ib, ie, coin) -> integer (r, w_quanta) of the policy.
 
-    Accepted: TablePolicy, MixedPolicy, anything with act(state, coin), or a
-    plain callable state -> Action. Returns integer (r, w_quanta). The
-    baselines from make_heuristic (marked by radical_weight) run from their
-    tables when their params are the model's; every other callable gets a
-    SystemState per slot and its action is checked.
+    The simulator runs policy data of three kinds: a TablePolicy, a
+    MixedPolicy, or a make_heuristic baseline built for the model's params
+    (run from draw_cap_table and conservative_rate_table). A baseline built
+    for other params is a PolicyDomainError; anything else is a TypeError.
     """
-    params = model.params
-    de, tau = params.delta_e, params.tau
-
     if isinstance(policy, TablePolicy):
         r_tab, wq_tab = _table_lookup(policy, model)
         space = model.space
@@ -215,43 +216,17 @@ def _make_actor(policy, model: Model):
         return act
 
     weight = getattr(policy, "radical_weight", None)
-    if weight is not None and getattr(policy, "params", None) == params:
-        return _baseline_actor(weight, model)
-
-    h_vals = [float(v) for v in model.channel.values]
-    a_vals = [int(round(v)) for v in model.arrival.values]
-    e_vals = [float(v) for v in model.harvest.values]
-
-    if hasattr(policy, "act"):
-        raw = policy.act
-        takes_coin = True
-    elif callable(policy):
-        raw = policy
-        takes_coin = False
-    else:
-        raise TypeError(f"unsupported policy object {type(policy).__name__}")
-
-    def act(q, ih, ia, ib, ie, coin):
-        x = SystemState(q=q, h=h_vals[ih], a=a_vals[ia], e_b=ib * de,
-                        e=e_vals[ie])
-        try:
-            a = raw(x, coin) if takes_coin else raw(x)
-        except (KeyError, IndexError, ValueError) as exc:
-            raise PolicyDomainError(f"policy failed at {x}: {exc}",
-                                    state=x) from exc
-        if a is None:
-            raise PolicyDomainError(f"policy returned no action at {x}",
-                                    state=x)
-        r = int(a.r)
-        wq = int(round(a.w * tau / de))
-        if abs(wq * de / tau - a.w) > GRID_EPS:
-            raise PolicyDomainError(
-                f"battery draw {a.w} is off the energy grid at {x}", state=x)
-        if not 0 <= r <= q or not 0 <= wq <= ib:
-            raise PolicyDomainError(f"action {a} infeasible at {x}", state=x)
-        return r, wq
-
-    return act
+    if weight is None:
+        raise TypeError(
+            f"run_simulation takes a TablePolicy, a MixedPolicy or a "
+            f"make_heuristic baseline, not {type(policy).__name__}; "
+            f"TablePolicy.from_callable turns a per-state function into a "
+            f"TablePolicy")
+    if getattr(policy, "params", None) != model.params:
+        raise PolicyDomainError(
+            "baseline was built for other params than the model's; build it "
+            "with make_heuristic for this model")
+    return _baseline_actor(weight, model)
 
 
 def _batch_se(series: np.ndarray, n_batches: int) -> float:
@@ -398,92 +373,76 @@ def discretize_rayleigh(mean_gain: float, n_levels: int) -> MarkovChainSpec:
 # sweep runners
 
 
-def _resolve_kind(policy_kind) -> HeuristicKind:
-    if isinstance(policy_kind, HeuristicKind):
-        return policy_kind
-    if policy_kind == "mixed":
-        # placeholder weight; sweeps calibrate xi per point from measured
-        # radical/conservative grid draws
-        return HeuristicKind("mixed", xi=0.5)
-    return HeuristicKind(policy_kind)
+# Per axis: the swept column's name, and one policy's cells in column order
+# ("xi" for the mixed baseline only). The channel axis runs several policies
+# in one row and suffixes each cell but xi with its policy's name.
+_SWEEP_COLUMNS = {
+    "arrival": ("abar", ("mean_grid_power", "mean_grid_power_se", "mean_queue",
+                         "xi")),
+    "budget": ("p_bar", ("mean_queue", "mean_queue_se", "mean_grid_power",
+                         "xi")),
+    "channel": ("hbar", ("xi", "mean_queue", "mean_queue_se",
+                         "mean_grid_power")),
+}
 
 
-def _measure_kind(kind: HeuristicKind, model: Model, cfg: SimConfig,
-                  calibrate: bool) -> tuple[SimResult, float | None]:
-    """One sweep-point measurement; returns (result, xi used or None)."""
-    if kind.kind != "mixed":
-        return run_simulation(make_heuristic(kind, model), model, cfg), None
-    if calibrate:
-        kind = HeuristicKind("mixed", xi=calibrate_xi(model, cfg).xi)
-    return run_simulation(make_heuristic(kind, model), model, cfg), kind.xi
+def _sweep_model(axis: str, model: Model, value: float, n_levels: int) -> Model:
+    if axis == "arrival":
+        # the two-point burst law {0, 2*abar} at equal probability
+        chain = (MarkovChainSpec.iid((0.0,), (1.0,)) if value == 0.0
+                 else MarkovChainSpec.iid((0.0, 2.0 * value), (0.5, 0.5)))
+        return replace(model, arrival=chain)
+    if axis == "budget":
+        return replace(model, params=replace(model.params, p_bar=value))
+    return replace(model, channel=discretize_rayleigh(value, n_levels))
 
 
-def _arrival_point(args):
-    model, abar, kind, cfg, calibrate = args
-    if abar == 0.0:
-        chain = MarkovChainSpec.iid((0.0,), (1.0,))
-    else:
-        chain = MarkovChainSpec.iid((0.0, 2.0 * abar), (0.5, 0.5))
-    point = replace(model, arrival=chain)
-    res, xi = _measure_kind(kind, point, cfg, calibrate)
-    row = {"abar": abar,
-           "mean_grid_power": res.mean_grid_power,
-           "mean_grid_power_se": res.mean_grid_power_se,
-           "mean_queue": res.mean_queue}
-    if xi is not None:
-        row["xi"] = xi
+def _sweep_point(args) -> dict:
+    """One sweep row: each named baseline simulated on the point's model.
+
+    Radical and conservative run at most once each. A mixed baseline takes
+    its weight from those two runs (mixing_weight at the point's budget),
+    which share cfg's seed with it (common random numbers).
+    """
+    axis, model, value, kinds, cfg, n_levels = args
+    point = _sweep_model(axis, model, value, n_levels)
+    column, cells = _SWEEP_COLUMNS[axis]
+    runs = {}
+
+    def simulate(name, xi=None):
+        if name not in runs:
+            actor = make_heuristic(HeuristicKind(name, xi=xi), point)
+            runs[name] = run_simulation(actor, point, cfg)
+        return runs[name]
+
+    row = {column: value}
+    for name in kinds:
+        xi = None
+        if name == "mixed":
+            xi = mixing_weight(simulate("radical").mean_grid_power,
+                               simulate("conservative").mean_grid_power,
+                               point.params.p_bar)
+        res = simulate(name, xi)
+        suffix = f"_{name}" if axis == "channel" else ""
+        for cell in cells:
+            if cell != "xi":
+                row[cell + suffix] = getattr(res, cell)
+            elif xi is not None:
+                row[cell] = xi
     return row
 
 
-def _budget_point(args):
-    model, p_bar, kind, cfg, calibrate = args
-    point = replace(model, params=replace(model.params, p_bar=p_bar))
-    res, xi = _measure_kind(kind, point, cfg, calibrate)
-    row = {"p_bar": p_bar,
-           "mean_queue": res.mean_queue,
-           "mean_queue_se": res.mean_queue_se,
-           "mean_grid_power": res.mean_grid_power}
-    if xi is not None:
-        row["xi"] = xi
-    return row
-
-
-def _channel_point(args):
-    model, hbar, kinds, cfg, n_levels = args
-    point = replace(model, channel=discretize_rayleigh(hbar, n_levels))
-    params = point.params
-    row = {"hbar": hbar}
-    # radical and conservative double as the calibration measurements for
-    # the mixed point, sharing the seed (common random numbers)
-    cache = {}
-    for name in ("radical", "conservative"):
-        cache[name] = run_simulation(make_heuristic(HeuristicKind(name), point),
-                                     point, cfg)
-    xi = mixing_weight(cache["radical"].mean_grid_power,
-                       cache["conservative"].mean_grid_power, params.p_bar)
-    for kind in kinds:
-        kind = _resolve_kind(kind)
-        if kind.kind == "mixed":
-            res = run_simulation(
-                make_heuristic(HeuristicKind("mixed", xi=xi), point),
-                point, cfg)
-            row["xi"] = xi
-        else:
-            res = cache[kind.kind]
-        row[f"mean_queue_{kind.kind}"] = res.mean_queue
-        row[f"mean_queue_se_{kind.kind}"] = res.mean_queue_se
-        row[f"mean_grid_power_{kind.kind}"] = res.mean_grid_power
-    return row
-
-
-def _run_points(worker, jobs, n_workers: int):
+def _sweep(axis: str, model: Model, points, kinds, cfg: SimConfig,
+           n_workers: int, n_levels: int = 8) -> list[dict]:
+    kinds = tuple(kinds)
+    jobs = [(axis, model, float(v), kinds, cfg, n_levels) for v in points]
     if n_workers <= 1:
-        return [worker(j) for j in jobs]
+        return [_sweep_point(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(worker, jobs))
+        return list(pool.map(_sweep_point, jobs))
 
 
-def sweep_arrival(model_template: Model, abar_list, policy_kind,
+def sweep_arrival(model_template: Model, abar_list, policy_kind: str,
                   cfg: SimConfig, n_workers: int = 1) -> list[dict]:
     """Mean grid power against the mean arrival rate.
 
@@ -491,20 +450,15 @@ def sweep_arrival(model_template: Model, abar_list, policy_kind,
     {0, 2*abar} at equal probability (so the mean is abar) and reruns the
     simulation under the same seed.
     """
-    kind = _resolve_kind(policy_kind)
-    calibrate = isinstance(policy_kind, str) and policy_kind == "mixed"
-    jobs = [(model_template, float(ab), kind, cfg, calibrate)
-            for ab in abar_list]
-    return _run_points(_arrival_point, jobs, n_workers)
+    return _sweep("arrival", model_template, abar_list, (policy_kind,), cfg,
+                  n_workers)
 
 
-def sweep_budget(model: Model, pbar_list, policy_kind, cfg: SimConfig,
+def sweep_budget(model: Model, pbar_list, policy_kind: str, cfg: SimConfig,
                  n_workers: int = 1) -> list[dict]:
-    """Mean queue against the grid-power budget, one simulation per budget."""
-    kind = _resolve_kind(policy_kind)
-    calibrate = isinstance(policy_kind, str) and policy_kind == "mixed"
-    jobs = [(model, float(pb), kind, cfg, calibrate) for pb in pbar_list]
-    return _run_points(_budget_point, jobs, n_workers)
+    """Mean queue against the grid-power budget, one simulation per budget
+    (three for mixed: radical and conservative calibrate its weight)."""
+    return _sweep("budget", model, pbar_list, (policy_kind,), cfg, n_workers)
 
 
 def sweep_channel(model: Model, hbar_list, policy_kinds, cfg: SimConfig,
@@ -515,6 +469,5 @@ def sweep_channel(model: Model, hbar_list, policy_kinds, cfg: SimConfig,
     baseline's weight is recomputed per point from the measured radical and
     conservative grid draws.
     """
-    jobs = [(model, float(hb), tuple(policy_kinds), cfg, n_levels)
-            for hb in hbar_list]
-    return _run_points(_channel_point, jobs, n_workers)
+    return _sweep("channel", model, hbar_list, policy_kinds, cfg, n_workers,
+                  n_levels)

@@ -1,5 +1,7 @@
 """Shared instance builders and comparison helpers for the test suite."""
 
+import csv
+import io
 import math
 from dataclasses import replace
 
@@ -7,7 +9,8 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from ehsched.io import _jsonable
+from ehsched.heuristics import conservative_rate_table
+from ehsched.io import _jsonable, format_float
 from ehsched.mdp import (
     ActionSpace,
     NonConvergenceError,
@@ -23,17 +26,20 @@ from ehsched.mdp import (
     recurrent_classes,
 )
 from ehsched.model import (
+    GRID_EPS,
     Action,
     MarkovChainSpec,
     Model,
     ModelParams,
     SystemState,
     battery_draw_cap_quanta,
+    draw_cap_table,
     feasible_actions,
     required_power,
     step_battery,
     step_queue,
 )
+from ehsched.sim import PolicyDomainError, SimResult, _batch_se
 from ehsched.verify import FAIL, NOT_APPLICABLE, PASS, CertificateReport, _state_witness
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
@@ -533,6 +539,123 @@ def loop_chain_path(chain, gen, n):
         path.append(i)
         i = sample(cum[i], u[t])
     return np.array(path)
+
+
+# --- reference simulator and baseline tables -------------------------------
+
+
+def reference_simulation(policy, model, cfg):
+    """run_simulation one slot at a time, for a per-state policy.
+
+    policy is a function state -> Action, or an object with act(state,
+    coin). Each slot builds the SystemState, asks the policy for its action
+    and checks it: an exception or None from the policy, a draw off the
+    energy grid, a rate above the backlog or a draw above the charge is a
+    PolicyDomainError that carries the state. Then the queue and the battery
+    step one slot. The chains walk by loop_chain_path from the same four
+    Philox substreams as run_simulation, so the same actions give the same
+    result and trace, bit for bit.
+    """
+    params = model.params
+    de, tau = params.delta_e, params.tau
+    w_scale = de / tau
+    q_max, b_top = params.q_max, params.n_battery_levels - 1
+    n, warmup = cfg.n_slots, cfg.effective_warmup
+    act = policy.act if hasattr(policy, "act") else (lambda x, coin: policy(x))
+    gens = [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(cfg.seed).spawn(4)]
+    ih_path, ia_path, ie_path = (
+        loop_chain_path(chain, gen, n).tolist()
+        for chain, gen in zip((model.channel, model.arrival, model.harvest), gens))
+    coins = gens[3].random(n).tolist()
+    h_vals = [float(v) for v in model.channel.values]
+    a_pkts = [int(round(v)) for v in model.arrival.values]
+    e_vals = [float(v) for v in model.harvest.values]
+    e_quanta = [int(round(v / de)) for v in model.harvest.values]
+
+    cols = {key: [] for key in ("q", "h", "a", "e_b", "e", "r", "w",
+                                "grid_power", "overflow", "spill")}
+    q = ib = 0
+    for ih, ia, ie, coin in zip(ih_path, ia_path, ie_path, coins):
+        x = SystemState(q=q, h=h_vals[ih], a=a_pkts[ia], e_b=ib * de,
+                        e=e_vals[ie])
+        try:
+            a = act(x, coin)
+        except (KeyError, IndexError, ValueError) as exc:
+            raise PolicyDomainError(f"policy failed at {x}: {exc}",
+                                    state=x) from exc
+        if a is None:
+            raise PolicyDomainError(f"policy returned no action at {x}",
+                                    state=x)
+        r = int(a.r)
+        wq = int(round(a.w * tau / de))
+        if abs(wq * de / tau - a.w) > GRID_EPS:
+            raise PolicyDomainError(
+                f"battery draw {a.w} is off the energy grid at {x}", state=x)
+        if not 0 <= r <= q or not 0 <= wq <= ib:
+            raise PolicyDomainError(f"action {a} infeasible at {x}", state=x)
+        q_next = q + a_pkts[ia] - r
+        b_next = ib + e_quanta[ie] - wq
+        for key, value in (("q", float(q)), ("h", x.h), ("a", float(x.a)),
+                           ("e_b", x.e_b), ("e", x.e), ("r", float(r)),
+                           ("w", wq * w_scale),
+                           ("grid_power", max(required_power(params, x.h, r)
+                                              - wq * w_scale, 0.0)),
+                           ("overflow", max(q_next - q_max, 0)),
+                           ("spill", max(b_next - b_top, 0))):
+            cols[key].append(value)
+        q, ib = min(q_next, q_max), min(b_next, b_top)
+
+    series = {key: np.array(col) for key, col in cols.items()}
+    overflow, spill = series.pop("overflow"), series.pop("spill")
+    q_meas = series["q"][warmup:]
+    g_meas = series["grid_power"][warmup:]
+    trace = None
+    if cfg.record_trace:
+        trace = {**series, "overflow_pkts": overflow.astype(float),
+                 "spill_energy": spill * de}
+    return SimResult(
+        mean_queue=float(q_meas.mean()),
+        mean_grid_power=float(g_meas.mean()),
+        overflow_fraction=float((overflow[warmup:] > 0).mean()),
+        mean_queue_se=_batch_se(q_meas, cfg.n_batches),
+        mean_grid_power_se=_batch_se(g_meas, cfg.n_batches),
+        overflow_rate=float(overflow[warmup:].mean()),
+        battery_spill_rate=float(spill[warmup:].mean() * de),
+        max_grid_power=float(series["grid_power"].max()),
+        n_slots=n, warmup=warmup, seed=cfg.seed, trace=trace)
+
+
+def baseline_tables(model):
+    """(radical, conservative) as TablePolicys over every state, from the
+    two integer tables the simulator runs the baselines from: r = q, or
+    min(q, rc[ih, ib]); wq = min(ib, cap[ih, r]). The draw is capped by the
+    rate's power on every model, as greedy_battery caps it."""
+    space = model.space
+    params = model.params
+    cap = draw_cap_table(params, model.channel.values)
+    rc = conservative_rate_table(params, model.channel.values)
+
+    def table(r):
+        return TablePolicy(r=r, w_quanta=np.minimum(space.ib, cap[space.ih, r]),
+                           delta_e=params.delta_e, tau=params.tau)
+
+    return (table(space.iq),
+            table(np.minimum(space.iq, rc[space.ih, space.ib])))
+
+
+def rows_to_csv(rows) -> str:
+    """Reference CSV rendering: csv.DictWriter over dict rows, floats at
+    %.12g, fields in the first row's order."""
+    rows = list(rows)
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]) if rows else [],
+                            lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({k: format_float(v) if isinstance(v, (float, np.floating))
+                         else v for k, v in row.items()})
+    return buf.getvalue()
 
 
 # --- reference difference certificates -------------------------------------

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from ehsched.heuristics import HeuristicKind, make_heuristic
 from ehsched.io import (
     columns_to_csv,
-    policy_rows,
-    rows_to_csv,
+    policy_columns,
+    write_csv,
     write_policy_artifacts,
 )
 from ehsched.mdp import MixedPolicy, SolverConfig, relative_value_iteration
+from ehsched.sim import SimConfig, run_simulation
 
-from helpers import desk_model, large_desk_model
+from helpers import desk_model, large_desk_model, rows_to_csv
 
 
 def per_state_policy_rows(policy, model, values=None):
@@ -34,7 +36,8 @@ def test_policy_rows_match_per_state_rendering(make, with_values):
     m = make()
     res = relative_value_iteration(SolverConfig(beta=1.3), m)
     values = res.values.values if with_values else None
-    got = policy_rows(res.policy, m, values)
+    columns = policy_columns(res.policy, m, values)
+    got = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     want = per_state_policy_rows(res.policy, m, values)
     assert got == want
     for g, w in zip(got, want):
@@ -65,3 +68,23 @@ def test_columns_to_csv_matches_rows_to_csv_on_mixed_cells():
                "y": [np.float64(1 / 3), 2.0, 7], "z": ["a", "b", "c"]}
     rows = [dict(zip(columns, cells)) for cells in zip(*columns.values())]
     assert columns_to_csv(columns) == rows_to_csv(rows)
+
+
+def test_sim_trace_columns_match_per_slot_rows(tmp_path):
+    m = desk_model()
+    res = run_simulation(make_heuristic(HeuristicKind("mixed", xi=0.4), m), m,
+                         SimConfig(n_slots=3_000, seed=3, record_trace=True))
+    path = write_csv(tmp_path / "sim_trace.csv",
+                     {"slot": range(res.n_slots), **res.trace})
+    rows = [{"slot": t, **{k: float(v[t]) for k, v in res.trace.items()}}
+            for t in range(res.n_slots)]
+    assert path.read_text() == rows_to_csv(rows)
+
+
+def test_write_csv_renders_dict_rows_as_columns(tmp_path):
+    rows = [{"abar": 0.0, "n": 3, "g": np.float64(1 / 3)},
+            {"abar": 1.5, "n": 4, "g": 2.0}]
+    path = write_csv(tmp_path / "rows.csv", rows)
+    assert path == tmp_path / "rows.csv"
+    assert path.read_text() == rows_to_csv(rows)
+    assert write_csv(tmp_path / "empty.csv", []).read_text() == rows_to_csv([])

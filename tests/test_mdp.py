@@ -615,7 +615,7 @@ def test_evaluate_radical_mean_queue_is_mean_arrival():
         # serve everything, ignore the battery
         return Action(x.q, 0.0)
 
-    ev = evaluate_policy(radical, 1.0, m)
+    ev = evaluate_policy(TablePolicy.from_callable(radical, m), 1.0, m)
     assert ev.mean_queue_b == pytest.approx(m.mean_arrival(), abs=1e-12)
     assert ev.gain_j == pytest.approx(ev.mean_queue_b + 1.0 * ev.mean_grid_k, abs=1e-12)
     assert ev.stationary_dist.sum() == pytest.approx(1.0, abs=1e-12)
@@ -624,7 +624,8 @@ def test_evaluate_radical_mean_queue_is_mean_arrival():
 
 def test_evaluate_idle_policy_saturates_buffer():
     m = desk_lite_model()
-    ev = evaluate_policy(lambda x: Action(0, 0.0), 1.0, m)
+    ev = evaluate_policy(TablePolicy.from_callable(lambda x: Action(0, 0.0), m),
+                         1.0, m)
     assert ev.mean_queue_b == pytest.approx(m.params.q_max, abs=1e-9)
     assert ev.overflow_rate == pytest.approx(m.mean_arrival(), abs=1e-9)
     # battery pinned at capacity, every harvested unit spills
@@ -707,6 +708,13 @@ def test_evaluate_rejects_infeasible_policy_action():
                       delta_e=0.5, tau=1.0)
     with pytest.raises(ValueError):
         evaluate_policy(bad, 1.0, m)  # r=1 infeasible where q=0
+
+
+def test_evaluate_takes_tables_only():
+    m = battery_model()
+    for policy in (lambda x: Action(x.q, 0.0), "radical"):
+        with pytest.raises(TypeError, match="from_callable"):
+            evaluate_policy(policy, 1.0, m)
 
 
 def _random_table_policy(actions, rng):
@@ -1010,7 +1018,8 @@ def test_evaluate_multichain_detected():
         harvest=MarkovChainSpec.iid((0.0,), (1.0,)),
     )
     with pytest.raises(MultichainError):
-        evaluate_policy(lambda x: Action(x.q, 0.0), 1.0, m)
+        evaluate_policy(TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m),
+                        1.0, m)
 
 
 # ---------------------------------------------------------------------------
@@ -1023,7 +1032,7 @@ def test_oracle_policy_count_and_optimality():
     assert res.n_policies + res.n_multichain_skipped == 18
     for heuristic in (lambda x: Action(x.q, 0.0),
                       lambda x: Action(0, 0.0)):
-        ev = evaluate_policy(heuristic, beta, m)
+        ev = evaluate_policy(TablePolicy.from_callable(heuristic, m), beta, m)
         assert res.gain <= ev.gain_j + 1e-12
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ehsched import heuristics
+from ehsched import sim
 from ehsched.heuristics import (
     HeuristicKind,
     MixedHeuristic,
@@ -16,6 +17,7 @@ from ehsched.heuristics import (
     draw_cap_table,
     make_heuristic,
     mixed_action,
+    mixing_weight,
     radical_policy,
 )
 from ehsched.io import sim_result_dict
@@ -29,6 +31,7 @@ from ehsched.mdp import (
 from ehsched.model import (
     GRID_EPS,
     Action,
+    ConfigError,
     MarkovChainSpec,
     ModelParams,
     battery_draw_cap_quanta,
@@ -48,7 +51,15 @@ from ehsched.sim import (
     sweep_channel,
 )
 
-from helpers import desk_lite_model, desk_model, loop_chain_path, random_model
+from helpers import (
+    baseline_tables,
+    desk_lite_model,
+    desk_model,
+    large_desk_model,
+    loop_chain_path,
+    random_model,
+    reference_simulation,
+)
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -168,9 +179,9 @@ def test_mixed_table_policy_matches_exact_averages(lite):
 
 
 def _per_slot_table_actor(policy, model):
-    """The table policy (or mixture of two) as an act(state, coin) object:
-    the simulator builds a SystemState every slot and looks the action up by
-    the state's index."""
+    """The table policy (or mixture of two) as an act(state, coin) object for
+    the reference simulator, which builds a SystemState every slot: the
+    action is looked up by the state's index."""
     space = model.space
     tables = ([(1.0, policy)] if isinstance(policy, TablePolicy)
               else [(policy.xi, policy.policy_plus), (1.0, policy.policy_minus)])
@@ -188,7 +199,8 @@ def test_table_actors_match_per_slot_lookup_bit_for_bit(lite, lite_solved):
     for policy in (lite_solved.policy,
                    MixedPolicy(lite_solved.policy, other.policy, xi=0.4)):
         got = run_simulation(policy, lite, cfg)
-        want = run_simulation(_per_slot_table_actor(policy, lite), lite, cfg)
+        want = reference_simulation(_per_slot_table_actor(policy, lite), lite,
+                                    cfg)
         assert sim_result_dict(got) == sim_result_dict(want)
         for key, series in want.trace.items():
             np.testing.assert_array_equal(got.trace[key], series, err_msg=key)
@@ -269,7 +281,7 @@ def test_baseline_tables_reproduce_per_state_actors(seed, p_bar, xi):
     for name, slow in generic.items():
         kind = HeuristicKind(name, xi=xi if name == "mixed" else None)
         fast = run_simulation(make_heuristic(kind, m), m, cfg)
-        ref = run_simulation(slow, m, cfg)
+        ref = reference_simulation(slow, m, cfg)
         assert fast.trace.keys() == ref.trace.keys()
         for key in ref.trace:
             assert fast.trace[key].tobytes() == ref.trace[key].tobytes(), key
@@ -290,10 +302,72 @@ def test_make_heuristic_actors_never_build_states_in_the_simulator(monkeypatch):
     monkeypatch.setattr(heuristics, "mixed_action", fail)
     for actor in actors:
         run_simulation(actor, m, SimConfig(n_slots=500, seed=1))
-    # an actor built for other params is a plain callable to the simulator
+    # an actor built for other params is refused before any slot runs
     other = replace(m, params=replace(m.params, p_bar=m.params.p_bar + 1.0))
-    with pytest.raises(PolicyDomainError, match="per-state baseline called"):
+    with pytest.raises(PolicyDomainError, match="other params"):
         run_simulation(actors[0], other, SimConfig(n_slots=10, seed=1))
+
+
+BASELINE_MODELS = {
+    "desk-lite": desk_lite_model,
+    "desk": desk_model,
+    "desk-unrestricted": lambda: desk_model(restrict=False),
+}
+
+
+def per_state_baseline_tables(model):
+    params = model.params
+    return (TablePolicy.from_callable(lambda x: radical_policy(x, params), model),
+            TablePolicy.from_callable(lambda x: conservative_policy(x, params),
+                                      model))
+
+
+@pytest.mark.parametrize("make", [*BASELINE_MODELS.values(), large_desk_model],
+                         ids=[*BASELINE_MODELS, "desk-3000"])
+def test_baseline_state_tables_equal_per_state_functions(make):
+    m = make()
+    assert baseline_tables(m) == per_state_baseline_tables(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 3.0))
+def test_baseline_state_tables_equal_per_state_functions_random(seed, p_bar):
+    m = random_model(seed)
+    m = replace(m, params=replace(m.params, p_bar=p_bar))
+    assert baseline_tables(m) == per_state_baseline_tables(m)
+
+
+def equivalent_tables(model, xi=0.37):
+    """Each make_heuristic baseline and the table data it plays."""
+    rad, con = baseline_tables(model)
+    return [(make_heuristic(HeuristicKind("radical"), model), rad),
+            (make_heuristic(HeuristicKind("conservative"), model), con),
+            (make_heuristic(HeuristicKind("mixed", xi=xi), model),
+             MixedPolicy(rad, con, xi))]
+
+
+@pytest.mark.parametrize("name", list(BASELINE_MODELS))
+def test_baselines_simulate_bit_for_bit_as_their_tables(name):
+    m = BASELINE_MODELS[name]()
+    cfg = SimConfig(n_slots=20_000, seed=5, record_trace=True)
+    for baseline, table in equivalent_tables(m):
+        got = run_simulation(baseline, m, cfg)
+        want = run_simulation(table, m, cfg)
+        assert sim_result_dict(got) == sim_result_dict(want)
+        for key, series in want.trace.items():
+            assert got.trace[key].tobytes() == series.tobytes(), key
+
+
+@pytest.mark.parametrize("name", list(BASELINE_MODELS))
+def test_simulated_baselines_match_exact_averages(name):
+    m = BASELINE_MODELS[name]()
+    cfg = SimConfig(n_slots=100_000, seed=5)
+    for baseline, table in equivalent_tables(m):
+        ev = evaluate_policy(table, 1.0, m)
+        res = run_simulation(baseline, m, cfg)
+        assert abs(res.mean_queue - ev.mean_queue_b) <= 3 * res.mean_queue_se
+        assert (abs(res.mean_grid_power - ev.mean_grid_k)
+                <= 3 * res.mean_grid_power_se)
 
 
 @pytest.mark.parametrize("chain", [
@@ -333,14 +407,14 @@ def test_infeasible_action_raises_with_state(lite):
         return Action(x.q, x.e_b / lite.params.tau + lite.params.delta_e)
 
     with pytest.raises(PolicyDomainError) as err:
-        run_simulation(overdraw, lite, SimConfig(n_slots=100, seed=1))
+        reference_simulation(overdraw, lite, SimConfig(n_slots=100, seed=1))
     assert err.value.state is not None
 
     def off_grid(x):
         return Action(0, 0.1234567)
 
     with pytest.raises(PolicyDomainError):
-        run_simulation(off_grid, lite, SimConfig(n_slots=100, seed=1))
+        reference_simulation(off_grid, lite, SimConfig(n_slots=100, seed=1))
 
 
 def test_wrong_sized_table_raises(lite, lite_solved):
@@ -352,7 +426,22 @@ def test_wrong_sized_table_raises(lite, lite_solved):
 
 def test_policy_returning_none_raises(lite):
     with pytest.raises(PolicyDomainError):
-        run_simulation(lambda x: None, lite, SimConfig(n_slots=10, seed=1))
+        reference_simulation(lambda x: None, lite, SimConfig(n_slots=10, seed=1))
+
+
+def test_run_simulation_takes_policy_data_only(lite, lite_solved):
+    cfg = SimConfig(n_slots=10, seed=1)
+    per_state = (lambda x: radical_policy(x, lite.params),
+                 SimpleNamespace(act=lambda x, coin: Action(x.q, 0.0)),
+                 lite_solved.policy.r)
+    for policy in per_state:
+        with pytest.raises(TypeError, match="from_callable"):
+            run_simulation(policy, lite, cfg)
+    other = replace(lite, params=replace(lite.params, p_bar=2.0))
+    for kind in (HeuristicKind("radical"), HeuristicKind("conservative"),
+                 HeuristicKind("mixed", xi=0.5)):
+        with pytest.raises(PolicyDomainError, match="other params"):
+            run_simulation(make_heuristic(kind, other), lite, cfg)
 
 
 # --- rayleigh quantizer --------------------------------------------------------
@@ -417,3 +506,93 @@ def test_sweep_channel_rows_and_ordering(lite):
         assert (row["mean_queue_mixed"]
                 <= row["mean_queue_conservative"] + 3 * row["mean_queue_se_mixed"]
                 + 3 * row["mean_queue_se_conservative"])
+
+
+SWEEP_CELLS = {
+    "arrival": ["abar", "mean_grid_power", "mean_grid_power_se", "mean_queue"],
+    "budget": ["p_bar", "mean_queue", "mean_queue_se", "mean_grid_power"],
+}
+SWEEPS = {"arrival": sweep_arrival, "budget": sweep_budget}
+
+
+@pytest.mark.parametrize("axis", list(SWEEPS))
+def test_single_policy_sweep_headers(lite, axis):
+    cfg = SimConfig(n_slots=2_000, seed=43)
+    for kind in ("radical", "conservative"):
+        rows = SWEEPS[axis](lite, [0.5, 1.0], kind, cfg)
+        assert [list(r) for r in rows] == [SWEEP_CELLS[axis]] * 2
+    rows = SWEEPS[axis](lite, [0.5, 1.0], "mixed", cfg)
+    assert [list(r) for r in rows] == [SWEEP_CELLS[axis] + ["xi"]] * 2
+
+
+def test_channel_sweep_header(lite):
+    rows = sweep_channel(lite, [0.5], ("radical", "conservative", "mixed"),
+                         SimConfig(n_slots=2_000, seed=43), n_levels=4)
+    assert list(rows[0]) == [
+        "hbar",
+        "mean_queue_radical", "mean_queue_se_radical", "mean_grid_power_radical",
+        "mean_queue_conservative", "mean_queue_se_conservative",
+        "mean_grid_power_conservative",
+        "xi",
+        "mean_queue_mixed", "mean_queue_se_mixed", "mean_grid_power_mixed"]
+
+
+def sweep_point_model(axis, model, value):
+    if axis == "arrival":
+        return replace(model, arrival=MarkovChainSpec.iid((0.0, 2.0 * value),
+                                                          (0.5, 0.5)))
+    if axis == "budget":
+        return replace(model, params=replace(model.params, p_bar=value))
+    return replace(model, channel=discretize_rayleigh(value, 4))
+
+
+@pytest.mark.parametrize("axis", ["arrival", "budget", "channel"])
+def test_mixed_sweep_weight_comes_from_the_points_own_runs(lite, axis):
+    cfg = SimConfig(n_slots=5_000, seed=47)
+    value = {"arrival": 1.5, "budget": 0.2, "channel": 0.8}[axis]
+    if axis == "channel":
+        row = sweep_channel(lite, [value], ("mixed",), cfg, n_levels=4)[0]
+    else:
+        row = SWEEPS[axis](lite, [value], "mixed", cfg)[0]
+    point = sweep_point_model(axis, lite, value)
+    g = {k: run_simulation(make_heuristic(HeuristicKind(k), point), point,
+                           cfg).mean_grid_power
+         for k in ("radical", "conservative")}
+    xi = mixing_weight(g["radical"], g["conservative"], point.params.p_bar)
+    assert 0.0 < xi < 1.0
+    assert row["xi"] == xi
+    mixed = run_simulation(make_heuristic(HeuristicKind("mixed", xi=xi), point),
+                           point, cfg)
+    suffix = "_mixed" if axis == "channel" else ""
+    assert row["mean_queue" + suffix] == mixed.mean_queue
+    assert row["mean_grid_power" + suffix] == mixed.mean_grid_power
+
+
+def test_sweeps_run_each_baseline_once_per_point(lite, monkeypatch):
+    calls = []
+    run = sim.run_simulation
+
+    def counted(policy, model, cfg):
+        calls.append(policy.radical_weight)
+        return run(policy, model, cfg)
+
+    monkeypatch.setattr(sim, "run_simulation", counted)
+    cfg = SimConfig(n_slots=1_000, seed=53)
+    sweep_channel(lite, [0.5, 1.0, 2.0], ("radical", "conservative", "mixed"),
+                  cfg, n_levels=4)
+    assert len(calls) == 9
+    assert calls[0::3] == [1.0] * 3 and calls[1::3] == [0.0] * 3
+    calls.clear()
+    sweep_arrival(lite, [1.0, 2.0], "radical", cfg)
+    assert calls == [1.0, 1.0]
+    calls.clear()
+    sweep_budget(lite, [0.3], "mixed", cfg)
+    assert len(calls) == 3
+
+
+def test_sweeps_take_kind_names_only(lite):
+    cfg = SimConfig(n_slots=1_000, seed=1)
+    with pytest.raises(ConfigError, match="kind must be one of"):
+        sweep_arrival(lite, [1.0], HeuristicKind("mixed", xi=0.5), cfg)
+    with pytest.raises(ConfigError, match="kind must be one of"):
+        sweep_channel(lite, [1.0], ("radical", "greedy"), cfg)
