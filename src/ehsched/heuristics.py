@@ -30,7 +30,6 @@ from .model import (
     ModelParams,
     SystemState,
     battery_draw_cap_quanta,
-    draw_cap_table,
     power_inverse,
     required_power,
 )
@@ -181,15 +180,11 @@ def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,
                            max_iters: int = 1_000_000) -> SolveResult:
     """Average-cost solve over the rate alone, battery draw forced greedy.
 
-    Returns the usual SolveResult; its policy is a full (r, w) table with
-    w = greedy_battery(x, r*(x)).
+    Each (state, rate) pair's draw window is the one greedy draw
+    min(e_b, cap[h, r]) (build_action_space with greedy_draw), so the solve
+    chooses among the rates only. Returns the usual SolveResult; its policy
+    is a full (r, w) table with w = greedy_battery(x, r*(x)).
     """
-    space = model.space
-    cap = draw_cap_table(model.params, space.h_values)
-
-    def greedy_draw(state, r, wq):
-        return wq == np.minimum(space.ib[state], cap[space.ih[state], r])
-
-    actions = build_action_space(model, keep=greedy_draw)
+    actions = build_action_space(model, greedy_draw=True)
     cfg = SolverConfig(beta=beta, epsilon=epsilon, max_iters=max_iters)
     return relative_value_iteration(cfg, model, actions=actions)

@@ -1,10 +1,14 @@
 """Average-cost and discounted MDP machinery over the link model.
 
-The decision problem: per slot, pay q + beta * grid_power. The solver works on
-a flattened state-action enumeration; every expectation E[V(next) | s, a] is
-one contraction of V with the exogenous chain and a gather at the row's
-post-decision index, and a policy's sparse chain, for its LU, comes from the
-same index. Both
+The decision problem: per slot, pay q + beta * grid_power. A policy is two
+integer tables over the states, the rate r and the battery draw wq in quanta,
+in the solvers as in the evaluator and the simulator. The solvers hold each
+state's actions as (state, rate) pairs with a window of draws, and one
+backup walks the draw offsets over all pairs at once: every expectation
+E[V(next) | s, a] is one contraction of V with the exogenous chain, gathered
+at the action's post-decision index (Powell, Approximate Dynamic
+Programming, 2nd ed., 2011, ch. 4), and a policy's sparse chain, for its LU,
+comes from the same index. Both
 solves run Howard policy iteration first, each policy evaluated by one sparse
 LU, and start value iteration from the values of the policy it ends on; the
 sweeps then only mop up rounding error before meeting their usual stopping
@@ -17,6 +21,7 @@ two-policy mixed) stationary policy from the same bias-gain LU.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -150,53 +155,53 @@ class PolicyEvaluation:
 
 
 # ---------------------------------------------------------------------------
-# state-action enumeration + expectation operator
+# (state, rate) pairs with draw windows + the backup over them
+
+# Bytes per (state, rate) pair: first draw (int32), post-decision index at it
+# and at the battery's top, walk position (intp), power and queue (float64).
+# Pair arrays over MAX_PAIR_BYTES raise InstanceTooLargeError before any is
+# made; extraction walks EXTRACT_BLOCK draws at a time.
+PAIR_BYTES = 4 + 3 * np.dtype(np.intp).itemsize + 2 * 8
+MAX_PAIR_BYTES = 2 ** 31
+EXTRACT_BLOCK = 2 ** 16
 
 
 class ActionSpace:
-    """Flat enumeration of feasible state-action pairs and their expectation
-    operator.
-
-    Row layout: actions of state s occupy rows indptr[s]:indptr[s+1], ordered
-    by (r, w) ascending, so the first minimizer in a segment is the
-    lexicographically smallest action.
-
-    A row keeps four values, 24 bytes: its post-decision index post_sa
-    (intp, the gather index of every sweep), its rate r_sa and battery draw
-    wq_sa in quanta (int32), and its grid power grid_sa (float64). Whatever
-    belongs to the row's state (the queue cost, the owning state itself, the
-    clamp losses) is derived from the model's state arrays and indptr where
-    it is needed.
-
-    The enumeration is vectorised: rates 0..q per state, then draws 0..cap per
-    (state, rate), with cap = min(ib, draw_cap_table[ih, r]) (= ib when the
-    model does not restrict draws to the required power). The next (q,
-    battery) is a deterministic function of the row and the chains move
-    independently of it, so post_sa is the row's next (q, battery) base plus
-    its state's own (h, a, e) offset in the table of post_decision_values.
-    keep(state, r, wq), if given, maps the enumerated rows' arrays to a bool
-    mask of the rows to keep; the kept rows stay in the same order.
+    """Every state's feasible actions as (state, rate) pairs with draw
+    windows, and the Bellman backup over them. A state offers the rates
+    0..q, and the pair (s, r) the draws 0..min(ib, draw_cap_table[ih, r]) in
+    quanta (0..ib when draws are not capped by the required power), or with
+    greedy_draw (the rate-only reduced solve) the one draw lo = min(ib,
+    draw_cap_table[ih, r]). Along a window the post-decision index steps
+    down the battery axis (clamped at the top) and the grid power is
+    max(p_req[h, r] - w * delta_e / tau, 0). Pairs are sorted by window
+    length, longest first, so the pairs offering draw offset k = w - lo are
+    the first n_offering[k], and backup walks k = 0..max window, one array
+    expression on that prefix each. n_sa counts the actions. A policy is
+    its (r, wq) tables, sa below (two rows): post_index, grid, terms and
+    chain work out its actions' quantities and sparse chain.
     """
 
     # The last bias-gain LU factorised on these actions at reference state 0,
     # whoever made it (policy iteration or evaluate_policy): (P, lu, key),
-    # key the weight and the rows' post-decision indices of each policy the
-    # chain plays, which fix P. One entry: a new chain replaces it.
+    # key the weight and the post-decision indices of each policy the chain
+    # plays, which fix P. One entry: a new chain replaces it.
     last_lu = None
     # sparse LUs factorised on these actions, bias-gain and discounted
     n_factorised = 0
 
-    def __init__(self, model: Model, keep=None):
+    def __init__(self, model: Model, greedy_draw: bool = False):
         space = model.space
         params = model.params
         self.model = model
+        self.greedy_draw = greedy_draw
         n = space.n_states
         na, ne, nb = space.na, space.ne, space.nb
 
         # exogenous chain and, per row (ih, ia, ie), its positive entries with
         # columns as state-index offsets ascending (the blocks chain() shifts)
         self.exogenous = exogenous_chain(model)
-        n_ex = self.exogenous.shape[0]
+        n_ex = self._n_ex = self.exogenous.shape[0]
         offsets = (np.arange(space.nh)[:, None, None] * space.s_h
                    + np.arange(na)[None, :, None] * space.s_a
                    + np.arange(ne)[None, None, :]).ravel()
@@ -206,103 +211,157 @@ class ActionSpace:
         self.block_ptr = np.concatenate(
             ([0], np.cumsum(np.bincount(ex_rows, minlength=n_ex))))
 
-        # (state, rate) pairs: rates 0..iq per state, each with draws 0..cap
-        n_rates = space.iq + 1
-        first_rate = np.cumsum(n_rates) - n_rates
-        sr_state = np.repeat(np.arange(n), n_rates)
-        sr_r = np.arange(sr_state.size) - np.repeat(first_rate, n_rates)
-        sr_cap = space.ib[sr_state]
-        if model.restrict_w_to_power:
-            cap = draw_cap_table(params, space.h_values)
-            sr_cap = np.minimum(sr_cap, cap[space.ih[sr_state], sr_r])
-        n_draws = sr_cap + 1
-        # every int32 row value (draw, rate, next battery offset) is below
-        # the row count, which is at least the state count
-        n_rows = int(n_draws.sum())
-        if n_rows > np.iinfo(np.int32).max:
-            raise InstanceTooLargeError(f"{n_rows} state-action pairs exceed int32 rows")
-        # what a row shares with its (state, rate): the next queue's part of
-        # the post-decision index plus the state's (h, a, e) offset, the
-        # battery level before the draw and clamp, and the required power
-        ih, ia, ie = space.ih[sr_state], space.ia[sr_state], space.ie[sr_state]
-        next_q = np.minimum(space.iq[sr_state] - sr_r + space.arrival_pkts[ia],
-                            space.nq - 1)
-        sr_post = next_q * (nb * n_ex) + (ih * na + ia) * ne + ie
-        sr_b = space.ib[sr_state] + space.harvest_quanta[ie]
-        power = np.array([[required_power(params, float(h), r) for r in range(space.nq)]
-                          for h in space.h_values])
-        sr_power = power[ih, sr_r]
+        self._n_rates = n_rates = space.iq + 1
+        n_pairs = int(n_rates.sum())
+        if n_pairs * PAIR_BYTES > MAX_PAIR_BYTES:
+            raise InstanceTooLargeError(
+                f"{n_pairs} (state, rate) pairs would take {n_pairs * PAIR_BYTES} "
+                f"bytes, over the limit of {MAX_PAIR_BYTES}")
+        self._cap = draw_cap_table(params, space.h_values)
+        self._power = np.array([[required_power(params, float(h), r)
+                                 for r in range(space.nq)] for h in space.h_values])
+        self._draw_step = params.delta_e / params.tau
+        # per state: queue after arrivals, battery after the harvest (before
+        # service, draw and clamps), and the (h, a, e) part of its indices
+        self._q_in = space.iq + space.arrival_pkts[space.ia]
+        self._b_in = space.ib + space.harvest_quanta[space.ie]
+        self._ex_of = (space.ih * na + space.ia) * ne + space.ie
 
-        # rows, in int32 and in place, each row-sized temporary dropped
-        # before the next is made
-        wq = np.arange(n_rows, dtype=np.int32)
-        wq -= np.repeat((np.cumsum(n_draws) - n_draws).astype(np.int32), n_draws)
-        r = np.repeat(sr_r.astype(np.int32), n_draws)
-        next_b = np.repeat(sr_b.astype(np.int32), n_draws)
-        next_b -= wq
-        np.minimum(next_b, nb - 1, out=next_b)
-        next_b *= n_ex
-        post = np.repeat(sr_post.astype(np.intp), n_draws)
-        post += next_b
-        del next_b
-        grid = np.repeat(sr_power, n_draws)
-        w = wq.astype(np.float64)
-        w *= params.delta_e / params.tau
-        grid -= w
-        del w
-        np.maximum(grid, 0.0, out=grid)
-        if keep is None:
-            counts = np.add.reduceat(n_draws, first_rate)
-        else:
-            owner = np.repeat(sr_state, n_draws)
-            kept = keep(owner, r, wq)
-            post, r, wq, grid = post[kept], r[kept], wq[kept], grid[kept]
-            counts = np.bincount(owner[kept], minlength=n)
-            del owner, kept
-        if not counts.all():
-            raise ValueError(f"state {int(np.argmin(counts))} has no feasible action")
+        # pairs in (state, rate) order, then sorted by window length
+        self._first_pair = np.cumsum(n_rates) - n_rates
+        state = np.repeat(np.arange(n), n_rates)
+        r = np.arange(n_pairs) - np.repeat(self._first_pair, n_rates)
+        lo, cap = self.window(r, state)
+        length = cap - lo + 1
+        order = np.argsort(-length, kind="stable")
+        self._by_state = np.empty_like(order)
+        self._by_state[order] = np.arange(n_pairs)
+        state, r, lo, length = state[order], r[order], lo[order], length[order]
+        self.n_offering = np.cumsum(np.bincount(length)[::-1])[::-1][1:]
+        self.n_sa = int(length.sum())
 
-        self.indptr = np.concatenate(([0], np.cumsum(counts)))
-        self.n_sa = int(self.indptr[-1])
-        self.post_sa = post
-        self.r_sa = r
-        self.wq_sa = wq
-        self.grid_sa = grid
-        # bounds of the (state, r, w) key sa_of_policy packs
-        self._n_r = int(r.max()) + 1
-        self._n_w = int(wq.max()) + 1
+        base = np.minimum(self._q_in[state] - r, space.nq - 1) * (nb * n_ex)
+        base += self._ex_of[state]
+        self.pair_top = base + (nb - 1) * n_ex
+        base += (self._b_in[state] - lo) * n_ex
+        self.pair_post = base
+        # below this draw offset some pair's next battery is clamped
+        self._clamped = max(0, int((base - self.pair_top).max()) // n_ex)
+        # exact where lo is 0 and where the window is lo alone, so the walk's
+        # grid power is the action's bit for bit
+        self.pair_p0 = self._power[space.ih[state], r] - lo * self._draw_step
+        self.pair_q = space.iq[state].astype(float)
+        self.pair_lo = lo.astype(np.int32)
+        # the walk: each offset, whether to clamp, views of its prefix
+        self._steps = [(k, k < self._clamped, self.pair_post[:m], self.pair_top[:m],
+                        self.pair_p0[:m], self.pair_q[:m])
+                       for k, m in enumerate(self.n_offering.tolist())]
 
-    def cost(self, beta: float) -> np.ndarray:
-        """Per-row slot cost q + beta * grid power."""
-        queue = self.model.space.iq.astype(float)
-        return np.repeat(queue, np.diff(self.indptr)) + beta * self.grid_sa
-
-    def row_terms(self, sa: np.ndarray):
-        """Queue cost, grid power, packets lost to the buffer clamp and energy
-        spilled at the battery's capacity, at the rows sa (one value each)."""
+    def window(self, r, at=slice(None)):
+        """(lo, cap): the draw window of rate r at the states at (default all);
+        the greedy draw is capped by the rate's power, as in greedy_battery."""
         space = self.model.space
-        owner = np.searchsorted(self.indptr, sa, side="right") - 1
-        iq = space.iq[owner]
-        raw_q = iq - self.r_sa[sa] + space.arrival_pkts[space.ia[owner]]
-        raw_b = space.ib[owner] - self.wq_sa[sa] + space.harvest_quanta[space.ie[owner]]
-        return (iq.astype(float), self.grid_sa[sa],
-                np.maximum(raw_q - (space.nq - 1), 0).astype(float),
-                np.maximum(raw_b - (space.nb - 1), 0).astype(float)
+        greedy = np.minimum(space.ib[at], self._cap[space.ih[at], r])
+        if self.greedy_draw:
+            return greedy, greedy
+        cap = greedy if self.model.restrict_w_to_power else space.ib[at]
+        return np.zeros_like(cap), cap
+
+    def next_values(self, values: np.ndarray) -> np.ndarray:
+        """The post-decision table of values, flattened: its entry at an
+        action's post_index is E[values(next state) | state, action]."""
+        return post_decision_values(values, self.model.space, self.exogenous).ravel()
+
+    def _walk_step(self, table, beta, k, post, top, p0, queue, clamp=True):
+        # table[post] + (q + beta * grid) of the pairs at draw offset k (or a
+        # column of offsets, one row each), rounded as action by action
+        post = post - k * self._n_ex
+        if clamp:
+            np.minimum(post, top, out=post)
+        y = table[post]
+        grid = p0 - k * self._draw_step
+        np.maximum(grid, 0.0, out=grid)
+        grid *= beta
+        grid += queue
+        y += grid
+        return y
+
+    def backup(self, table: np.ndarray, beta: float, scale: float = 1.0,
+               extra: np.ndarray | None = None, tie_tol: float | None = None):
+        """Bellman backup on the post-decision table: (mins, sa), mins[s] the
+        least y = scale * table[post] + (q + beta * grid) + extra[s] (extra
+        optional) over s's actions; with tie_tol, sa is the smallest (r, w)
+        with y <= mins + tie_tol + 1e-12 |mins|, else None. extra is added
+        after the minimum, exactly, as rounding is monotone. Extraction takes
+        the smallest rate whose pair minimum is in that window, then its
+        first draw in it."""
+        if scale != 1.0:
+            table = table * scale  # entry by entry, as at each action
+        pair_min = None
+        for k, clamp, *prefix in self._steps:
+            y = self._walk_step(table, beta, k, *prefix, clamp=clamp)
+            if pair_min is None:
+                pair_min = y
+            else:
+                np.minimum(pair_min[:y.size], y, out=pair_min[:y.size])
+        by_state = pair_min[self._by_state]
+        mins = np.minimum.reduceat(by_state, self._first_pair)
+        if extra is not None:
+            mins += extra
+        if tie_tol is None:
+            return mins, None
+
+        thr = mins + (tie_tol + 1e-12 * np.abs(mins))
+        if extra is not None:
+            by_state += np.repeat(extra, self._n_rates)
+        hits = np.flatnonzero(by_state <= np.repeat(thr, self._n_rates))
+        # a state's minimum is a hit, so its first hit is in its own segment
+        first_hit = hits[np.searchsorted(hits, self._first_pair)]
+        pos = self._by_state[first_hit]
+        sa = np.stack((first_hit - self._first_pair, self.pair_lo[pos]))
+        # each chosen pair's draws again, all offsets at once for a block of
+        # states: past a window the battery index stays above -nb (the gather
+        # stays in the table), and the first hit comes before
+        ks = np.arange(self.n_offering.size)[:, None]
+        step = max(1, EXTRACT_BLOCK // ks.size)
+        for i in range(0, pos.size, step):
+            at = slice(i, i + step)
+            y = self._walk_step(table, beta, ks, *(a[pos[at]] for a in (
+                self.pair_post, self.pair_top, self.pair_p0, self.pair_q)))
+            if extra is not None:
+                y += extra[at]
+            sa[1, at] += (y <= thr[at]).argmax(axis=0)
+        return mins, sa
+
+    def post_index(self, r, wq, at=slice(None)) -> np.ndarray:
+        """Post-decision index of the action (r, wq) at the states at
+        (default all): its next (q, battery) and the state's (h, a, e)."""
+        space = self.model.space
+        next_q = np.minimum(self._q_in[at] - r, space.nq - 1)
+        next_b = np.minimum(self._b_in[at] - wq, space.nb - 1)
+        return (next_q * space.nb + next_b) * self._n_ex + self._ex_of[at]
+
+    def grid(self, r, wq, at=slice(None)) -> np.ndarray:
+        """Grid power of (r, wq) at the states at (default all)."""
+        w = np.asarray(wq, dtype=np.float64) * self._draw_step
+        return np.maximum(self._power[self.model.space.ih[at], r] - w, 0.0)
+
+    def terms(self, r, wq, at=slice(None)):
+        """Queue, grid power, packets lost to the buffer clamp and energy
+        spilled at the battery's top, of (r, wq) at the states at (default all)."""
+        space = self.model.space
+        return (space.iq[at].astype(float), self.grid(r, wq, at),
+                np.maximum(self._q_in[at] - r - (space.nq - 1), 0).astype(float),
+                np.maximum(self._b_in[at] - wq - (space.nb - 1), 0).astype(float)
                 * self.model.params.delta_e)
 
-    def expected_next(self, values: np.ndarray) -> np.ndarray:
-        """E[values(next state) | row] for every row."""
-        table = post_decision_values(values, self.model.space, self.exogenous)
-        return table.ravel()[self.post_sa]
-
-    def chain(self, sa: np.ndarray) -> sp.csr_matrix:
-        """Sparse one-step transition matrix of the rows sa, one row each:
-        the positive entries of the exogenous chain's row for the row's (h,
-        a, e), shifted to its next (q, battery) state index."""
+    def chain(self, post: np.ndarray) -> sp.csr_matrix:
+        """Sparse one-step transition matrix of the actions with post-decision
+        indices post, one row each: the positive entries of the exogenous
+        chain's row for the action's (h, a, e), shifted to its next (q,
+        battery) state index."""
         space = self.model.space
-        n_ex = self.exogenous.shape[0]
-        post = self.post_sa[sa]
-        ex, qb = post % n_ex, post // n_ex
+        ex, qb = post % self._n_ex, post // self._n_ex
         base = (qb // space.nb) * space.s_q + (qb % space.nb) * space.s_b
         row_nnz = np.diff(self.block_ptr)[ex]
         ptr = np.concatenate(([0], np.cumsum(row_nnz)))
@@ -316,38 +375,27 @@ class ActionSpace:
                              shape=(post.size, space.n_states))
 
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
-        """Row index of each state's stored action; raises if one is infeasible.
-
-        Rows are sorted by (state, r, w), so one search on the combined key,
-        packed for this call, finds every state's row at once.
-        """
-        n = self.indptr.size - 1
-        n_r, n_w = self._n_r, self._n_w
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n_r, np.diff(self.indptr))
-        keys += self.r_sa
-        keys *= n_w
-        keys += self.wq_sa
-        r = np.asarray(policy.r)
-        wq = np.asarray(policy.w_quanta)
-        want = (np.arange(n) * n_r + r) * n_w + wq
-        rows = np.minimum(np.searchsorted(keys, want), self.n_sa - 1)
-        ok = ((r >= 0) & (r < n_r) & (wq >= 0) & (wq < n_w)
-              & (keys[rows] == want))
+        """The policy's (r, wq) as rows; raises ValueError naming the first
+        state whose rate is not in 0..q or whose draw is not in the rate's
+        window."""
+        r, wq = np.asarray(policy.r), np.asarray(policy.w_quanta)
+        ok = (r >= 0) & (r <= self.model.space.iq)
+        lo, cap = self.window(np.where(ok, r, 0))
+        ok &= (wq >= lo) & (wq <= cap)
         if not ok.all():
             s = int(np.flatnonzero(~ok)[0])
-            raise ValueError(
-                f"policy action (r={policy.r[s]}, wq={policy.w_quanta[s]}) "
-                f"infeasible at state {s}")
-        return rows
+            raise ValueError(f"policy action (r={r[s]}, wq={wq[s]}) "
+                             f"infeasible at state {s}")
+        return np.stack((r, wq))
 
-    def policy_from_sa(self, sa: np.ndarray) -> TablePolicy:
-        return TablePolicy(r=self.r_sa[sa].astype(np.int64),
-                           w_quanta=self.wq_sa[sa].astype(np.int64),
+    def policy_from_sa(self, sa) -> TablePolicy:
+        return TablePolicy(r=np.asarray(sa[0], dtype=np.int64),
+                           w_quanta=np.asarray(sa[1], dtype=np.int64),
                            delta_e=self.model.params.delta_e, tau=self.model.params.tau)
 
 
-def build_action_space(model: Model, keep=None) -> ActionSpace:
-    return ActionSpace(model, keep=keep)
+def build_action_space(model: Model, greedy_draw: bool = False) -> ActionSpace:
+    return ActionSpace(model, greedy_draw=greedy_draw)
 
 
 def exogenous_chain(model: Model) -> np.ndarray:
@@ -376,10 +424,6 @@ def post_decision_values(values: np.ndarray, space, exogenous) -> np.ndarray:
 # solvers
 
 
-def _segment_min(y: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    return np.minimum.reduceat(y, indptr[:-1])
-
-
 # Tied backup values are common, not a corner case: whenever the marginal
 # value of a stored quantum equals its grid replacement price, every feasible
 # draw level is exactly optimal.  Exact argmin would let residual noise pick
@@ -388,20 +432,6 @@ def _segment_min(y: np.ndarray, indptr: np.ndarray) -> np.ndarray:
 # sit above the value-table error (order epsilon) but below any price gap
 # the caller cares about; solvers pass 10x their stopping epsilon.
 GREEDY_TIE_TOL = 1e-8
-
-
-def _greedy_sa(y: np.ndarray, mins: np.ndarray, actions: ActionSpace,
-               tie_tol: float = GREEDY_TIE_TOL) -> np.ndarray:
-    tol = tie_tol + 1e-12 * np.abs(mins)
-    n = actions.indptr.size - 1
-    hits = np.flatnonzero(y <= np.repeat(mins + tol, np.diff(actions.indptr)))
-    # hits ascend, so each state's first hit is its smallest
-    owner = np.searchsorted(actions.indptr, hits, side="right") - 1
-    first = np.ones(hits.size, dtype=bool)
-    first[1:] = owner[1:] != owner[:-1]
-    best = np.full(n, actions.n_sa, dtype=np.int64)
-    best[owner[first]] = hits[first]
-    return best
 
 
 # a solve's trace keeps its last TRACE_ROWS sweeps; n_iters counts them all
@@ -421,16 +451,15 @@ class SolveResult:
     n_evaluations: int = 0  # policies evaluated by policy iteration
 
 
-def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
-                 sa: np.ndarray, max_iters: int) -> tuple[np.ndarray, int]:
-    """Average-cost Howard policy iteration from the policy with rows sa.
+def _howard_bias(actions: ActionSpace, beta: float, ref: int,
+                 sa, max_iters: int) -> tuple[np.ndarray, int]:
+    """Average-cost Howard policy iteration from the policy sa = (r, wq).
 
-    Evaluates each policy by one bias-gain LU of its chain actions.chain(sa)
-    and improves on y = c + E[h(next)]. A state keeps its incumbent row
-    wherever that row is within rounding of the segment minimum (the
-    anti-cycling rule of Puterman 1994, sec. 8.6); elsewhere it takes the
-    smallest minimizing row.
-    Stops when the rows repeat, after max_iters evaluations, or at the first
+    Evaluates each policy by one bias-gain LU of its chain and improves on
+    y = q + beta * grid + E[h(next)], keeping the incumbent action wherever
+    its y is within rounding of the state's minimum (the anti-cycling rule
+    of Puterman 1994, sec. 8.6), else the smallest minimizing (r, w). Stops
+    when the policy repeats, after max_iters evaluations, or at the first
     multichain policy, which has no single gain. Returns the bias of the
     last unichain policy evaluated (zeros if none) and the number of
     evaluations. At reference state 0 each step takes its LU from
@@ -438,20 +467,24 @@ def _howard_bias(actions: ActionSpace, c: np.ndarray, ref: int,
     step) and leaves the LU it factorises there, where the next solve and
     evaluate_policy find it.
     """
-    h = np.zeros(actions.indptr.size - 1)
+    queue = actions.model.space.iq
+    h = np.zeros(queue.size)
     n_eval = 0
     for _ in range(max_iters):
-        _, lu, _ = _chain_lu(actions, [(1.0, sa)], ref)
+        post = actions.post_index(*sa)
+        _, lu, _ = _chain_lu(actions, [(1.0, post)], ref)
         if lu is None:
             break
-        x = lu.solve(c[sa])
+        c = queue + beta * actions.grid(*sa)
+        x = lu.solve(c)
         h = x - x[ref]
         n_eval += 1
-        y = actions.expected_next(h)
+        table = actions.next_values(h)
+        mins, greedy = actions.backup(table, beta, tie_tol=0.0)
+        y = table[post]
         y += c
-        mins = _segment_min(y, actions.indptr)
-        keep = y[sa] <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
-        better = np.where(keep, sa, _greedy_sa(y, mins, actions, tie_tol=0.0))
+        keep = y <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
+        better = np.where(keep, sa, greedy)
         if np.array_equal(better, sa):
             break
         sa = better
@@ -463,8 +496,8 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
                              start: TablePolicy | None = None) -> SolveResult:
     """Long-run average-cost solve; returns gain, bias values and greedy policy.
 
-    Howard policy iteration (from the greedy rows of the one-step costs, or
-    from the table policy start) runs until its rows repeat, for at most
+    Howard policy iteration (from the greedy actions of the one-step costs,
+    or from the table policy start) runs until its policy repeats, for at most
     cfg.max_iters evaluations; value iteration on the damped operator
     (1-kappa) V + kappa T V then starts from that policy's bias, divided by
     kappa since that is the lazy chain's bias, and sweeps with span-seminorm
@@ -497,31 +530,21 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     if not 0 <= ref < n:
         raise ValueError(f"reference_state {ref} out of range")
     kappa = cfg.kappa
-    c = actions.cost(cfg.beta)
-    counts = np.diff(actions.indptr)
 
-    def damped_backup(v):
-        # c + kappa E[v(next)] + (1 - kappa) v, row by row, in place
-        y = actions.expected_next(v)
-        y *= kappa
-        y += c
-        t = np.repeat(v, counts)
-        t *= 1.0 - kappa
-        y += t
-        return y
+    def damped_backup(v, tie_tol=None):
+        # c + kappa E[v(next)] + (1 - kappa) v
+        return actions.backup(actions.next_values(v), cfg.beta, kappa,
+                              extra=(1.0 - kappa) * v, tie_tol=tie_tol)
 
-    if start is None:
-        sa = _greedy_sa(c, _segment_min(c, actions.indptr), actions, tie_tol=0.0)
-    else:
-        sa = actions.sa_of_policy(start)
-    h, n_eval = _howard_bias(actions, c, ref, sa, cfg.max_iters)
+    sa = (actions.backup(actions.next_values(np.zeros(n)), cfg.beta, tie_tol=0.0)[1]
+          if start is None else actions.sa_of_policy(start))
+    h, n_eval = _howard_bias(actions, cfg.beta, ref, sa, cfg.max_iters)
 
     v = h / kappa
     trace = deque(maxlen=TRACE_ROWS)
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
-        y = damped_backup(v)
-        mins = _segment_min(y, actions.indptr)
+        mins, _ = damped_backup(v)
         d = mins - v
         lo, hi = float(d.min()), float(d.max())
         span = hi - lo
@@ -534,9 +557,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    y = damped_backup(v)
-    mins = _segment_min(y, actions.indptr)
-    sa = _greedy_sa(y, mins, actions, tie_tol=10.0 * cfg.epsilon)
+    mins, sa = damped_backup(v, tie_tol=10.0 * cfg.epsilon)
     d = mins - v
     lo, hi = float(d.min()), float(d.max())
     gain = 0.5 * (lo + hi)
@@ -552,14 +573,9 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
 
 
 def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
-                      alpha: float,
-                      tie_tol: float = GREEDY_TIE_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """One discounted Bellman sweep; returns (new values, greedy sa rows)."""
-    y = actions.expected_next(values)
-    y *= alpha
-    y += actions.cost(beta)
-    mins = _segment_min(y, actions.indptr)
-    return mins, _greedy_sa(y, mins, actions, tie_tol=tie_tol)
+                      alpha: float, tie_tol: float = GREEDY_TIE_TOL):
+    """One discounted Bellman sweep; returns (new values, greedy (r, wq))."""
+    return actions.backup(actions.next_values(values), beta, alpha, tie_tol=tie_tol)
 
 
 def _howard_values(actions: ActionSpace, beta: float, alpha: float,
@@ -569,13 +585,13 @@ def _howard_values(actions: ActionSpace, beta: float, alpha: float,
 
     Starts from the greedy policy of V=0, evaluates each policy exactly by
     one sparse LU of (I - alpha P_pi) v = c_pi and improves greedily until
-    the greedy rows repeat, for at most max_iters evaluations.
+    the greedy policy repeats, for at most max_iters evaluations.
     """
-    n = actions.indptr.size - 1
-    c = actions.cost(beta)
-    _, sa = discounted_backup(actions, np.zeros(n), beta, alpha, tie_tol=0.0)
+    queue = actions.model.space.iq
+    _, sa = discounted_backup(actions, np.zeros(queue.size), beta, alpha, tie_tol=0.0)
     for n_eval in range(1, max_iters + 1):
-        v = splu(_identity_minus(actions.chain(sa), alpha)).solve(c[sa])
+        P = actions.chain(actions.post_index(*sa))
+        v = splu(_identity_minus(P, alpha)).solve(queue + beta * actions.grid(*sa))
         actions.n_factorised += 1
         _, greedy = discounted_backup(actions, v, beta, alpha, tie_tol=0.0)
         if np.array_equal(greedy, sa):
@@ -608,7 +624,7 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     resid = np.inf
     trace = deque(maxlen=TRACE_ROWS)
     for it in range(1, cfg.max_iters + 1):
-        mins, _ = discounted_backup(actions, v, cfg.beta, alpha)
+        mins, _ = actions.backup(actions.next_values(v), cfg.beta, alpha)
         resid = float(np.max(np.abs(mins - v)))
         trace.append((it, resid))
         v = mins
@@ -632,20 +648,15 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
 # exact policy evaluation
 
 
-def policy_chain(policy, actions: ActionSpace):
-    """Chain a fixed stationary policy induces: its sparse matrix P, and a map
-    from a per-(state, action) array to the policy's per-state array.
+def policy_chain(policy, actions: ActionSpace) -> sp.csr_matrix:
+    """Sparse chain P a fixed stationary policy induces.
 
-    Mixed policies marginalize the per-epoch coin into the chain and costs
-    (xi*P+ + (1-xi)*P-), which equals the product chain of (state, coin)
-    exactly since the coin is i.i.d.
+    Mixed policies marginalize the per-epoch coin into the chain (xi*P+ +
+    (1-xi)*P-), which equals the product chain of (state, coin) exactly since
+    the coin is i.i.d.
     """
     terms = _policy_terms(policy, actions)
-
-    def per_state(per_sa):
-        return sum(w * per_sa[sa] for w, sa in terms)
-
-    return _terms_chain(terms, actions), per_state
+    return _terms_chain([(w, actions.post_index(*sa)) for w, sa in terms], actions)
 
 
 # The rows of a chain sum to one only within the spacing of floats at 1, so a
@@ -656,7 +667,7 @@ MIX_WEIGHT_ROUNDING = float(np.finfo(float).eps)
 
 
 def _policy_terms(policy, actions: ActionSpace) -> list:
-    """(weight, rows) of each table policy a stationary policy plays. A
+    """(weight, (r, wq)) of each table policy a stationary policy plays. A
     mixture plays only its other policy where one weight is at or below
     MIX_WEIGHT_ROUNDING (both policies are still checked for feasibility)."""
     if not isinstance(policy, MixedPolicy):
@@ -672,22 +683,22 @@ def _policy_terms(policy, actions: ActionSpace) -> list:
 
 
 def _terms_chain(terms, actions: ActionSpace) -> sp.csr_matrix:
-    if len(terms) == 1:  # weight 1: the chain of the rows itself
+    if len(terms) == 1:  # weight 1: the policy's own chain
         return actions.chain(terms[0][1])
-    P = sum(w * actions.chain(sa) for w, sa in terms).tocsr()
+    P = sum(w * actions.chain(post) for w, post in terms).tocsr()
     P.eliminate_zeros()
     return P
 
 
 def _chain_lu(actions: ActionSpace, terms, ref: int = 0):
-    """(P, lu, reused): the chain the (weight, rows) terms play, its
-    bias-gain LU at reference state ref, and whether that LU was
+    """(P, lu, reused): the chain the (weight, post-decision indices) terms
+    play, its bias-gain LU at reference state ref, and whether that LU was
     actions.last_lu. At ref 0 a chain whose key matches the stored one is
     neither built nor checked again; any other is built, checked and, when
     unichain, factorised (counted in actions.n_factorised) and stored in
     place of the last. lu is None when P is not unichain.
     """
-    key = tuple((w, actions.post_sa[sa].tobytes()) for w, sa in terms)
+    key = tuple((w, post.tobytes()) for w, post in terms)
     memo = actions.last_lu
     if ref == 0 and memo is not None and memo[2] == key:
         return memo[0], memo[1], True
@@ -772,16 +783,12 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
                               f"multichain in floating point") from exc
 
 
-def stationary_distribution(P: sp.csr_matrix, lu=None) -> np.ndarray:
-    """Stationary law of a unichain P from the transpose solve of its
-    bias-gain LU at reference state 0: lu when given (evaluate_policy passes
-    the one _chain_lu found or made), else _bias_gain_lu(P, 0). Either way
-    the residual |pi P - pi| is checked against P."""
-    n = P.shape[0]
-    e = np.zeros(n)
+def stationary_distribution(P: sp.csr_matrix, lu) -> np.ndarray:
+    """Stationary law of a unichain P from the transpose solve of lu, its
+    bias-gain LU at reference state 0 (evaluate_policy passes the one
+    _chain_lu found or made); the residual |pi P - pi| is checked against P."""
+    e = np.zeros(P.shape[0])
     e[0] = 1.0
-    if lu is None:
-        lu = _bias_gain_lu(P, 0)
     pi = lu.solve(e, trans="T")
     pi = np.where(pi < 0, 0.0, pi)
     pi = pi / pi.sum()
@@ -798,8 +805,8 @@ def evaluate_policy(policy, beta: float, model: Model,
     raises MultichainError unless its chain is unichain.
 
     The per-slot quantities (queue, grid power, overflow, spill) are worked
-    out at the policy's own rows only, n values per mixture term
-    (ActionSpace.row_terms). The LU comes from actions.last_lu when that is
+    out at the policy's own actions only, n values per mixture term
+    (ActionSpace.terms). The LU comes from actions.last_lu when that is
     the same chain's, whoever factorised it (policy iteration's last step,
     an earlier evaluation, a mixture iterate): the same P gives the same
     matrix A and so the same stationary law, bit for bit, and P was checked
@@ -814,15 +821,15 @@ def evaluate_policy(policy, beta: float, model: Model,
     if actions is None:
         actions = build_action_space(model)
     terms = _policy_terms(policy, actions)
-    P, lu, reused = _chain_lu(actions, terms)
+    P, lu, reused = _chain_lu(actions, [(w, actions.post_index(*sa)) for w, sa in terms])
     if lu is None:
         raise MultichainError(
             f"induced chain has {recurrent_classes(P)[1]} recurrent classes")
     pi = stationary_distribution(P, lu)
 
-    at_rows = [actions.row_terms(sa) for _, sa in terms]
+    at = [actions.terms(*sa) for _, sa in terms]
     b, k, overflow, spill = (
-        float(pi @ sum(w * x[i] for (w, _), x in zip(terms, at_rows)))
+        float(pi @ sum(w * x[i] for (w, _), x in zip(terms, at)))
         for i in range(4))
     return PolicyEvaluation(gain_j=b + beta * k, mean_queue_b=b, mean_grid_k=k,
                             stationary_dist=pi, beta=beta, overflow_rate=overflow,
@@ -846,22 +853,24 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
                       actions: ActionSpace | None = None) -> OracleResult:
     """Enumerate every stationary deterministic policy and keep the best.
 
-    Iteration order is lexicographic in the per-state action index, and only a
-    strictly better gain displaces the incumbent, so ties resolve to the
-    lexicographically smallest policy — the same tie-break the solvers use.
+    Iteration order is lexicographic in the per-state actions, each state's
+    in (r, w) order, and only a strictly better gain displaces the
+    incumbent, so ties resolve to the lexicographically smallest policy --
+    the same tie-break the solvers use.
     """
     if actions is None:
         actions = build_action_space(model)
-    n = model.space.n_states
-    counts = np.diff(actions.indptr)
-    total = 1
-    for m in counts:
-        total *= int(m)
-        if total > cap:
-            raise InstanceTooLargeError(
-                f"policy count exceeds cap {cap}")
+    space = model.space
+    n = space.n_states
+    options = []
+    for s in range(n):
+        r = np.arange(space.iq[s] + 1)
+        lo, hi = actions.window(r, np.full(r.size, s))
+        options.append([(ri, w) for ri, a, b in zip(r.tolist(), lo.tolist(), hi.tolist())
+                        for w in range(a, b + 1)])
+    if math.prod(map(len, options)) > cap:
+        raise InstanceTooLargeError(f"policy count exceeds cap {cap}")
 
-    cost = actions.cost(beta)
     eye = np.eye(n)
     rhs = np.zeros(n)
     rhs[-1] = 1.0
@@ -869,10 +878,9 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
     best_sa = None
     skipped = 0
     n_eval = 0
-    base = actions.indptr[:-1]
-    for combo in itertools.product(*[range(int(m)) for m in counts]):
-        sa = base + np.asarray(combo)
-        P = actions.chain(sa)
+    for combo in itertools.product(*options):
+        sa = np.array(combo).T
+        P = actions.chain(actions.post_index(*sa))
         if recurrent_classes(P)[1] != 1:
             skipped += 1
             continue
@@ -880,10 +888,10 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
         A[-1, :] = 1.0
         piv = np.linalg.solve(A, rhs)
         n_eval += 1
-        g = float(piv @ cost[sa])
+        g = float(piv @ (space.iq + beta * actions.grid(*sa)))
         if g < best_gain:
             best_gain = g
-            best_sa = sa.copy()
+            best_sa = sa
     if best_sa is None:
         raise MultichainError("every enumerated policy was multichain")
     policy = actions.policy_from_sa(best_sa)

@@ -85,7 +85,7 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
     name = "no-overflow-waste"
     space = model.space
     actions = actions if actions is not None else build_action_space(model)
-    P, _ = policy_chain(policy, actions)
+    P = policy_chain(policy, actions)
     rec = np.flatnonzero(recurrent_classes(P)[0])
     ib = space.ib[rec]
     eq = space.harvest_quanta[space.ie[rec]]
@@ -589,17 +589,10 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     params = model.params
     actions = actions if actions is not None else build_action_space(model)
 
-    cap = draw_cap_table(params, space.h_values)
-
-    def greedy_draws(policy):
-        if not model.restrict_w_to_power:
-            return space.ib
-        return np.minimum(space.ib, cap[space.ih, policy.r])
-
     full = relative_value_iteration(
         SolverConfig(beta=beta_large, epsilon=epsilon, kappa=kappa), model,
         actions=actions)
-    caps = greedy_draws(full.policy)
+    _, caps = actions.window(full.policy.r)  # the greedy draws
     non_greedy = full.policy.w_quanta != caps
     reduced = solve_reduced_rate_mdp(beta_large, model, epsilon=epsilon)
     gain_gap = abs(full.gain - reduced.gain)
@@ -607,7 +600,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     small = relative_value_iteration(
         SolverConfig(beta=beta_small, epsilon=epsilon, kappa=kappa), model,
         actions=actions)
-    caps_small = greedy_draws(small.policy)
+    _, caps_small = actions.window(small.policy.r)
     held_back = (small.policy.w_quanta < caps_small) & (space.ib > 0)
     sample = None
     if held_back.any():

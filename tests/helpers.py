@@ -12,13 +12,10 @@ from scipy.sparse.csgraph import connected_components
 from ehsched.heuristics import conservative_rate_table
 from ehsched.io import _jsonable, format_float
 from ehsched.mdp import (
-    ActionSpace,
     NonConvergenceError,
     SolveResult,
     TablePolicy,
     ValueTable,
-    _greedy_sa,
-    _segment_min,
     build_action_space,
     evaluate_policy,
     exogenous_chain,
@@ -176,9 +173,9 @@ def assert_policies_equivalent(pol_a, pol_b, beta, model, actions=None, tol=1e-6
             f"{ev_h.gain_j - ev_a.gain_j:.3e}")
 
 
-# what an ActionSpace row keeps, and its dtype
-ROW_ARRAYS = {"post_sa": np.intp, "r_sa": np.int32, "wq_sa": np.int32,
-              "grid_sa": np.float64}
+# the arrays an ActionSpace keeps per (state, rate) pair, and their dtypes
+PAIR_ARRAYS = {"pair_lo": np.int32, "pair_post": np.intp, "pair_top": np.intp,
+               "pair_p0": np.float64, "pair_q": np.float64, "_by_state": np.intp}
 
 
 def assert_same_csr(got, want):
@@ -190,36 +187,61 @@ def assert_same_csr(got, want):
         np.testing.assert_array_equal(a, b, err_msg=name)
 
 
+def expand_rows(actions):
+    """The draw windows of actions expanded into the loop oracle's rows:
+    (indptr, state, r, wq), one entry per (state, rate, draw) action in
+    (state, rate, draw) order. Pairs are (state, rate) for rates 0..q per
+    state; each pair's first draw is read at its walk position, and its
+    window length from n_offering (the pairs offering offset k are the
+    first n_offering[k] in the walk), so the expansion checks the walk order
+    too."""
+    space = actions.model.space
+    n_rates = space.iq + 1
+    state = np.repeat(np.arange(space.n_states), n_rates)
+    r = np.arange(state.size) - np.repeat(np.cumsum(n_rates) - n_rates, n_rates)
+    length = np.zeros(state.size, dtype=np.int64)
+    for m in actions.n_offering:
+        length[:m] += 1
+    at = actions._by_state
+    lo, length = actions.pair_lo[at].astype(np.int64), length[at]
+    first = np.cumsum(length) - length
+    wq = np.repeat(lo, length) + np.arange(int(length.sum())) - np.repeat(first, length)
+    state, r = np.repeat(state, length), np.repeat(r, length)
+    counts = np.bincount(state, minlength=space.n_states)
+    return np.concatenate(([0], np.cumsum(counts))), state, r, wq
+
+
 def assert_same_action_space(got, want):
-    """got's rows equal the loop oracle's (want must be one): indptr, dtype
-    too; each kept row array by value, in its own narrow dtype; the row
-    quantities derived from the states bit for bit against the oracle's full
-    arrays; and the chain of all of got's rows equal to the oracle's
-    kernel."""
+    """got's actions equal the loop oracle's rows (want must be one): each
+    pair array in its own dtype; the windows, expanded into rows, equal the
+    oracle's rows in order; the per-action quantities bit for bit against
+    the oracle's full arrays; the post-decision indices; and the chain of
+    all of got's actions equal to the oracle's kernel."""
+    for name, dtype in PAIR_ARRAYS.items():
+        assert getattr(got, name).dtype == dtype, name
     assert got.n_sa == want.n_sa
-    assert got.indptr.dtype == want.indptr.dtype
-    np.testing.assert_array_equal(got.indptr, want.indptr)
-    for name, dtype in ROW_ARRAYS.items():
-        a = getattr(got, name)
-        assert a.dtype == dtype, name
-        np.testing.assert_array_equal(a, getattr(want, name), err_msg=name)
-    rows = np.arange(got.n_sa)
+    indptr, state, r, wq = expand_rows(got)
+    np.testing.assert_array_equal(indptr, want.indptr)
+    np.testing.assert_array_equal(r, want.r_sa)
+    np.testing.assert_array_equal(wq, want.wq_sa)
+    np.testing.assert_array_equal(got.post_index(r, wq, state), want.post_sa)
     for name, a in zip(("queue_sa", "grid_sa", "overflow_sa", "spill_sa"),
-                       got.row_terms(rows)):
+                       got.terms(r, wq, state)):
         b = getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert_same_csr(got.chain(rows), want.kernel)
+    assert_same_csr(got.chain(got.post_index(r, wq, state)), want.kernel)
 
 
-def oracle_kernel(actions):
-    """The loop oracle's materialised one-step kernel over the rows of
-    actions, which must be the full enumeration of its model."""
+def matching_oracle(actions):
+    """The loop oracle of actions' model, checked to hold the same rows as
+    actions' expanded windows, which must be the full enumeration."""
     oracle = loop_action_space(actions.model)
-    np.testing.assert_array_equal(oracle.indptr, actions.indptr)
-    np.testing.assert_array_equal(oracle.r_sa, actions.r_sa)
-    np.testing.assert_array_equal(oracle.wq_sa, actions.wq_sa)
-    return oracle.kernel
+    indptr, _, r, wq = expand_rows(actions)
+    np.testing.assert_array_equal(oracle.indptr, indptr)
+    np.testing.assert_array_equal(oracle.r_sa, r)
+    np.testing.assert_array_equal(oracle.wq_sa, wq)
+    return oracle
 
 
 def transition_kernel(x: SystemState, act: Action, model: Model):
@@ -336,6 +358,23 @@ def per_state_gains(P, c):
     return Q @ c
 
 
+def row_min(y, indptr):
+    """Reference per-state minimum of the per-row values y."""
+    return np.minimum.reduceat(y, indptr[:-1])
+
+
+def first_hit(y, mins, oracle, tie_tol):
+    """Reference tie-canonical extraction: each state's first row, in (r, w)
+    order, with y <= mins + tie_tol + 1e-12 |mins|, as (r, wq) tables."""
+    tol = tie_tol + 1e-12 * np.abs(mins)
+    n = oracle.indptr.size - 1
+    rows = np.empty(n, dtype=np.int64)
+    for s in range(n):
+        lo, hi = oracle.indptr[s], oracle.indptr[s + 1]
+        rows[s] = lo + np.flatnonzero(y[lo:hi] <= mins[s] + tol[s])[0]
+    return oracle.r_sa[rows], oracle.wq_sa[rows]
+
+
 def cold_discounted_value_iteration(cfg, model, actions=None):
     """Reference discounted solve: Bellman sweeps on the loop oracle's
     kernel from V=0 to the residual epsilon*(1-alpha)/(2*alpha), then the
@@ -344,11 +383,12 @@ def cold_discounted_value_iteration(cfg, model, actions=None):
         actions = build_action_space(model)
     alpha = cfg.alpha
     threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
-    c = actions.cost(cfg.beta)
-    K = oracle_kernel(actions)
+    oracle = matching_oracle(actions)
+    c = oracle.queue_sa + cfg.beta * oracle.grid_sa
+    K = oracle.kernel
     v = np.zeros(model.space.n_states)
     for it in range(1, cfg.max_iters + 1):
-        mins = _segment_min(c + alpha * (K @ v), actions.indptr)
+        mins = row_min(c + alpha * (K @ v), oracle.indptr)
         resid = float(np.max(np.abs(mins - v)))
         v = mins
         if resid < threshold:
@@ -356,8 +396,7 @@ def cold_discounted_value_iteration(cfg, model, actions=None):
     else:
         raise AssertionError(f"no convergence in {cfg.max_iters} sweeps")
     y = c + alpha * (K @ v)
-    sa = _greedy_sa(y, _segment_min(y, actions.indptr), actions,
-                    tie_tol=10.0 * cfg.epsilon)
+    sa = first_hit(y, row_min(y, oracle.indptr), oracle, 10.0 * cfg.epsilon)
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
                        policy=actions.policy_from_sa(sa), n_iters=it,
@@ -371,15 +410,16 @@ def cold_relative_value_iteration(cfg, model, actions=None):
     if actions is None:
         actions = build_action_space(model)
     ref, kappa = cfg.reference_state, cfg.kappa
-    c = actions.cost(cfg.beta)
-    K = oracle_kernel(actions)
-    owner = np.repeat(np.arange(model.space.n_states), np.diff(actions.indptr))
+    oracle = matching_oracle(actions)
+    c = oracle.queue_sa + cfg.beta * oracle.grid_sa
+    K = oracle.kernel
+    owner = oracle.state_of_sa
 
     v = np.zeros(model.space.n_states)
     trace = []
     for it in range(1, cfg.max_iters + 1):
         y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
-        mins = _segment_min(y, actions.indptr)
+        mins = row_min(y, oracle.indptr)
         d = mins - v
         lo, hi = float(d.min()), float(d.max())
         span = hi - lo
@@ -391,8 +431,8 @@ def cold_relative_value_iteration(cfg, model, actions=None):
         raise NonConvergenceError(f"no convergence in {cfg.max_iters} sweeps",
                                   residual=span)
     y = c + kappa * (K @ v) + (1.0 - kappa) * v[owner]
-    mins = _segment_min(y, actions.indptr)
-    sa = _greedy_sa(y, mins, actions, tie_tol=10.0 * cfg.epsilon)
+    mins = row_min(y, oracle.indptr)
+    sa = first_hit(y, mins, oracle, 10.0 * cfg.epsilon)
     d = mins - v
     lo, hi = float(d.min()), float(d.max())
     bias = ValueTable(values=kappa * (v - v[ref]), kind="relative-bias",
@@ -403,16 +443,15 @@ def cold_relative_value_iteration(cfg, model, actions=None):
                        actions=actions)
 
 
-class _LoopActionSpace(ActionSpace):
+class _LoopActionSpace:
     """Reference state-action builder: one Python pass per state, rate and
-    draw, appending each pair's post-decision index and its materialised
+    draw, appending each row's post-decision index and its materialised
     kernel row. It keeps every per-row array in full and in int64/float64
-    (the owning state, the queue cost, the clamp losses), as the reference
-    for what ActionSpace derives from the states. rates_of(s) and
-    draws_of(s, r), when given, replace the rates 0..q and the draws
-    0..cap."""
+    (the owning state, the rate and draw, the queue cost, the grid power,
+    the clamp losses), as the reference for the actions ActionSpace's draw
+    windows hold. draws_of(s, r), when given, replaces the draws 0..cap."""
 
-    def __init__(self, model: Model, rates_of=None, draws_of=None):
+    def __init__(self, model: Model, draws_of=None):
         space = model.space
         params = model.params
         self.model = model
@@ -454,9 +493,8 @@ class _LoopActionSpace(ActionSpace):
             bcols = blocks_cols[ih, ia, ie]
             bprobs = blocks_probs[ih, ia, ie]
 
-            rates = range(iq + 1) if rates_of is None else rates_of(s)
             count = 0
-            for r in rates:
+            for r in range(iq + 1):
                 if draws_of is None:
                     cap = battery_draw_cap_quanta(params, h, r, ib,
                                                   model.restrict_w_to_power)
@@ -476,8 +514,6 @@ class _LoopActionSpace(ActionSpace):
                     nnz += bcols.size
                     kptr.append(nnz)
                     count += 1
-            if count == 0:
-                raise ValueError(f"state {s} has no feasible action")
             indptr[s + 1] = indptr[s] + count
 
         self.indptr = indptr
@@ -506,12 +542,13 @@ class _LoopActionSpace(ActionSpace):
         self.spill_sa = np.maximum(raw_b - (nb - 1), 0).astype(float) * params.delta_e
 
 
-def loop_action_space(model, rates_of=None, draws_of=None):
-    return _LoopActionSpace(model, rates_of=rates_of, draws_of=draws_of)
+def loop_action_space(model, draws_of=None):
+    return _LoopActionSpace(model, draws_of=draws_of)
 
 
 def loop_sa_of_policy(actions, policy):
-    """Reference row lookup: scan each state's segment for its stored action."""
+    """Reference row lookup in a loop oracle's rows: scan each state's
+    segment for its stored action."""
     n = actions.indptr.size - 1
     out = np.empty(n, dtype=np.int64)
     for s in range(n):

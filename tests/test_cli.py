@@ -4,9 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from ehsched import cli
+from ehsched import cli, mdp
 from ehsched.cli import main
-from ehsched.mdp import InstanceTooLargeError
 from ehsched.sim import PolicyDomainError
 
 DESK_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
@@ -194,12 +193,12 @@ def test_policy_domain_error_exits_two(tmp_path, monkeypatch):
 
 
 def test_instance_too_large_exits_two(tmp_path, monkeypatch):
-    def fail(*args, **kwargs):
-        raise InstanceTooLargeError("3000000000 state-action pairs exceed int32 rows")
-
-    monkeypatch.setattr(cli, "relative_value_iteration", fail)
+    # desk's 600 (state, rate) pairs over a lowered limit: the build raises
+    # before it makes any pair array
+    monkeypatch.setattr(mdp, "MAX_PAIR_BYTES", 1000)
     out = tmp_path / "run"
     assert run("solve", "--config", DESK_CONFIG, "--out", out) == 2
     err = read_json(out / "error.json")
-    assert err["error"] == "InstanceTooLargeError"
-    assert "int32 rows" in err["message"]
+    assert err == {"error": "InstanceTooLargeError",
+                   "message": f"600 (state, rate) pairs would take "
+                              f"{600 * mdp.PAIR_BYTES} bytes, over the limit of 1000"}

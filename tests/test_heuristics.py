@@ -155,16 +155,13 @@ def test_greedy_draw_beats_sampled_alternatives_for_fixed_rate_rule():
     beta = 1.0
     rate = np.minimum(space.iq, 1)
 
-    actions = build_action_space(m, keep=lambda s, r, wq: r == rate[s])
+    actions = build_action_space(m)
     greedy = TablePolicy.from_callable(
         lambda x: Action(min(x.q, 1), greedy_battery(x, min(x.q, 1), m.params)), m)
     g_greedy = evaluate_policy(greedy, beta, m, actions=actions).gain_j
 
     rng = np.random.default_rng(42)
-    caps = np.zeros(space.n_states, dtype=int)
-    for s in range(space.n_states):
-        lo, hi = actions.indptr[s], actions.indptr[s + 1]
-        caps[s] = int(actions.wq_sa[lo:hi].max())
+    _, caps = actions.window(rate)
     for _ in range(200):
         wq = rng.integers(0, caps + 1)
         pol = TablePolicy(r=rate.astype(np.int64), w_quanta=wq.astype(np.int64),

@@ -23,6 +23,7 @@ from ehsched.mdp import (
     discounted_value_iteration,
     evaluate_policy,
     policy_chain,
+    post_decision_values,
     recurrent_classes,
     relative_value_iteration,
 )
@@ -33,7 +34,6 @@ from ehsched.model import (
     ModelParams,
     SystemState,
     battery_draw_cap_quanta,
-    draw_cap_table,
     load_model,
 )
 
@@ -46,17 +46,21 @@ from helpers import (
     dense_stationary_distribution,
     desk_lite_model,
     desk_model,
+    PAIR_ARRAYS,
     assert_same_action_space,
+    expand_rows,
+    first_hit,
     gth_stationary_distribution,
     assert_same_csr,
     large_desk_model,
     loop_action_space,
     loop_sa_of_policy,
+    matching_oracle,
     nonzero_recurrent_classes,
-    oracle_kernel,
     per_state_gains,
     power_delay_model,
     random_model,
+    row_min,
     scipy_bias_gain_matrix,
     scipy_discount_matrix,
     tiny_models,
@@ -65,18 +69,21 @@ from helpers import (
 
 
 # ---------------------------------------------------------------------------
-# transition kernel: the single-pair oracle and the rows' chain
+# transition kernel: the single-pair oracle and the actions' chain
 
 def _chain_row(m, x, act):
-    """Successor indices and probabilities of the pair's row in chain()."""
+    """Successor indices and probabilities of the action's row in chain(),
+    None when the state's draw windows do not hold it."""
     actions = build_action_space(m)
-    s = m.space.index_of(x)
-    wq = int(round(act.w * m.params.tau / m.params.delta_e))
-    seg = np.arange(actions.indptr[s], actions.indptr[s + 1])
-    hit = seg[(actions.r_sa[seg] == act.r) & (actions.wq_sa[seg] == wq)]
-    if hit.size == 0:
+    s = np.array([m.space.index_of(x)])
+    r = np.array([act.r])
+    wq = np.array([int(round(act.w * m.params.tau / m.params.delta_e))])
+    if not 0 <= act.r <= x.q:
         return None
-    row = actions.chain(hit)
+    lo, cap = actions.window(r, s)
+    if not lo[0] <= wq[0] <= cap[0]:
+        return None
+    row = actions.chain(actions.post_index(r, wq, s))
     return row.indices, row.data
 
 
@@ -121,7 +128,7 @@ def test_kernel_rejects_infeasible_and_offgrid():
         transition_kernel(x, Action(1, 0.0), m)
     with pytest.raises(ValueError):
         transition_kernel(SystemState(1, 1.0, 1, 0.5, 0.5), Action(1, 0.3), m)
-    # the enumeration offers no row for the infeasible pair either
+    # the draw windows offer no action for the infeasible pair either
     assert _chain_row(m, x, Action(1, 0.0)) is None
 
 
@@ -130,14 +137,13 @@ def test_bulk_kernel_matches_single_pair_route():
     # they must produce identical rows
     m = desk_lite_model()
     actions = build_action_space(m)
+    _, state, r, wq = expand_rows(actions)
     rng = np.random.default_rng(7)
     picks = rng.choice(actions.n_sa, size=200, replace=False)
-    rows = actions.chain(picks)
+    rows = actions.chain(actions.post_index(r[picks], wq[picks], state[picks]))
     for k, sa in enumerate(picks):
-        s = int(np.searchsorted(actions.indptr, sa, side="right")) - 1
-        x = m.space.state_of(s)
-        act = Action(int(actions.r_sa[sa]),
-                     float(actions.wq_sa[sa]) * m.params.delta_e / m.params.tau)
+        x = m.space.state_of(int(state[sa]))
+        act = Action(int(r[sa]), float(wq[sa]) * m.params.delta_e / m.params.tau)
         idx, probs = transition_kernel(x, act, m)
         row = rows.getrow(k)
         assert np.array_equal(np.sort(row.indices), idx)
@@ -146,24 +152,27 @@ def test_bulk_kernel_matches_single_pair_route():
         np.testing.assert_allclose(row.toarray().ravel(), dense, atol=1e-15)
 
 
+def _chain_of_every_action(actions):
+    _, state, r, wq = expand_rows(actions)
+    return actions.chain(actions.post_index(r, wq, state))
+
+
 def test_kernel_rows_sum_to_one():
     for m in tiny_models() + [desk_lite_model()]:
-        actions = build_action_space(m)
-        sums = np.asarray(actions.chain(np.arange(actions.n_sa)).sum(axis=1)).ravel()
-        np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+        sums = _chain_of_every_action(build_action_space(m)).sum(axis=1)
+        np.testing.assert_allclose(np.asarray(sums).ravel(), 1.0, atol=1e-12)
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_kernel_rows_sum_to_one_random_models(seed):
     m = random_model(seed)
-    actions = build_action_space(m)
-    sums = np.asarray(actions.chain(np.arange(actions.n_sa)).sum(axis=1)).ravel()
-    np.testing.assert_allclose(sums, 1.0, atol=1e-12)
+    sums = _chain_of_every_action(build_action_space(m)).sum(axis=1)
+    np.testing.assert_allclose(np.asarray(sums).ravel(), 1.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
-# vectorised state-action build against the per-state loop
+# the pairs' draw windows against the per-state loop
 
 MIXED_BUDGET_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "mixed_budget.json"
 
@@ -184,59 +193,89 @@ def test_vectorised_build_matches_loop(make):
     assert_same_action_space(build_action_space(m), loop_action_space(m))
 
 
-def test_keep_filter_matches_loop_draws_of_and_rates_of():
-    m = desk_model()
+@pytest.mark.parametrize("restrict", [True, False])
+def test_greedy_draw_matches_loop_draws_of(restrict):
+    # the reduced solve's one-draw windows hold the greedy draw, capped by
+    # the rate's power on every model
+    m = desk_model(restrict=restrict)
     space = m.space
-    cap = draw_cap_table(m.params, space.h_values)
 
     def greedy_draws(s, r):
         h = float(space.h_values[space.ih[s]])
         return (battery_draw_cap_quanta(m.params, h, r, int(space.ib[s])),)
 
-    def greedy_keep(state, r, wq):
-        return wq == np.minimum(space.ib[state], cap[space.ih[state], r])
-
-    assert_same_action_space(build_action_space(m, keep=greedy_keep),
-                             loop_action_space(m, draws_of=greedy_draws))
-    rate = np.minimum(space.iq, 1)
-    assert_same_action_space(
-        build_action_space(m, keep=lambda state, r, wq: r == rate[state]),
-        loop_action_space(m, rates_of=lambda s: (int(rate[s]),)))
-
-
-def test_keep_filter_that_empties_a_state_raises():
-    m = desk_lite_model()
-    with pytest.raises(ValueError, match="^state 0 has no feasible action$"):
-        build_action_space(m, keep=lambda state, r, wq: r > 0)
+    actions = build_action_space(m, greedy_draw=True)
+    assert_same_action_space(actions, loop_action_space(m, draws_of=greedy_draws))
+    assert actions.n_offering.tolist() == [actions.pair_q.size]
+    assert (actions.pair_lo > 0).any()
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.booleans(), st.floats(-1e6, 1e6))
 def test_expected_next_matches_oracle_kernel_random_models(seed, restrict, scale):
+    # the post-decision table at every action's post-decision index is the
+    # oracle kernel's expectation
     m = replace(random_model(seed), restrict_w_to_power=restrict)
     actions = build_action_space(m)
     v = scale * np.random.default_rng(seed).standard_normal(m.space.n_states)
     want = loop_action_space(m).kernel @ v
+    _, state, r, wq = expand_rows(actions)
+    got = actions.next_values(v)[actions.post_index(r, wq, state)]
     tol = 1e-14 * max(1.0, float(np.abs(v).max()))
-    np.testing.assert_allclose(actions.expected_next(v), want, rtol=0, atol=tol)
+    np.testing.assert_allclose(got, want, rtol=0, atol=tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.booleans(),
+       st.sampled_from(["random", "zeros", "small-int"]),
+       st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+       st.sampled_from([0.0, 1e-8, 0.3]), st.booleans())
+@example(seed=0, restrict=True, kind="zeros", beta=0.0, tie_tol=0.0, damped=False)
+def test_backup_matches_loop_oracle_row_min_and_first_hit(seed, restrict, kind,
+                                                          beta, tie_tol, damped):
+    # the walk over draw offsets gives the oracle rows' minimum and first
+    # hit in (r, w) order, bit for bit, also where many draws tie (V = 0 at
+    # beta 0 makes every draw of a rate tie, small integers make ties
+    # common) and with the damped solve's per-state term
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    actions = build_action_space(m)
+    oracle = loop_action_space(m)
+    rng = np.random.default_rng(seed)
+    n = m.space.n_states
+    v = {"random": rng.standard_normal(n), "zeros": np.zeros(n),
+         "small-int": rng.integers(-2, 3, n).astype(float)}[kind]
+    scale, extra = (0.5, 0.5 * v) if damped else (0.9, None)
+    table = post_decision_values(v, m.space, actions.exogenous).ravel()
+    y = table[oracle.post_sa] * scale + (oracle.queue_sa + beta * oracle.grid_sa)
+    if extra is not None:
+        y += extra[oracle.state_of_sa]
+    want_mins = row_min(y, oracle.indptr)
+    mins, (r, wq) = actions.backup(table, beta, scale, extra=extra, tie_tol=tie_tol)
+    np.testing.assert_array_equal(mins, want_mins)
+    want_r, want_wq = first_hit(y, want_mins, oracle, tie_tol)
+    np.testing.assert_array_equal(r, want_r)
+    np.testing.assert_array_equal(wq, want_wq)
+    assert actions.backup(table, beta, scale, extra=extra)[1] is None
 
 
 def test_action_space_stores_no_successor_lists():
-    # the expectation is a contraction plus one index per row: no sparse
-    # matrix and no array longer than the rows (or the exogenous chain)
+    # the expectation is a contraction plus one index per action: no sparse
+    # matrix and no array longer than the pairs (or the exogenous chain)
     m = large_desk_model()
     actions = build_action_space(m)
     n_ex = m.space.nh * m.space.na * m.space.ne
+    n_pairs = actions.pair_q.size
+    assert n_pairs < actions.n_sa
     for name, value in vars(actions).items():
         assert not hasattr(value, "indptr"), name
         if isinstance(value, np.ndarray):
-            assert value.size <= max(actions.n_sa + 1, n_ex * n_ex), name
+            assert value.size <= max(n_pairs + 1, n_ex * n_ex), name
 
 
-def test_action_space_keeps_24_bytes_per_row():
-    # four row arrays (intp post index, int32 rate and draw, float64 grid
-    # power). Build, solve and evaluate together peak at 10.9 MB here; with
-    # nine 8-byte row arrays the build alone peaked at 26 MB.
+def test_action_space_keeps_pair_arrays_only():
+    # six pair arrays, PAIR_BYTES a pair: 1.06 MB for the 24,000 pairs
+    # (185,724 actions) here. Build, solve and evaluate together peak at
+    # 4.5-4.8 MB (11.0 MB with one row per action).
     m = large_desk_model()
     tracemalloc.start()
     try:
@@ -246,11 +285,30 @@ def test_action_space_keeps_24_bytes_per_row():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 14e6
+    assert peak <= 6e6
+    n_pairs = actions.pair_q.size
     arrays = {k: v for k, v in vars(actions).items() if isinstance(v, np.ndarray)}
-    per_row = {k for k, v in arrays.items() if v.size == actions.n_sa}
-    assert per_row == {"post_sa", "r_sa", "wq_sa", "grid_sa"}
-    assert sum(arrays[k].nbytes for k in per_row) <= 24 * actions.n_sa
+    per_pair = {k for k, v in arrays.items() if v.size == n_pairs}
+    assert per_pair == set(PAIR_ARRAYS)
+    assert sum(arrays[k].nbytes for k in per_pair) == mdp.PAIR_BYTES * n_pairs
+
+
+def test_too_many_pairs_raise_before_any_pair_array_exists(monkeypatch):
+    m = large_desk_model()
+    n_pairs = int((m.space.iq + 1).sum())
+    monkeypatch.setattr(mdp, "MAX_PAIR_BYTES", mdp.PAIR_BYTES * n_pairs - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InstanceTooLargeError,
+                           match=f"^{n_pairs} .* {mdp.PAIR_BYTES * n_pairs} bytes"):
+            build_action_space(m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # less than one 8-byte pair array: only state-sized arrays were made
+    assert peak < 8 * n_pairs
+    monkeypatch.setattr(mdp, "MAX_PAIR_BYTES", mdp.PAIR_BYTES * n_pairs)
+    assert build_action_space(m).pair_q.size == n_pairs
 
 
 @settings(max_examples=30, deadline=None)
@@ -258,8 +316,16 @@ def test_action_space_keeps_24_bytes_per_row():
 def test_cost_matches_loop_oracle_random_models(seed, restrict, beta):
     m = replace(random_model(seed), restrict_w_to_power=restrict)
     oracle = loop_action_space(m)
-    np.testing.assert_array_equal(build_action_space(m).cost(beta),
+    actions = build_action_space(m)
+    _, state, r, wq = expand_rows(actions)
+    queue, grid, _, _ = actions.terms(r, wq, state)
+    np.testing.assert_array_equal(queue + beta * grid,
                                   oracle.queue_sa + beta * oracle.grid_sa)
+
+
+def _oracle_rows(oracle, sa):
+    r, wq = sa
+    return loop_sa_of_policy(oracle, TablePolicy(r=r, w_quanta=wq, delta_e=1.0, tau=1.0))
 
 
 def _assert_row_averages_match_oracle(m, actions, oracle, policy, beta):
@@ -269,12 +335,12 @@ def _assert_row_averages_match_oracle(m, actions, oracle, policy, beta):
         ev = evaluate_policy(policy, beta, m, actions=actions)
     except MultichainError:
         return
-    terms = mdp._policy_terms(policy, actions)
+    terms = [(w, _oracle_rows(oracle, sa)) for w, sa in mdp._policy_terms(policy, actions)]
     for got, name in ((ev.mean_queue_b, "queue_sa"), (ev.mean_grid_k, "grid_sa"),
                       (ev.overflow_rate, "overflow_sa"),
                       (ev.battery_spill_rate, "spill_sa")):
         per_sa = getattr(oracle, name)
-        want = float(ev.stationary_dist @ sum(w * per_sa[sa] for w, sa in terms))
+        want = float(ev.stationary_dist @ sum(w * per_sa[rows] for w, rows in terms))
         assert got == want, name
 
 
@@ -305,30 +371,32 @@ def test_evaluate_row_averages_match_loop_oracle_desk():
 
 
 def test_policy_chains_are_the_rows_chain():
-    # policy_chain and the discounted policy iteration's direct chain(sa),
-    # c[sa] give the same P and costs, bit for bit, mixtures included
+    # policy_chain, the discounted policy iteration's direct chain of the
+    # post-decision indices and the per-state terms give the oracle rows' P
+    # and costs, bit for bit, mixtures included
     m = desk_model()
     actions = build_action_space(m)
+    oracle = matching_oracle(actions)
+    K = oracle.kernel
+    c = oracle.queue_sa + 1.3 * oracle.grid_sa
     rng = np.random.default_rng(3)
-    policy, sa = _random_table_policy(actions, rng)
-    other, sa_other = _random_table_policy(actions, rng)
-    c = actions.cost(1.3)
-    P, per_state = policy_chain(policy, actions)
-    assert_same_csr(P, actions.chain(sa))
-    np.testing.assert_array_equal(per_state(c), c[sa])
-    P, per_state = policy_chain(MixedPolicy(policy, other, xi=0.3), actions)
-    K = oracle_kernel(actions)
-    want = (0.3 * K[sa] + 0.7 * K[sa_other]).tocsr()
+    policy, rows = _random_table_policy(actions, rng)
+    other, rows_other = _random_table_policy(actions, rng)
+    sa = actions.sa_of_policy(policy)
+    assert_same_csr(policy_chain(policy, actions), K[rows])
+    assert_same_csr(actions.chain(actions.post_index(*sa)), K[rows])
+    queue, grid, _, _ = actions.terms(*sa)
+    np.testing.assert_array_equal(queue + 1.3 * grid, c[rows])
+    P = policy_chain(MixedPolicy(policy, other, xi=0.3), actions)
+    want = (0.3 * K[rows] + 0.7 * K[rows_other]).tocsr()
     want.eliminate_zeros()
     assert_same_csr(P, want)
-    np.testing.assert_array_equal(per_state(c), 0.3 * c[sa] + 0.7 * c[sa_other])
 
 
 def test_kernel_rows_are_canonical():
     # sorted, duplicate-free columns in every row: sum_duplicates has
     # nothing to merge
-    actions = build_action_space(large_desk_model())
-    K = actions.chain(np.arange(actions.n_sa))
+    K = _chain_of_every_action(build_action_space(large_desk_model()))
     row = np.repeat(np.arange(K.shape[0]), np.diff(K.indptr))
     same_row = row[1:] == row[:-1]
     assert (np.diff(K.indices)[same_row] > 0).all()
@@ -401,10 +469,10 @@ def test_rvi_gain_independent_of_reference_state():
 def test_rvi_bias_solves_optimality_equation():
     m = battery_model()
     res = relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12), m)
-    actions = build_action_space(m)
+    oracle = loop_action_space(m)
     h = res.values.values
-    y = actions.cost(1.0) + oracle_kernel(actions) @ h
-    mins = np.minimum.reduceat(y, actions.indptr[:-1])
+    y = oracle.queue_sa + 1.0 * oracle.grid_sa + oracle.kernel @ h
+    mins = row_min(y, oracle.indptr)
     np.testing.assert_allclose(mins - h, res.gain, atol=1e-7)
     assert h[res.values.reference_state] == 0.0
 
@@ -441,10 +509,11 @@ def test_rvi_matches_cold_sweeps_random_models(seed, beta, with_start):
         # where an optimal policy is multichain the bias is not unique (seed
         # 100, beta 9), so the two solves may end on different optimal
         # policies: each must earn the gain from every start state
+        oracle = matching_oracle(actions)
+        c = oracle.queue_sa + beta * oracle.grid_sa
         for res in (warm, cold):
-            sa = actions.sa_of_policy(res.policy)
-            gains = per_state_gains(oracle_kernel(actions)[sa],
-                                    actions.cost(beta)[sa])
+            rows = loop_sa_of_policy(oracle, res.policy)
+            gains = per_state_gains(oracle.kernel[rows], c[rows])
             np.testing.assert_allclose(gains, warm.gain, rtol=0, atol=1e-6)
 
 
@@ -507,7 +576,8 @@ def test_dvi_first_sweep_is_min_single_step_cost():
     # states with empty buffer have a zero-cost action
     assert np.all(v1[m.space.iq == 0] == 0.0)
     # generally: min over actions of (q + beta * grid)
-    mins = np.minimum.reduceat(actions.cost(1.0), actions.indptr[:-1])
+    oracle = loop_action_space(m)
+    mins = row_min(oracle.queue_sa + 1.0 * oracle.grid_sa, oracle.indptr)
     np.testing.assert_allclose(v1, mins)
 
 
@@ -560,7 +630,7 @@ def test_dvi_warm_start_leaves_few_sweeps():
 def _cold_start(monkeypatch):
     # policy iteration skipped: the sweeps start from V = 0
     def zeros(actions, *args):
-        return np.zeros(actions.indptr.size - 1), 0
+        return np.zeros(actions.model.space.n_states), 0
     monkeypatch.setattr(mdp, "_howard_values", zeros)
     monkeypatch.setattr(mdp, "_howard_bias", zeros)
 
@@ -663,8 +733,8 @@ def test_evaluate_mixture_weight_below_rounding_plays_the_other_policy():
         assert (got.gain_j, got.mean_grid_k) == (want.gain_j, want.mean_grid_k)
         np.testing.assert_array_equal(got.stationary_dist, want.stationary_dist)
     # just above it both policies enter the chain
-    P_mixed, _ = policy_chain(MixedPolicy(serve, idle, xi=1.0 - 2 * eps), actions)
-    assert P_mixed.nnz > policy_chain(serve, actions)[0].nnz
+    P_mixed = policy_chain(MixedPolicy(serve, idle, xi=1.0 - 2 * eps), actions)
+    assert P_mixed.nnz > policy_chain(serve, actions).nnz
     # the dropped policy is still checked for feasibility
     bad = TablePolicy(r=idle.r + 1, w_quanta=idle.w_quanta, delta_e=idle.delta_e,
                       tau=idle.tau)
@@ -678,9 +748,9 @@ def test_evaluate_mixture_below_rounding_of_a_multichain_policy_is_multichain():
     m = random_model(2459)
     actions = build_action_space(m)
     rng = np.random.default_rng(2460)
-    plus, sa = _random_table_policy(actions, rng)
+    plus, _ = _random_table_policy(actions, rng)
     minus, _ = _random_table_policy(actions, rng)
-    assert recurrent_classes(actions.chain(sa))[1] == 2
+    assert recurrent_classes(policy_chain(plus, actions))[1] == 2
     with pytest.raises(MultichainError):
         evaluate_policy(MixedPolicy(plus, minus, xi=0.9999999999999999), 0.0, m,
                         actions=actions)
@@ -718,9 +788,12 @@ def test_evaluate_takes_tables_only():
 
 
 def _random_table_policy(actions, rng):
-    counts = np.diff(actions.indptr)
-    sa = actions.indptr[:-1] + (rng.random(counts.size) * counts).astype(np.int64)
-    return actions.policy_from_sa(sa), sa
+    """A policy drawing each state's action uniformly from its rows, and
+    those rows' indices in the expanded (loop oracle) layout."""
+    indptr, _, r, wq = expand_rows(actions)
+    counts = np.diff(indptr)
+    rows = indptr[:-1] + (rng.random(counts.size) * counts).astype(np.int64)
+    return actions.policy_from_sa((r[rows], wq[rows])), rows
 
 
 @settings(max_examples=40, deadline=None)
@@ -736,15 +809,17 @@ def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
     m = random_model(seed)
     actions = build_action_space(m)
     rng = np.random.default_rng(seed + 1)
-    policy, sa = _random_table_policy(actions, rng)
-    K = oracle_kernel(actions)
-    P = K[sa]
-    c_pi = actions.cost(beta)[sa]
+    policy, rows = _random_table_policy(actions, rng)
+    oracle = matching_oracle(actions)
+    K = oracle.kernel
+    c = oracle.queue_sa + beta * oracle.grid_sa
+    P = K[rows]
+    c_pi = c[rows]
     if xi is not None:  # a two-policy mixture: the coin enters P and c
-        other, sa_other = _random_table_policy(actions, rng)
+        other, rows_other = _random_table_policy(actions, rng)
         policy = MixedPolicy(policy, other, xi=xi)
-        P = xi * P + (1.0 - xi) * K[sa_other]
-        c_pi = xi * c_pi + (1.0 - xi) * actions.cost(beta)[sa_other]
+        P = xi * P + (1.0 - xi) * K[rows_other]
+        c_pi = xi * c_pi + (1.0 - xi) * c[rows_other]
     try:
         ev = evaluate_policy(policy, beta, m, actions=actions)
     except MultichainError:
@@ -759,12 +834,13 @@ def test_evaluate_matches_dense_reference_random_models(seed, beta, xi):
 def test_bias_gain_lu_gain_is_stationary_average(seed, beta, ref):
     m = random_model(seed)
     actions = build_action_space(m)
-    _, sa = _random_table_policy(actions, np.random.default_rng(seed + 1))
-    P = actions.chain(sa)
+    policy, _ = _random_table_policy(actions, np.random.default_rng(seed + 1))
+    P = policy_chain(policy, actions)
     if recurrent_classes(P)[1] != 1:
         return
     ref %= m.space.n_states
-    c_pi = actions.cost(beta)[sa]
+    queue, grid, _, _ = actions.terms(*actions.sa_of_policy(policy))
+    c_pi = queue + beta * grid
     x = _bias_gain_lu(P, ref).solve(c_pi)
     gain, bias = x[ref], x - x[ref]
     pi = dense_stationary_distribution(P)
@@ -792,11 +868,12 @@ def test_identity_minus_matches_scipy_arithmetic(make):
     m = make()
     actions = build_action_space(m)
     solved = relative_value_iteration(SolverConfig(beta=1.0), m, actions).policy
-    drawn, sa = _random_table_policy(actions, np.random.default_rng(3))
-    _assert_assembly_matches_scipy(actions.chain(actions.sa_of_policy(solved)))
-    _assert_assembly_matches_scipy(actions.chain(sa))
+    drawn, _ = _random_table_policy(actions, np.random.default_rng(3))
     _assert_assembly_matches_scipy(
-        policy_chain(MixedPolicy(solved, drawn, xi=0.3), actions)[0])
+        actions.chain(actions.post_index(*actions.sa_of_policy(solved))))
+    _assert_assembly_matches_scipy(policy_chain(drawn, actions))
+    _assert_assembly_matches_scipy(
+        policy_chain(MixedPolicy(solved, drawn, xi=0.3), actions))
 
 
 @settings(max_examples=30, deadline=None)
@@ -805,11 +882,11 @@ def test_identity_minus_matches_scipy_arithmetic_random_models(seed, xi):
     m = random_model(seed)
     actions = build_action_space(m)
     rng = np.random.default_rng(seed + 1)
-    plus, sa = _random_table_policy(actions, rng)
+    plus, _ = _random_table_policy(actions, rng)
     minus, _ = _random_table_policy(actions, rng)
-    _assert_assembly_matches_scipy(actions.chain(sa))
+    _assert_assembly_matches_scipy(policy_chain(plus, actions))
     _assert_assembly_matches_scipy(
-        policy_chain(MixedPolicy(plus, minus, xi=xi), actions)[0])
+        policy_chain(MixedPolicy(plus, minus, xi=xi), actions))
 
 
 def test_identity_minus_drops_the_zeros_scipy_drops():
@@ -834,8 +911,8 @@ def test_identity_minus_drops_the_zeros_scipy_drops():
 def test_recurrent_classes_from_csr_arrays_match_nonzero_edges(seed):
     m = random_model(seed)
     actions = build_action_space(m)
-    _, sa = _random_table_policy(actions, np.random.default_rng(seed))
-    P = actions.chain(sa)
+    policy, _ = _random_table_policy(actions, np.random.default_rng(seed))
+    P = policy_chain(policy, actions)
     got, want = recurrent_classes(P), nonzero_recurrent_classes(P)
     np.testing.assert_array_equal(got[0], want[0])
     assert got[1] == want[1]
@@ -844,19 +921,39 @@ def test_recurrent_classes_from_csr_arrays_match_nonzero_edges(seed):
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000))
 def test_sa_of_policy_matches_segment_scan(seed):
+    # the bounds check accepts what the oracle's rows hold, and nothing else:
+    # a drawn policy, and the same with one state's action moved by a step
     m = random_model(seed)
     actions = build_action_space(m)
-    policy, sa = _random_table_policy(actions, np.random.default_rng(seed))
-    np.testing.assert_array_equal(actions.sa_of_policy(policy), sa)
-    np.testing.assert_array_equal(loop_sa_of_policy(actions, policy), sa)
+    oracle = loop_action_space(m)
+    rng = np.random.default_rng(seed)
+    policy, rows = _random_table_policy(actions, rng)
+    r, wq = actions.sa_of_policy(policy)
+    np.testing.assert_array_equal(r, policy.r)
+    np.testing.assert_array_equal(wq, policy.w_quanta)
+    np.testing.assert_array_equal(loop_sa_of_policy(oracle, policy), rows)
+    for _ in range(20):
+        moved = TablePolicy(r=policy.r.copy(), w_quanta=policy.w_quanta.copy(),
+                            delta_e=policy.delta_e, tau=policy.tau)
+        s = int(rng.integers(m.space.n_states))
+        moved.r[s] += int(rng.integers(-1, 2))
+        moved.w_quanta[s] += int(rng.integers(-1, 2))
+        try:
+            loop_sa_of_policy(oracle, moved)
+        except ValueError:
+            with pytest.raises(ValueError, match=f"infeasible at state {s}$"):
+                actions.sa_of_policy(moved)
+        else:
+            actions.sa_of_policy(moved)
 
 
 def test_sa_of_policy_names_first_infeasible_state():
     m = desk_lite_model()
     actions = build_action_space(m)
+    oracle = loop_action_space(m)
     serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
     full = np.flatnonzero(m.space.iq == m.params.q_max)
-    # out-of-range actions must not alias another state's row in the key
+    # out-of-range actions must not index past the cap table
     for r, wq in ((m.params.q_max + 1, 0), (0, 99), (-1, 0), (1, 0)):
         bad = TablePolicy(r=serve.r.copy(), w_quanta=serve.w_quanta.copy(),
                           delta_e=serve.delta_e, tau=serve.tau)
@@ -864,7 +961,7 @@ def test_sa_of_policy_names_first_infeasible_state():
         bad.r[[s, -1]] = r
         bad.w_quanta[[s, -1]] = wq
         for lookup in (actions.sa_of_policy,
-                       lambda p: loop_sa_of_policy(actions, p)):
+                       lambda p: loop_sa_of_policy(oracle, p)):
             with pytest.raises(ValueError, match=f"infeasible at state {s}$"):
                 lookup(bad)
 
@@ -878,7 +975,7 @@ def test_evaluation_reusing_policy_iteration_lu_equals_a_fresh_one(beta):
     cfg = SolverConfig(beta=beta)
     res = relative_value_iteration(cfg, m, actions=actions)
     res = relative_value_iteration(cfg, m, actions=actions, start=res.policy)
-    P, _ = policy_chain(res.policy, actions)
+    P = policy_chain(res.policy, actions)
     assert (actions.last_lu[0] != P).nnz == 0
     reused = evaluate_policy(res.policy, beta, m, actions=actions)
     fresh = evaluate_policy(res.policy, beta, m)
@@ -896,14 +993,13 @@ def test_memo_hit_gives_a_fresh_lus_bias_and_law_bit_for_bit(beta):
     # bias, gain and stationary law equal those of a fresh LU
     m = desk_model()
     actions = build_action_space(m)
-    c = actions.cost(beta)
     solved = relative_value_iteration(SolverConfig(beta=beta), m, actions).policy
     sa = actions.sa_of_policy(solved)
     evaluate_policy(solved, beta, m, actions=actions)
     before = actions.n_factorised
-    h_hit, _ = mdp._howard_bias(actions, c, 0, sa, 1)
+    h_hit, _ = mdp._howard_bias(actions, beta, 0, sa, 1)
     assert actions.n_factorised == before
-    h_fresh, _ = mdp._howard_bias(build_action_space(m), c, 0, sa, 1)
+    h_fresh, _ = mdp._howard_bias(build_action_space(m), beta, 0, sa, 1)
     np.testing.assert_array_equal(h_hit, h_fresh)
 
     other = relative_value_iteration(SolverConfig(beta=3.0 * beta), m).policy
@@ -944,20 +1040,21 @@ def test_memo_keys_on_the_chain_and_holds_one_entry():
 def test_policies_with_one_chain_share_its_lu():
     # two draws that both fill the battery to its top leave the same next
     # state, so policies differing only there play one chain: the key is
-    # the rows' post-decision indices, not the rows
+    # the actions' post-decision indices, not the actions
     m = desk_model()
     actions = build_action_space(m)
-    owner = np.searchsorted(actions.indptr, np.arange(actions.n_sa),
-                            side="right") - 1
-    row = int(np.flatnonzero((np.diff(actions.post_sa) == 0)
-                             & (np.diff(owner) == 0))[0])
-    s = int(owner[row])
+    _, state, r, wq = expand_rows(actions)
+    post = actions.post_index(r, wq, state)
+    row = int(np.flatnonzero((np.diff(post) == 0) & (np.diff(state) == 0))[0])
+    s = int(state[row])
     serve = TablePolicy.from_callable(lambda x: Action(x.q, 0.0), m)
-    sa = actions.sa_of_policy(serve)
-    sa[s] = row
-    a = actions.policy_from_sa(sa)
-    sa[s] = row + 1
-    b = actions.policy_from_sa(sa)
+
+    def playing(k):
+        sa = tuple(t.copy() for t in actions.sa_of_policy(serve))
+        sa[0][s], sa[1][s] = r[k], wq[k]
+        return actions.policy_from_sa(sa)
+
+    a, b = playing(row), playing(row + 1)
     assert a != b
     ev_a = evaluate_policy(a, 1.0, m, actions=actions)
     ev_b = evaluate_policy(b, 1.0, m, actions=actions)

@@ -14,7 +14,6 @@ from ehsched.heuristics import (
     MixedHeuristic,
     conservative_policy,
     conservative_rate_table,
-    draw_cap_table,
     make_heuristic,
     mixed_action,
     mixing_weight,
@@ -35,6 +34,7 @@ from ehsched.model import (
     MarkovChainSpec,
     ModelParams,
     battery_draw_cap_quanta,
+    draw_cap_table,
     load_model,
     power_inverse,
     required_power,
