@@ -8,12 +8,13 @@ backup walks the draw offsets over all pairs at once: every expectation
 E[V(next) | s, a] is one contraction of V with the exogenous chain, gathered
 at the action's post-decision index (Powell, Approximate Dynamic
 Programming, 2nd ed., 2011, ch. 4), and a policy's sparse chain, for its LU,
-comes from the same index. Both
-solves run Howard policy iteration first, each policy evaluated by one sparse
-LU, and start value iteration from the values of the policy it ends on; the
-sweeps then only mop up rounding error before meeting their usual stopping
-rules (the span of T V - V for the long-run average, the sup-norm residual
-for the discounted solve behind the vanishing-discount route).
+comes from the same index. Both solves run the same Howard policy iteration
+first, which differs between them only in how it evaluates a policy (one
+bias-gain LU, or one LU of I - alpha P), and start value iteration from the
+values of the policy it ends on; the sweeps then only mop up rounding error
+before meeting their usual stopping rules (the span of T V - V for the
+long-run average, the sup-norm residual for the discounted solve behind the
+vanishing-discount route).
 evaluate_policy computes exact stationary averages for any fixed (or
 two-policy mixed) stationary policy from the same bias-gain LU.
 """
@@ -287,14 +288,14 @@ class ActionSpace:
         return y
 
     def backup(self, table: np.ndarray, beta: float, scale: float = 1.0,
-               extra: np.ndarray | None = None, tie_tol: float | None = None):
-        """Bellman backup on the post-decision table: (mins, sa), mins[s] the
-        least y = scale * table[post] + (q + beta * grid) + extra[s] (extra
-        optional) over s's actions; with tie_tol, sa is the smallest (r, w)
-        with y <= mins + tie_tol + 1e-12 |mins|, else None. extra is added
-        after the minimum, exactly, as rounding is monotone. Extraction takes
-        the smallest rate whose pair minimum is in that window, then its
-        first draw in it."""
+               extra: np.ndarray | None = None):
+        """Bellman backup on the post-decision table: (mins, pick), mins[s]
+        the least y = scale * table[post] + (q + beta * grid) + extra[s]
+        (extra optional) over s's actions, and pick(tie_tol) the smallest
+        (r, w) with y <= mins + tie_tol + 1e-12 |mins|, extracted when
+        called. extra is added after the minimum, exactly, as rounding is
+        monotone. Extraction takes the smallest rate whose pair minimum is
+        in that window, then its first draw in it."""
         if scale != 1.0:
             table = table * scale  # entry by entry, as at each action
         pair_min = None
@@ -308,30 +309,31 @@ class ActionSpace:
         mins = np.minimum.reduceat(by_state, self._first_pair)
         if extra is not None:
             mins += extra
-        if tie_tol is None:
-            return mins, None
+        n_rates = self._n_rates
 
-        thr = mins + (tie_tol + 1e-12 * np.abs(mins))
-        if extra is not None:
-            by_state += np.repeat(extra, self._n_rates)
-        hits = np.flatnonzero(by_state <= np.repeat(thr, self._n_rates))
-        # a state's minimum is a hit, so its first hit is in its own segment
-        first_hit = hits[np.searchsorted(hits, self._first_pair)]
-        pos = self._by_state[first_hit]
-        sa = np.stack((first_hit - self._first_pair, self.pair_lo[pos]))
-        # each chosen pair's draws again, all offsets at once for a block of
-        # states: past a window the battery index stays above -nb (the gather
-        # stays in the table), and the first hit comes before
-        ks = np.arange(self.n_offering.size)[:, None]
-        step = max(1, EXTRACT_BLOCK // ks.size)
-        for i in range(0, pos.size, step):
-            at = slice(i, i + step)
-            y = self._walk_step(table, beta, ks, *(a[pos[at]] for a in (
-                self.pair_post, self.pair_top, self.pair_p0, self.pair_q)))
-            if extra is not None:
-                y += extra[at]
-            sa[1, at] += (y <= thr[at]).argmax(axis=0)
-        return mins, sa
+        def pick(tie_tol: float) -> np.ndarray:
+            thr = mins + (tie_tol + 1e-12 * np.abs(mins))
+            y = by_state if extra is None else by_state + np.repeat(extra, n_rates)
+            hits = np.flatnonzero(y <= np.repeat(thr, n_rates))
+            # a state's minimum is a hit, so its first hit is in its own segment
+            first_hit = hits[np.searchsorted(hits, self._first_pair)]
+            pos = self._by_state[first_hit]
+            sa = np.stack((first_hit - self._first_pair, self.pair_lo[pos]))
+            # each chosen pair's draws again, all offsets at once for a block
+            # of states: past a window the battery index stays above -nb (the
+            # gather stays in the table), and the first hit comes before
+            ks = np.arange(self.n_offering.size)[:, None]
+            step = max(1, EXTRACT_BLOCK // ks.size)
+            for i in range(0, pos.size, step):
+                at = slice(i, i + step)
+                y = self._walk_step(table, beta, ks, *(a[pos[at]] for a in (
+                    self.pair_post, self.pair_top, self.pair_p0, self.pair_q)))
+                if extra is not None:
+                    y += extra[at]
+                sa[1, at] += (y <= thr[at]).argmax(axis=0)
+            return sa
+
+        return mins, pick
 
     def post_index(self, r, wq, at=slice(None)) -> np.ndarray:
         """Post-decision index of the action (r, wq) at the states at
@@ -451,44 +453,53 @@ class SolveResult:
     n_evaluations: int = 0  # policies evaluated by policy iteration
 
 
-def _howard_bias(actions: ActionSpace, beta: float, ref: int,
-                 sa, max_iters: int) -> tuple[np.ndarray, int]:
-    """Average-cost Howard policy iteration from the policy sa = (r, wq).
+def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
+            alpha: float | None = None, ref: int = 0) -> tuple[np.ndarray, int]:
+    """Howard policy iteration, average-cost (alpha None) or discounted, from
+    the policy sa = (r, wq), or with sa None from the greedy actions of the
+    one-step costs.
 
-    Evaluates each policy by one bias-gain LU of its chain and improves on
-    y = q + beta * grid + E[h(next)], keeping the incumbent action wherever
-    its y is within rounding of the state's minimum (the anti-cycling rule
-    of Puterman 1994, sec. 8.6), else the smallest minimizing (r, w). Stops
-    when the policy repeats, after max_iters evaluations, or at the first
-    multichain policy, which has no single gain. Returns the bias of the
-    last unichain policy evaluated (zeros if none) and the number of
-    evaluations. At reference state 0 each step takes its LU from
-    actions.last_lu when that is the same chain's (a warm start's first
-    step) and leaves the LU it factorises there, where the next solve and
-    evaluate_policy find it.
+    Evaluates each policy by one sparse LU: the bias-gain LU of its chain at
+    reference state ref, or (I - alpha P) v = c. Improves on y = q + beta *
+    grid + alpha E[v(next)] (alpha 1 for the bias), keeping the incumbent
+    action wherever its y is within rounding of the state's minimum (the
+    anti-cycling rule of Puterman 1994, sec. 8.6), else taking the smallest
+    minimizing (r, w), which is extracted only when some state moves. Stops
+    when no state moves, after max_iters evaluations, or at the first
+    multichain policy, which has no single gain. Returns the values of the
+    last policy evaluated (zeros if none) and the number of evaluations. At
+    reference state 0 each bias-gain LU comes from actions.last_lu when that
+    is the same chain's (a warm start's first step) and is left there, where
+    the next solve and evaluate_policy find it.
     """
     queue = actions.model.space.iq
-    h = np.zeros(queue.size)
+    scale = 1.0 if alpha is None else alpha
+    v = np.zeros(queue.size)
+    if sa is None:
+        sa = actions.backup(actions.next_values(v), beta)[1](0.0)
     n_eval = 0
-    for _ in range(max_iters):
+    while n_eval < max_iters:
         post = actions.post_index(*sa)
-        _, lu, _ = _chain_lu(actions, [(1.0, post)], ref)
-        if lu is None:
-            break
         c = queue + beta * actions.grid(*sa)
-        x = lu.solve(c)
-        h = x - x[ref]
+        if alpha is None:
+            _, lu, _ = _chain_lu(actions, [(1.0, post)], ref)
+            if lu is None:
+                break
+            x = lu.solve(c)
+            v = x - x[ref]
+        else:
+            v = splu(_identity_minus(actions.chain(post), alpha)).solve(c)
+            actions.n_factorised += 1
         n_eval += 1
-        table = actions.next_values(h)
-        mins, greedy = actions.backup(table, beta, tie_tol=0.0)
-        y = table[post]
+        table = actions.next_values(v)
+        mins, pick = actions.backup(table, beta, scale)
+        y = table[post] * scale
         y += c
         keep = y <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
-        better = np.where(keep, sa, greedy)
-        if np.array_equal(better, sa):
+        if keep.all():
             break
-        sa = better
-    return h, n_eval
+        sa = np.where(keep, sa, pick(0.0))
+    return v, n_eval
 
 
 def relative_value_iteration(cfg: SolverConfig, model: Model,
@@ -496,9 +507,9 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
                              start: TablePolicy | None = None) -> SolveResult:
     """Long-run average-cost solve; returns gain, bias values and greedy policy.
 
-    Howard policy iteration (from the greedy actions of the one-step costs,
-    or from the table policy start) runs until its policy repeats, for at most
-    cfg.max_iters evaluations; value iteration on the damped operator
+    Howard policy iteration (_howard, from the greedy actions of the one-step
+    costs or from the table policy start) runs until no state moves, for at
+    most cfg.max_iters evaluations; value iteration on the damped operator
     (1-kappa) V + kappa T V then starts from that policy's bias, divided by
     kappa since that is the lazy chain's bias, and sweeps with span-seminorm
     stopping: the span of T V - V brackets the optimal gain, and normalizing
@@ -531,14 +542,13 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
         raise ValueError(f"reference_state {ref} out of range")
     kappa = cfg.kappa
 
-    def damped_backup(v, tie_tol=None):
+    def damped_backup(v):
         # c + kappa E[v(next)] + (1 - kappa) v
         return actions.backup(actions.next_values(v), cfg.beta, kappa,
-                              extra=(1.0 - kappa) * v, tie_tol=tie_tol)
+                              extra=(1.0 - kappa) * v)
 
-    sa = (actions.backup(actions.next_values(np.zeros(n)), cfg.beta, tie_tol=0.0)[1]
-          if start is None else actions.sa_of_policy(start))
-    h, n_eval = _howard_bias(actions, cfg.beta, ref, sa, cfg.max_iters)
+    sa = None if start is None else actions.sa_of_policy(start)
+    h, n_eval = _howard(actions, cfg.beta, sa, cfg.max_iters, ref=ref)
 
     v = h / kappa
     trace = deque(maxlen=TRACE_ROWS)
@@ -557,7 +567,7 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    mins, sa = damped_backup(v, tie_tol=10.0 * cfg.epsilon)
+    mins, pick = damped_backup(v)
     d = mins - v
     lo, hi = float(d.min()), float(d.max())
     gain = 0.5 * (lo + hi)
@@ -567,37 +577,16 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     bias = ValueTable(values=kappa * (v - v[ref]), kind="relative-bias",
                       beta=cfg.beta, reference_state=ref)
     return SolveResult(gain=float(gain), values=bias,
-                       policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=span, gain_bounds=(lo, hi), trace=list(trace),
-                       actions=actions, n_evaluations=n_eval)
+                       policy=actions.policy_from_sa(pick(10.0 * cfg.epsilon)),
+                       n_iters=it, residual=span, gain_bounds=(lo, hi),
+                       trace=list(trace), actions=actions, n_evaluations=n_eval)
 
 
 def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
                       alpha: float, tie_tol: float = GREEDY_TIE_TOL):
     """One discounted Bellman sweep; returns (new values, greedy (r, wq))."""
-    return actions.backup(actions.next_values(values), beta, alpha, tie_tol=tie_tol)
-
-
-def _howard_values(actions: ActionSpace, beta: float, alpha: float,
-                   max_iters: int) -> tuple[np.ndarray, int]:
-    """Values of the policy Howard policy iteration ends on, and the number
-    of policies it evaluated.
-
-    Starts from the greedy policy of V=0, evaluates each policy exactly by
-    one sparse LU of (I - alpha P_pi) v = c_pi and improves greedily until
-    the greedy policy repeats, for at most max_iters evaluations.
-    """
-    queue = actions.model.space.iq
-    _, sa = discounted_backup(actions, np.zeros(queue.size), beta, alpha, tie_tol=0.0)
-    for n_eval in range(1, max_iters + 1):
-        P = actions.chain(actions.post_index(*sa))
-        v = splu(_identity_minus(P, alpha)).solve(queue + beta * actions.grid(*sa))
-        actions.n_factorised += 1
-        _, greedy = discounted_backup(actions, v, beta, alpha, tie_tol=0.0)
-        if np.array_equal(greedy, sa):
-            break
-        sa = greedy
-    return v, n_eval
+    mins, pick = actions.backup(actions.next_values(values), beta, alpha)
+    return mins, pick(tie_tol)
 
 
 def discounted_value_iteration(cfg: SolverConfig, model: Model,
@@ -607,11 +596,15 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     puts the values within epsilon of the optimum.
 
     The sweeps start from the exact values of the policy Howard policy
-    iteration converges to (Puterman 1994, sec. 6.4) rather than from V=0,
-    so they only mop up its rounding error: a handful of sweeps where a cold
-    start needs tens of thousands at alpha=0.999. The start changes neither
-    the stopping rule nor its guarantee; n_iters counts the sweeps and trace
-    keeps the last TRACE_ROWS of them.
+    iteration ends on (Puterman 1994, sec. 6.4) rather than from V=0, so
+    they only mop up its rounding error: a handful of sweeps where a cold
+    start needs tens of thousands at alpha=0.999. Policy iteration is the
+    average-cost solve's (_howard), from the greedy actions of the one-step
+    costs: it keeps an incumbent action that ties within rounding, so it
+    cannot cycle between tied policies, and it stops when no state moves or
+    after cfg.max_iters evaluations. The start changes neither the stopping
+    rule nor its guarantee; n_iters counts the sweeps and trace keeps the
+    last TRACE_ROWS of them; n_evaluations counts the policies evaluated.
     """
     if cfg.alpha is None:
         raise ValueError("discounted mode requires alpha")
@@ -620,7 +613,7 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     alpha = cfg.alpha
     threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
 
-    v, n_eval = _howard_values(actions, cfg.beta, alpha, cfg.max_iters)
+    v, n_eval = _howard(actions, cfg.beta, None, cfg.max_iters, alpha=alpha)
     resid = np.inf
     trace = deque(maxlen=TRACE_ROWS)
     for it in range(1, cfg.max_iters + 1):

@@ -250,12 +250,15 @@ def test_backup_matches_loop_oracle_row_min_and_first_hit(seed, restrict, kind,
     if extra is not None:
         y += extra[oracle.state_of_sa]
     want_mins = row_min(y, oracle.indptr)
-    mins, (r, wq) = actions.backup(table, beta, scale, extra=extra, tie_tol=tie_tol)
+    mins, pick = actions.backup(table, beta, scale, extra=extra)
     np.testing.assert_array_equal(mins, want_mins)
     want_r, want_wq = first_hit(y, want_mins, oracle, tie_tol)
-    np.testing.assert_array_equal(r, want_r)
-    np.testing.assert_array_equal(wq, want_wq)
-    assert actions.backup(table, beta, scale, extra=extra)[1] is None
+    # extraction runs on demand, changes nothing it reads and repeats
+    for _ in range(2):
+        r, wq = pick(tie_tol)
+        np.testing.assert_array_equal(r, want_r)
+        np.testing.assert_array_equal(wq, want_wq)
+    np.testing.assert_array_equal(mins, want_mins)
 
 
 def test_action_space_stores_no_successor_lists():
@@ -529,6 +532,26 @@ def test_rvi_from_solved_policy_takes_one_evaluation_and_one_sweep(ref):
     assert again.policy == solved.policy
 
 
+def test_rvi_from_solved_policy_extracts_only_the_final_policy(monkeypatch):
+    # policy iteration's one step keeps every incumbent, so it extracts
+    # nothing; the one extraction is the returned policy's
+    m = desk_model()
+    res = relative_value_iteration(SolverConfig(beta=1.0), m)
+    walks, picks = [], []
+    backup = mdp.ActionSpace.backup
+
+    def counted(self, *args, **kwargs):
+        mins, pick = backup(self, *args, **kwargs)
+        walks.append(1)
+        return mins, lambda tie_tol: picks.append(tie_tol) or pick(tie_tol)
+    monkeypatch.setattr(mdp.ActionSpace, "backup", counted)
+    again = relative_value_iteration(SolverConfig(beta=1.0), m, res.actions,
+                                     start=res.policy)
+    assert again.n_evaluations == 1 and again.policy == res.policy
+    assert len(walks) == 1 + again.n_iters + 1
+    assert picks == [10.0 * SolverConfig(beta=1.0).epsilon]
+
+
 @pytest.mark.parametrize("beta", [1.0, 100.0])
 def test_rvi_policy_iteration_start_leaves_few_sweeps(beta):
     # cold sweeps from V=0 need 74 (beta 1) and 124 (beta 100) here
@@ -599,11 +622,13 @@ def test_dvi_policy_approaches_average_cost_policy():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([0.9, 0.99]), st.floats(0.0, 10.0))
-def test_dvi_matches_cold_sweeps_random_models(seed, alpha, beta):
-    m = random_model(seed)
+@given(st.integers(0, 10_000), st.sampled_from([0.9, 0.99]), st.floats(0.0, 10.0),
+       st.booleans())
+def test_dvi_matches_cold_sweeps_random_models(seed, alpha, beta, restrict):
+    # max_iters bounds policy iteration too, so a cycle fails, not hangs
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
     actions = build_action_space(m)
-    cfg = SolverConfig(beta=beta, epsilon=1e-9, alpha=alpha)
+    cfg = SolverConfig(beta=beta, epsilon=1e-9, alpha=alpha, max_iters=20_000)
     warm = discounted_value_iteration(cfg, m, actions)
     cold = cold_discounted_value_iteration(cfg, m, actions)
     v = warm.values.values
@@ -618,6 +643,19 @@ def test_dvi_matches_cold_sweeps_random_models(seed, alpha, beta):
         assert warm.policy == cold.policy
 
 
+def test_dvi_policy_iteration_keeps_tied_incumbents_and_ends():
+    # greedy at tie tolerance 0 alone alternates between two policies here,
+    # one evaluation each, up to max_iters; keeping the incumbent where it
+    # ties within rounding ends policy iteration
+    m = replace(random_model(443), restrict_w_to_power=False)
+    cfg = SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.99, max_iters=100)
+    res = discounted_value_iteration(cfg, m)
+    assert res.n_evaluations < cfg.max_iters
+    cold = cold_discounted_value_iteration(replace(cfg, max_iters=20_000), m)
+    np.testing.assert_allclose(res.values.values, cold.values.values, rtol=0,
+                               atol=cfg.epsilon)
+
+
 def test_dvi_warm_start_leaves_few_sweeps():
     # cold sweeps from V=0 need 28,743 here; the policy-iteration start
     # leaves only its rounding error to mop up
@@ -629,10 +667,9 @@ def test_dvi_warm_start_leaves_few_sweeps():
 
 def _cold_start(monkeypatch):
     # policy iteration skipped: the sweeps start from V = 0
-    def zeros(actions, *args):
+    def zeros(actions, *args, **kwargs):
         return np.zeros(actions.model.space.n_states), 0
-    monkeypatch.setattr(mdp, "_howard_values", zeros)
-    monkeypatch.setattr(mdp, "_howard_bias", zeros)
+    monkeypatch.setattr(mdp, "_howard", zeros)
 
 
 def test_dvi_trace_keeps_the_last_rows_of_a_long_run(monkeypatch):
@@ -997,9 +1034,9 @@ def test_memo_hit_gives_a_fresh_lus_bias_and_law_bit_for_bit(beta):
     sa = actions.sa_of_policy(solved)
     evaluate_policy(solved, beta, m, actions=actions)
     before = actions.n_factorised
-    h_hit, _ = mdp._howard_bias(actions, beta, 0, sa, 1)
+    h_hit, _ = mdp._howard(actions, beta, sa, 1)
     assert actions.n_factorised == before
-    h_fresh, _ = mdp._howard_bias(build_action_space(m), beta, 0, sa, 1)
+    h_fresh, _ = mdp._howard(build_action_space(m), beta, sa, 1)
     np.testing.assert_array_equal(h_hit, h_fresh)
 
     other = relative_value_iteration(SolverConfig(beta=3.0 * beta), m).policy
