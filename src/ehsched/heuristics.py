@@ -6,11 +6,12 @@ calibrated so the average grid power meets the budget. All three spend the
 battery greedily. The reduced solve optimizes the rate alone with the battery
 draw forced greedy, collapsing the two-dimensional action to one.
 
-On a model's grid the baselines are two small integer tables: the greedy draw
-cap per (channel level, rate) and the conservative rate per (channel level,
-battery level). make_heuristic's baselines carry their params and the
-probability of playing radical (radical_weight); run_simulation reads the two
-and runs the baseline from those tables, on a model with the same params only.
+On a model's grid the baselines are two small integer tables, built once per
+model: the greedy draw cap per (channel level, rate) (Model.cap_table) and the
+conservative rate per (channel level, battery level) (Model.rate_table, from
+conservative_rate_table). make_heuristic's baselines carry their params and
+the probability of playing radical (radical_weight); run_simulation runs the
+baseline from the model's two tables, on a model with the same params only.
 For exact evaluation, TablePolicy.from_callable turns radical_policy or
 conservative_policy into a table.
 """
@@ -23,15 +24,14 @@ import numpy as np
 
 from .mdp import SolveResult, SolverConfig, build_action_space, relative_value_iteration
 from .model import (
-    GRID_EPS,
     Action,
     ConfigError,
     Model,
     ModelParams,
     SystemState,
     battery_draw_cap_quanta,
+    conservative_rate_table,
     power_inverse,
-    required_power,
 )
 
 VALID_KINDS = ("radical", "conservative", "mixed")
@@ -98,25 +98,6 @@ class MixedHeuristic:
         return self.xi
 
 
-def conservative_rate_table(params: ModelParams, h_values) -> np.ndarray:
-    """Conservative rate cap per (channel level, battery level).
-
-    rc[ih, ib] equals min(power_inverse(params, h_values[ih], p_bar +
-    ib * delta_e / tau), q_max): the count of rates whose required power fits
-    the budget, with power_inverse's floor of one once a single packet fits.
-    """
-    ib = np.arange(params.n_battery_levels)
-    budget = params.p_bar + ib * params.delta_e / params.tau
-    rows = []
-    for h in h_values:
-        h = float(h)
-        powers = [required_power(params, h, r) for r in range(1, params.q_max + 1)]
-        fits = np.searchsorted(powers, budget + GRID_EPS, side="right")
-        rows.append(np.where(budget < required_power(params, h, 1) - GRID_EPS,
-                             0, np.maximum(fits, 1)))
-    return np.minimum(np.array(rows, dtype=np.int64), params.q_max)
-
-
 def mixing_weight(g_radical: float, g_conservative: float, p_bar: float) -> float:
     """Weight xi solving xi*G_r + (1-xi)*G_c = p_bar, clipped to [0, 1]."""
     if g_radical <= p_bar:
@@ -157,9 +138,9 @@ def make_heuristic(kind: HeuristicKind, model: Model):
     for mixed.
 
     Every baseline carries its params and a radical_weight (1 for radical, 0
-    for conservative, xi for mixed). run_simulation runs it from
-    draw_cap_table and conservative_rate_table, on a model with those params
-    only (PolicyDomainError otherwise).
+    for conservative, xi for mixed). run_simulation runs it from the model's
+    cap_table and rate_table, on a model with those params only
+    (PolicyDomainError otherwise).
     """
     params = model.params
     if kind.kind == "mixed":

@@ -31,13 +31,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 from scipy.sparse.linalg import splu
 
-from .model import (
-    Action,
-    ConfigError,
-    Model,
-    draw_cap_table,
-    required_power,
-)
+from .model import Action, ConfigError, Model
 
 
 class NonConvergenceError(RuntimeError):
@@ -170,10 +164,10 @@ EXTRACT_BLOCK = 2 ** 16
 class ActionSpace:
     """Every state's feasible actions as (state, rate) pairs with draw
     windows, and the Bellman backup over them. A state offers the rates
-    0..q, and the pair (s, r) the draws 0..min(ib, draw_cap_table[ih, r]) in
+    0..q, and the pair (s, r) the draws 0..min(ib, model.cap_table[ih, r]) in
     quanta (0..ib when draws are not capped by the required power), or with
     greedy_draw (the rate-only reduced solve) the one draw lo = min(ib,
-    draw_cap_table[ih, r]). Along a window the post-decision index steps
+    model.cap_table[ih, r]). Along a window the post-decision index steps
     down the battery axis (clamped at the top) and the grid power is
     max(p_req[h, r] - w * delta_e / tau, 0). Pairs are sorted by window
     length, longest first, so the pairs offering draw offset k = w - lo are
@@ -218,9 +212,8 @@ class ActionSpace:
             raise InstanceTooLargeError(
                 f"{n_pairs} (state, rate) pairs would take {n_pairs * PAIR_BYTES} "
                 f"bytes, over the limit of {MAX_PAIR_BYTES}")
-        self._cap = draw_cap_table(params, space.h_values)
-        self._power = np.array([[required_power(params, float(h), r)
-                                 for r in range(space.nq)] for h in space.h_values])
+        self._cap = model.cap_table
+        self._power = model.power_table
         self._draw_step = params.delta_e / params.tau
         # per state: queue after arrivals, battery after the harvest (before
         # service, draw and clamps), and the (h, a, e) part of its indices

@@ -350,6 +350,24 @@ class Model:
     def space(self) -> StateSpace:
         return enumerate_states(self.params, self.channel, self.arrival, self.harvest)
 
+    # The per-channel-level tables below are built on first use and kept
+    # read-only, like space; none of them enumerates the states.
+
+    @cached_property
+    def power_table(self) -> np.ndarray:
+        """required_power_table of the params and channel levels."""
+        return _read_only(required_power_table(self.params, self.channel.values))
+
+    @cached_property
+    def cap_table(self) -> np.ndarray:
+        """draw_cap_table of the params and channel levels."""
+        return _read_only(draw_cap_table(self.params, self.channel.values))
+
+    @cached_property
+    def rate_table(self) -> np.ndarray:
+        """conservative_rate_table of the params and channel levels."""
+        return _read_only(conservative_rate_table(self.params, self.channel.values))
+
     def mean_arrival(self) -> float:
         return self.arrival.mean()
 
@@ -367,6 +385,12 @@ def battery_draw_cap_quanta(params: ModelParams, h: float, r: int, ib: int,
     return max(cap, 0)
 
 
+def required_power_table(params: ModelParams, h_values) -> np.ndarray:
+    """required_power per (channel level, rate 0..q_max)."""
+    return np.array([[required_power(params, float(h), r)
+                      for r in range(params.q_max + 1)] for h in h_values])
+
+
 def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
     """Greedy battery draw cap, in quanta, per (channel level, rate).
 
@@ -379,6 +403,30 @@ def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
     return np.array([[battery_draw_cap_quanta(params, float(h), r, top)
                       for r in range(params.q_max + 1)] for h in h_values],
                     dtype=np.int64)
+
+
+def conservative_rate_table(params: ModelParams, h_values) -> np.ndarray:
+    """Conservative rate cap per (channel level, battery level).
+
+    rc[ih, ib] equals min(power_inverse(params, h_values[ih], p_bar +
+    ib * delta_e / tau), q_max): the count of rates whose required power fits
+    the budget, with power_inverse's floor of one once a single packet fits.
+    """
+    ib = np.arange(params.n_battery_levels)
+    budget = params.p_bar + ib * params.delta_e / params.tau
+    rows = []
+    for h in h_values:
+        h = float(h)
+        powers = [required_power(params, h, r) for r in range(1, params.q_max + 1)]
+        fits = np.searchsorted(powers, budget + GRID_EPS, side="right")
+        rows.append(np.where(budget < required_power(params, h, 1) - GRID_EPS,
+                             0, np.maximum(fits, 1)))
+    return np.minimum(np.array(rows, dtype=np.int64), params.q_max)
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.setflags(write=False)
+    return table
 
 
 def feasible_actions(x: SystemState, params: ModelParams,

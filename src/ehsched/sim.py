@@ -2,8 +2,11 @@
 
 The simulator runs policies as data: a TablePolicy, a MixedPolicy of two,
 or one of make_heuristic's baselines, whose actions come from two integer
-tables of the model (draw_cap_table and conservative_rate_table). A
+tables the model builds once (Model.cap_table and Model.rate_table). A
 per-state function is turned into a table first (TablePolicy.from_callable).
+No kernel calls a function per slot: a table policy walks a precomputed
+next-state table, the radical baseline runs in closed form, and the
+conservative and mixed baselines run one inline loop over flat tables.
 
 The three exogenous chains are stepped from independent substreams of one
 counter-based generator (Philox), so runs are bit-reproducible and every
@@ -16,27 +19,15 @@ arrival and harvest that land this slot, and the chains advance afterwards.
 from __future__ import annotations
 
 import math
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heuristics import (
-    HeuristicKind,
-    conservative_rate_table,
-    make_heuristic,
-    mixing_weight,
-)
+from .heuristics import HeuristicKind, make_heuristic, mixing_weight
 from .mdp import MixedPolicy, TablePolicy
-from .model import (
-    GRID_EPS,
-    ConfigError,
-    MarkovChainSpec,
-    Model,
-    SystemState,
-    draw_cap_table,
-    required_power,
-)
+from .model import GRID_EPS, ConfigError, MarkovChainSpec, Model, SystemState
 
 
 class PolicyDomainError(RuntimeError):
@@ -141,7 +132,35 @@ def _clamped_walk(steps: np.ndarray, top: int) -> np.ndarray:
     return s + np.minimum(np.minimum.accumulate(top - s), 0)
 
 
+def _clamp_scan(steps: np.ndarray, floor: np.ndarray, top: int) -> np.ndarray:
+    """x[0] = 0 and x[t+1] = min(max(x[t] + steps[t], floor[t]), top), for
+    floor <= top, in closed form.
+
+    Each step is a clamp x -> min(max(x + u, lo), hi), and clamps compose
+    into clamps: the one after the other is (u1 + u2, clip(lo1 + u2, lo2,
+    hi2), clip(hi1 + u2, lo2, hi2)). An inclusive prefix scan over that
+    associative operator (Hillis and Steele's log-step form; Blelloch,
+    Prefix Sums and Their Applications, 1990) gives every x[t] exactly in
+    integers.
+    """
+    u, lo = steps[:-1].copy(), floor[:-1].copy()
+    hi = np.full(u.size, top, dtype=u.dtype)
+    d = 1
+    while d < u.size:
+        # the map at t - d (covering the slots before it) goes first
+        u2, lo2, hi2 = u[d:], lo[d:], hi[d:]
+        lo[d:], hi[d:], u[d:] = (np.minimum(np.maximum(lo[:-d] + u2, lo2), hi2),
+                                 np.minimum(np.maximum(hi[:-d] + u2, lo2), hi2),
+                                 u[:-d] + u2)
+        d *= 2
+    return np.concatenate(([0], np.minimum(np.maximum(u, lo), hi)))
+
+
 def _table_lookup(policy: TablePolicy, model: Model):
+    """The table's (r, wq) as int64 arrays, refused with a PolicyDomainError
+    unless it fits the model: its size and energy grid, 0 <= r <= q and
+    0 <= wq <= ib, capped by cap_table[ih, r] where the model caps draws by
+    the rate's power (the actions evaluate_policy accepts)."""
     space = model.space
     if policy.r.size != space.n_states:
         raise PolicyDomainError(
@@ -149,72 +168,25 @@ def _table_lookup(policy: TablePolicy, model: Model):
             f"{space.n_states}")
     if abs(policy.delta_e - model.params.delta_e) > GRID_EPS:
         raise PolicyDomainError("policy and model disagree on the energy grid")
-    bad = np.flatnonzero((policy.r > space.iq) | (policy.w_quanta > space.ib))
-    if bad.size:
+    r = np.asarray(policy.r).astype(np.int64)
+    wq = np.asarray(policy.w_quanta).astype(np.int64)
+    ok = (r >= 0) & (r <= space.iq)
+    cap = space.ib
+    if model.restrict_w_to_power:
+        cap = np.minimum(cap, model.cap_table[space.ih, np.where(ok, r, 0)])
+    ok &= (wq >= 0) & (wq <= cap)
+    if not ok.all():
+        s = int(np.flatnonzero(~ok)[0])
         raise PolicyDomainError(
-            f"policy action infeasible at state {int(bad[0])}",
-            state=space.state_of(int(bad[0])))
-    # lists of Python ints, made once: the slot loop indexes them per slot
-    return (np.asarray(policy.r).astype(np.int64).tolist(),
-            np.asarray(policy.w_quanta).astype(np.int64).tolist())
+            f"policy action (r={r[s]}, wq={wq[s]}) infeasible at state {s}",
+            state=space.state_of(s))
+    return r, wq
 
 
-def _baseline_actor(radical_weight: float, model: Model):
-    """act() of a make_heuristic baseline, from its two integer tables: radical
-    when the coin falls below radical_weight, else conservative; the battery
-    draw is greedy either way."""
-    params = model.params
-    cap = draw_cap_table(params, model.channel.values).tolist()
-    rc = (conservative_rate_table(params, model.channel.values).tolist()
-          if radical_weight < 1.0 else None)
-
-    def act(q, ih, ia, ib, ie, coin):
-        if coin < radical_weight:
-            r = q
-        else:
-            r = rc[ih][ib]
-            if r > q:
-                r = q
-        c = cap[ih][r]
-        return r, (c if c < ib else ib)
-
-    return act
-
-
-def _make_actor(policy, model: Model):
-    """act(q, ih, ia, ib, ie, coin) -> integer (r, w_quanta) of the policy.
-
-    The simulator runs policy data of three kinds: a TablePolicy, a
-    MixedPolicy, or a make_heuristic baseline built for the model's params
-    (run from draw_cap_table and conservative_rate_table). A baseline built
-    for other params is a PolicyDomainError; anything else is a TypeError.
-    """
-    if isinstance(policy, TablePolicy):
-        r_tab, wq_tab = _table_lookup(policy, model)
-        space = model.space
-        sq, sh, sa, sb = space.s_q, space.s_h, space.s_a, space.s_b
-
-        def act(q, ih, ia, ib, ie, coin):
-            i = q * sq + ih * sh + ia * sa + ib * sb + ie
-            return r_tab[i], wq_tab[i]
-
-        return act
-
-    if isinstance(policy, MixedPolicy):
-        rp, wp = _table_lookup(policy.policy_plus, model)
-        rm, wm = _table_lookup(policy.policy_minus, model)
-        xi = policy.xi
-        space = model.space
-        sq, sh, sa, sb = space.s_q, space.s_h, space.s_a, space.s_b
-
-        def act(q, ih, ia, ib, ie, coin):
-            i = q * sq + ih * sh + ia * sa + ib * sb + ie
-            if coin < xi:
-                return rp[i], wp[i]
-            return rm[i], wm[i]
-
-        return act
-
+def _baseline_weight(policy, model: Model) -> float:
+    """The radical_weight of a make_heuristic baseline built for the model's
+    params; a baseline built for other params is a PolicyDomainError and
+    anything else a TypeError."""
     weight = getattr(policy, "radical_weight", None)
     if weight is None:
         raise TypeError(
@@ -226,7 +198,77 @@ def _make_actor(policy, model: Model):
         raise PolicyDomainError(
             "baseline was built for other params than the model's; build it "
             "with make_heuristic for this model")
-    return _baseline_actor(weight, model)
+    return weight
+
+
+def _walk_tables(tables, model: Model, keys: np.ndarray):
+    """(r, wq) per slot of table policies, by one walk of a next-state table.
+
+    tables are the (r, wq) arrays of one policy, or of a mixture's two (the
+    second at offset n_states); keys[t] is slot t's (h, a, e) index part plus
+    the offset of the table it plays. nxt[i] is the (q, battery) index part
+    after state i's action, clamps included, so the slot's state index is
+    x + keys[t] with x = nxt[previous state index], from x = 0.
+    """
+    space = model.space
+    q_in = np.tile(space.iq + space.arrival_pkts[space.ia], len(tables))
+    b_in = np.tile(space.ib + space.harvest_quanta[space.ie], len(tables))
+    r, wq = (np.concatenate(column) for column in zip(*tables))
+    # 8 bytes a state, and each slot's lookup gives a plain int
+    nxt = array("q", (np.minimum(q_in - r, space.nq - 1) * space.s_q
+                      + np.minimum(b_in - wq, space.nb - 1) * space.s_b
+                      ).astype(np.int64).tobytes())
+    x = 0
+    at = np.empty(keys.size, dtype=np.int64)  # int64 even when n_slots is 1
+    at[0] = 0
+    at[1:] = [x := nxt[x + key] for key in memoryview(keys[:-1])]
+    at += keys
+    return r[at], wq[at]
+
+
+def _radical_slots(model: Model, ih_path, a_slot, e_slot):
+    """(r, wq) per slot of the radical baseline, in closed form: the queue
+    after a slot is min(a, q_max) and the battery a clamp scan."""
+    q_max = model.params.q_max
+    r = np.concatenate(([0], np.minimum(a_slot[:-1], q_max)))
+    cap = model.cap_table[ih_path, r]
+    b_top = model.params.n_battery_levels - 1
+    # b -> min(max(b - cap, 0) + e, b_top): the greedy draw is min(b, cap)
+    b = _clamp_scan(e_slot - cap, np.minimum(e_slot, b_top), b_top)
+    return r, np.minimum(b, cap)
+
+
+def _baseline_slots(model: Model, weight: float, ih_path, a_slot, e_slot,
+                    coins):
+    """(r, wq) per slot of the conservative or mixed baseline, by one loop
+    over flat tables: row ih of the rate table on conservative slots, an
+    extra row of q_max (serve everything) on radical ones."""
+    params = model.params
+    q_max, nb = params.q_max, params.n_battery_levels
+    b_top = nb - 1
+    rc = np.concatenate((model.rate_table.ravel(), np.full(nb, q_max))).tolist()
+    cap = model.cap_table.ravel().tolist()
+    rows = np.where(coins < weight, model.channel.n, ih_path)
+    rs, ws = [], []
+    q = ib = 0
+    # memoryviews hand out one int per slot and hold no per-slot list
+    for ro, co, a, e in zip(memoryview(rows * nb), memoryview(ih_path * (q_max + 1)),
+                            memoryview(a_slot), memoryview(e_slot)):
+        r = rc[ro + ib]
+        if r > q:
+            r = q
+        w = cap[co + r]
+        if w > ib:
+            w = ib
+        rs.append(r)
+        ws.append(w)
+        q += a - r
+        if q > q_max:
+            q = q_max
+        ib += e - w
+        if ib > b_top:
+            ib = b_top
+    return np.array(rs, dtype=np.int64), np.array(ws, dtype=np.int64)
 
 
 def _batch_se(series: np.ndarray, n_batches: int) -> float:
@@ -249,10 +291,13 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
     slot regardless of the policy kind, so deterministic and randomized
     policies see identical chain paths under the same seed.
 
-    The chains do not depend on the policy, so their paths are sampled before
-    the slot loop. The loop runs the queue and battery recursions and records
-    only the actions; the queue and battery series, grid power, clipping and
-    trace are computed from those afterwards.
+    The policy's data are checked before any slot runs. The chains do not
+    depend on the policy, so their paths are sampled first; then one kernel
+    per policy kind finds every slot's action: a table policy or mixture by
+    walking its next-state table, the radical baseline in closed form, the
+    conservative and mixed baselines by one loop over the model's two
+    baseline tables. The queue and battery series, grid power, clipping and
+    trace are computed from the actions afterwards.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
@@ -261,12 +306,13 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
     n = cfg.n_slots
     warmup = cfg.effective_warmup
 
-    act = _make_actor(policy, model)
-
-    a_pkts = [int(round(v)) for v in model.arrival.values]
-    e_quanta = [int(round(v / de)) for v in model.harvest.values]
-    p_tab = np.array([[required_power(params, h, r) for r in range(q_max + 1)]
-                      for h in model.channel.values])
+    if isinstance(policy, TablePolicy):
+        tables = [_table_lookup(policy, model)]
+    elif isinstance(policy, MixedPolicy):
+        tables = [_table_lookup(p, model)
+                  for p in (policy.policy_plus, policy.policy_minus)]
+    else:
+        tables, weight = None, _baseline_weight(policy, model)
 
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     gen_h, gen_a, gen_e, gen_coin = (
@@ -275,40 +321,39 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
     ia_path = _chain_path(model.arrival, gen_a, n)
     ie_path = _chain_path(model.harvest, gen_e, n)
     coins = gen_coin.random(n)
+    a_pkts = np.array([int(round(v)) for v in model.arrival.values], dtype=np.int64)
+    e_quanta = np.array([int(round(v / de)) for v in model.harvest.values],
+                        dtype=np.int64)
+    a_slot, e_slot = a_pkts[ia_path], e_quanta[ie_path]
 
-    rs, ws = [], []
-    q = 0
-    ib = 0
-    for ih, ia, ie, coin in zip(memoryview(ih_path), memoryview(ia_path),
-                                memoryview(ie_path), memoryview(coins)):
-        r, wq = act(q, ih, ia, ib, ie, coin)
-        rs.append(r)
-        ws.append(wq)
-        q += a_pkts[ia] - r
-        if q > q_max:
-            q = q_max
-        ib += e_quanta[ie] - wq
-        if ib > b_top:
-            ib = b_top
+    if tables is not None:
+        space = model.space
+        keys = ih_path * space.s_h + ia_path * space.s_a + ie_path
+        if isinstance(policy, MixedPolicy):
+            keys += space.n_states * (coins >= policy.xi)
+        r_slot, w_slot = _walk_tables(tables, model, keys)
+        del keys
+    elif weight >= 1.0:
+        r_slot, w_slot = _radical_slots(model, ih_path, a_slot, e_slot)
+    else:
+        r_slot, w_slot = _baseline_slots(model, weight, ih_path, a_slot,
+                                         e_slot, coins)
 
-    r_slot = np.array(rs, dtype=np.int64)
-    w_slot = np.array(ws, dtype=np.int64)
-    del rs, ws  # free the per-slot ints before the accounting arrays exist
-    q_step = np.asarray(a_pkts, dtype=np.int64)[ia_path] - r_slot
-    b_step = np.asarray(e_quanta, dtype=np.int64)[ie_path] - w_slot
+    q_step = a_slot - r_slot
+    b_step = e_slot - w_slot
     q_slot = _clamped_walk(q_step, q_max)
     b_slot = _clamped_walk(b_step, b_top)
     overflow_pkts = np.maximum(q_slot + q_step - q_max, 0)
     spill_quanta = np.maximum(b_slot + b_step - b_top, 0)
     w_scale = de / tau
-    g_series = p_tab[ih_path, r_slot] - w_slot * w_scale
+    g_series = model.power_table[ih_path, r_slot] - w_slot * w_scale
     g_series[g_series < 0.0] = 0.0
     q_series = q_slot.astype(float)
     trace = None
     if cfg.record_trace:
         trace = {"q": q_series,
                  "h": np.asarray(model.channel.values)[ih_path],
-                 "a": (q_step + r_slot).astype(float),
+                 "a": a_slot.astype(float),
                  "e_b": b_slot * de,
                  "e": np.asarray(model.harvest.values)[ie_path],
                  "r": r_slot.astype(float),

@@ -12,7 +12,8 @@ saturated transition contributes a zero difference rather than an
 out-of-range lookup. It is array code over all states at once: marginals are
 gathered from the solvers' post-decision table at per-state leftover
 (queue, battery) arrays, and feasibility reads the one draw-cap table
-(model.draw_cap_table) the state-action builder and the baselines read.
+(Model.cap_table, from model.draw_cap_table) the state-action builder and the
+baselines read.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .mdp import (
     recurrent_classes,
     relative_value_iteration,
 )
-from .model import Model, draw_cap_table
+from .model import Model
 
 PASS = "pass"
 FAIL = "fail"
@@ -253,7 +254,7 @@ def _difference_algebra(values: ValueTable, model: Model):
     iq, ih, ia, ib, ie = space.iq, space.ih, space.ia, space.ib, space.ie
     a_pkts = space.arrival_pkts[ia]
     e_quanta = space.harvest_quanta[ie]
-    cap = draw_cap_table(p, space.h_values)
+    cap = model.cap_table
     # math.exp, not np.exp: the two may differ in the last ulp
     exp_theta = np.array([math.exp(p.theta * u) for u in range(nq + 1)])
 
@@ -415,8 +416,7 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
                            out=hi[at[0]])
 
     # serve-everything regime: marginals at (0, j_full), strictly above price
-    cap_full = np.minimum(ib, draw_cap_table(model.params, space.h_values)[
-        space.ih, q])
+    cap_full = np.minimum(ib, model.cap_table[space.ih, q])
     z1, ok1 = marginal(0, ib - cap_full, 1, 0)
     z2, ok2 = marginal(0, ib - cap_full, 0, 1)
     serve_eval = busy & ok1 & ok2

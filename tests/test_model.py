@@ -13,6 +13,7 @@ from ehsched.model import (
     Model,
     ModelParams,
     SystemState,
+    battery_draw_cap_quanta,
     enumerate_states,
     feasible_actions,
     grid_power,
@@ -270,6 +271,24 @@ def test_model_cross_validation():
         Model(params=params, **{**good, "harvest": MarkovChainSpec.iid((0.0, 0.3), (0.5, 0.5))})
     with pytest.raises(ConfigError):
         Model(params=params, **{**good, "channel": MarkovChainSpec.iid((-1.0, 1.0), (0.5, 0.5))})
+
+
+def test_model_tables_are_built_once_read_only_and_without_states():
+    from pathlib import Path
+    m = load_model(Path(__file__).resolve().parents[1] / "configs" / "channel.json")
+    p, h = m.params, m.channel.values
+    assert m.cap_table is m.cap_table and m.rate_table is m.rate_table
+    for r in (0, 1, 7, p.q_max):
+        for ih in (0, len(h) - 1):
+            assert m.power_table[ih, r] == required_power(p, h[ih], r)
+            top = p.n_battery_levels - 1
+            assert m.cap_table[ih, r] == battery_draw_cap_quanta(p, h[ih], r, top)
+    assert m.rate_table.shape == (len(h), p.n_battery_levels)
+    for table in (m.power_table, m.cap_table, m.rate_table):
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+    # 32M states: the tables never enumerate them
+    assert "space" not in vars(m)
 
 
 def test_load_model_round_trip(tmp_path):

@@ -399,6 +399,97 @@ def test_clamped_walk_matches_slot_recursion(steps, top):
     np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 120).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
+    st.lists(st.integers(0, 9), min_size=n, max_size=n))), st.integers(0, 8))
+def test_clamp_scan_matches_slot_recursion(steps_floors, top):
+    steps, floors = steps_floors
+    floors = [min(f, top) for f in floors]
+    x, want = 0, []
+    for d, f in zip(steps, floors):
+        want.append(x)
+        x = min(max(x + d, f), top)
+    got = sim._clamp_scan(np.array(steps, dtype=np.int64),
+                          np.array(floors, dtype=np.int64), top)
+    np.testing.assert_array_equal(got, want)
+
+
+# --- slot kernels against the per-slot reference ---------------------------------
+
+
+def per_state_actors(model, xi):
+    """Each policy kind as run_simulation takes it, and as the reference
+    simulator takes it (a per-state function or act(state, coin) object)."""
+    params = model.params
+    yield (make_heuristic(HeuristicKind("radical"), model),
+           lambda x: radical_policy(x, params))
+    yield (make_heuristic(HeuristicKind("conservative"), model),
+           lambda x: conservative_policy(x, params))
+    yield (make_heuristic(HeuristicKind("mixed", xi=xi), model),
+           SimpleNamespace(act=lambda x, coin: mixed_action(x, params, xi, coin)))
+
+
+def random_feasible_table(model, seed):
+    """A table drawing each state's rate in 0..q and its draw in the
+    window the model allows for that rate, uniformly."""
+    space = model.space
+    rng = np.random.default_rng(seed)
+    r = rng.integers(0, space.iq + 1)
+    cap = space.ib
+    if model.restrict_w_to_power:
+        cap = np.minimum(cap, draw_cap_table(model.params, space.h_values)[
+            space.ih, r])
+    return TablePolicy(r=r, w_quanta=rng.integers(0, cap + 1),
+                       delta_e=model.params.delta_e, tau=model.params.tau)
+
+
+def assert_same_run(got, want):
+    assert got.trace.keys() == want.trace.keys()
+    for key in want.trace:
+        assert got.trace[key].dtype == want.trace[key].dtype, key
+        assert got.trace[key].tobytes() == want.trace[key].tobytes(), key
+    # by repr, so the NaN standard errors of short runs compare equal
+    assert repr(replace(got, trace=None)) == repr(replace(want, trace=None))
+
+
+KERNEL_MODELS = {
+    "desk-lite": desk_lite_model,
+    "desk-unrestricted": lambda: desk_model(restrict=False),
+    "mixed-budget": lambda: load_model(CONFIGS / "mixed_budget.json"),
+}
+
+
+@pytest.mark.parametrize("name", list(KERNEL_MODELS))
+def test_every_kernel_matches_the_per_slot_reference(name):
+    m = KERNEL_MODELS[name]()
+    table = random_feasible_table(m, 0)
+    other = random_feasible_table(m, 1)
+    tables = [table, *(MixedPolicy(table, other, xi) for xi in (0.0, 0.37, 1.0))]
+    for n in (1, 2, 3, 2_000):
+        cfg = SimConfig(n_slots=n, seed=n + 3, warmup=0, record_trace=True)
+        for xi in (0.0, 0.3, 1.0):
+            for policy, slow in per_state_actors(m, xi):
+                assert_same_run(run_simulation(policy, m, cfg),
+                                reference_simulation(slow, m, cfg))
+        for policy in tables:
+            assert_same_run(run_simulation(policy, m, cfg),
+                            reference_simulation(_per_slot_table_actor(policy, m),
+                                                 m, cfg))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 1.0), st.sampled_from([1, 2, 3, 500]),
+       st.booleans())
+def test_table_walk_matches_the_per_slot_reference_random(seed, xi, n, restrict):
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    plus, minus = random_feasible_table(m, seed), random_feasible_table(m, seed + 1)
+    cfg = SimConfig(n_slots=n, seed=seed, warmup=0, record_trace=True)
+    for policy in (plus, MixedPolicy(plus, minus, xi)):
+        assert_same_run(run_simulation(policy, m, cfg),
+                        reference_simulation(_per_slot_table_actor(policy, m), m, cfg))
+
+
 # --- policy domain errors ------------------------------------------------------
 
 
@@ -415,6 +506,30 @@ def test_infeasible_action_raises_with_state(lite):
 
     with pytest.raises(PolicyDomainError):
         reference_simulation(off_grid, lite, SimConfig(n_slots=100, seed=1))
+
+
+def test_infeasible_table_actions_are_refused_as_by_the_evaluator():
+    m = desk_model()
+    space = m.space
+    de, tau = m.params.delta_e, m.params.tau
+    cfg = SimConfig(n_slots=1_000, seed=1)
+    idle = np.zeros(space.n_states, dtype=np.int64)
+    negative_rate = TablePolicy(r=idle - 1, w_quanta=idle, delta_e=de, tau=tau)
+    # serve one packet where there is one, drawing the whole charge: above
+    # the rate's power wherever the charge exceeds cap[ih, 1]
+    r = np.minimum(space.iq, 1)
+    overdraw = TablePolicy(r=r, w_quanta=space.ib.copy(), delta_e=de, tau=tau)
+    assert (space.ib > draw_cap_table(m.params, space.h_values)[space.ih, r]).any()
+    for policy in (negative_rate, overdraw):
+        with pytest.raises(ValueError, match="infeasible"):
+            evaluate_policy(policy, 1.0, m)
+        with pytest.raises(PolicyDomainError, match="infeasible") as err:
+            run_simulation(policy, m, cfg)
+        assert err.value.state is not None
+    # without the power cap the whole charge may be drawn
+    free = replace(m, restrict_w_to_power=False)
+    run_simulation(overdraw, free, cfg)
+    evaluate_policy(overdraw, 1.0, free)
 
 
 def test_wrong_sized_table_raises(lite, lite_solved):
@@ -588,6 +703,35 @@ def test_sweeps_run_each_baseline_once_per_point(lite, monkeypatch):
     calls.clear()
     sweep_budget(lite, [0.3], "mixed", cfg)
     assert len(calls) == 3
+
+
+@pytest.mark.parametrize("axis", ["channel", "arrival"])
+def test_a_sweep_point_builds_each_table_once(lite, axis, monkeypatch):
+    from ehsched import model as model_module
+    builds = {}
+    for name in ("required_power_table", "draw_cap_table",
+                 "conservative_rate_table"):
+        def counted(*args, _build=getattr(model_module, name), _name=name):
+            builds[_name] = builds.get(_name, 0) + 1
+            return _build(*args)
+        monkeypatch.setattr(model_module, name, counted, raising=False)
+    cfg = SimConfig(n_slots=1_000, seed=53)
+    points = [0.5, 1.0, 2.0]
+    if axis == "channel":
+        sweep_channel(lite, points, ("radical", "conservative", "mixed"), cfg,
+                      n_levels=4)
+    else:
+        sweep_arrival(lite, points, "mixed", cfg)
+    assert builds == {"required_power_table": 3, "draw_cap_table": 3,
+                      "conservative_rate_table": 3}
+
+
+def test_baselines_never_enumerate_the_states():
+    m = load_model(CONFIGS / "channel.json")  # 32M states
+    for kind in (HeuristicKind("radical"), HeuristicKind("conservative"),
+                 HeuristicKind("mixed", xi=0.5)):
+        run_simulation(make_heuristic(kind, m), m, SimConfig(n_slots=100, seed=1))
+    assert "space" not in vars(m)
 
 
 def test_sweeps_take_kind_names_only(lite):
