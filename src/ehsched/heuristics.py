@@ -119,7 +119,9 @@ class CalibrationResult:
 def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> CalibrationResult:
     """Measure G_r and G_c by simulation (same seed, common random numbers)
     and interpolate the mixing weight."""
-    from .sim import run_simulation  # sim imports nothing from here; lazy to keep layering flat
+    # local: sim imports HeuristicKind, make_heuristic and mixing_weight from
+    # this module, so a module-level import here would be circular
+    from .sim import run_simulation
 
     if p_bar is None:
         p_bar = model.params.p_bar

@@ -25,13 +25,18 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
-from scipy.sparse.linalg import splu
 
 from .model import Action, ConfigError, Model
+
+# scipy's sparse stack takes most of a fresh interpreter's start-up, and only
+# the exact solvers use it: the functions that build a sparse matrix or
+# factorise import it on first use, so loading a model, simulating and
+# sweeping never load it.
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 
 class NonConvergenceError(RuntimeError):
@@ -355,6 +360,8 @@ class ActionSpace:
         indices post, one row each: the positive entries of the exogenous
         chain's row for the action's (h, a, e), shifted to its next (q,
         battery) state index."""
+        import scipy.sparse as sp
+
         space = self.model.space
         ex, qb = post % self._n_ex, post // self._n_ex
         base = (qb // space.nb) * space.s_q + (qb % space.nb) * space.s_b
@@ -481,6 +488,8 @@ def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
             x = lu.solve(c)
             v = x - x[ref]
         else:
+            from scipy.sparse.linalg import splu
+
             v = splu(_identity_minus(actions.chain(post), alpha)).solve(c)
             actions.n_factorised += 1
         n_eval += 1
@@ -522,6 +531,8 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
         chain = getattr(model, name)
         if chain.transition.all():  # a positive matrix is irreducible
             continue
+        import scipy.sparse as sp
+
         _, n_classes = recurrent_classes(sp.csr_matrix(chain.transition))
         if n_classes > 1:
             raise MultichainError(
@@ -705,6 +716,8 @@ def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
     it. P must be CSR and hold no explicit zeros: every stored entry counts
     as an edge, read from its indptr and indices.
     """
+    from scipy.sparse.csgraph import connected_components
+
     n_comp, labels = connected_components(P, directed=True, connection="strong")
     src = np.repeat(labels, np.diff(P.indptr))
     dst = labels[P.indices]
@@ -726,6 +739,8 @@ def _identity_minus(P: sp.csr_matrix, scale: float = 1.0,
     absorbing row, -p + 1 where p is 1) are dropped; and each column's rows
     ascend. SuperLU therefore factorises the same matrix.
     """
+    import scipy.sparse as sp
+
     n = P.shape[0]
     entries = (np.repeat(np.arange(n), np.diff(P.indptr)),
                P.indices.astype(np.int64), -(P.data * scale))
@@ -762,6 +777,8 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
     lu.solve(e_ref, trans="T") gives the stationary law pi, since
     pi A = e_ref^T.
     """
+    from scipy.sparse.linalg import splu
+
     try:
         return splu(_identity_minus(P, ref=ref))
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"

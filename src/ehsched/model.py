@@ -360,13 +360,13 @@ class Model:
 
     @cached_property
     def cap_table(self) -> np.ndarray:
-        """draw_cap_table of the params and channel levels."""
-        return _read_only(draw_cap_table(self.params, self.channel.values))
+        """draw_cap_table of the params and power_table."""
+        return _read_only(draw_cap_table(self.params, self.power_table))
 
     @cached_property
     def rate_table(self) -> np.ndarray:
-        """conservative_rate_table of the params and channel levels."""
-        return _read_only(conservative_rate_table(self.params, self.channel.values))
+        """conservative_rate_table of the params and power_table."""
+        return _read_only(conservative_rate_table(self.params, self.power_table))
 
     def mean_arrival(self) -> float:
         return self.arrival.mean()
@@ -391,37 +391,35 @@ def required_power_table(params: ModelParams, h_values) -> np.ndarray:
                       for r in range(params.q_max + 1)] for h in h_values])
 
 
-def draw_cap_table(params: ModelParams, h_values) -> np.ndarray:
-    """Greedy battery draw cap, in quanta, per (channel level, rate).
+def draw_cap_table(params: ModelParams, power: np.ndarray) -> np.ndarray:
+    """Greedy battery draw cap, in quanta, per (channel level, rate), read off
+    power = required_power_table(params, h_values).
 
     min(ib, cap[ih, r]) equals battery_draw_cap_quanta(params, h_values[ih], r,
     ib) at every battery level ib of the params' grid. It is the one cap table
     the state-action builder, the simulator's baselines and the greedy-regime
     certificate all read.
     """
-    top = params.n_battery_levels - 1
-    return np.array([[battery_draw_cap_quanta(params, float(h), r, top)
-                      for r in range(params.q_max + 1)] for h in h_values],
-                    dtype=np.int64)
+    cap = np.floor(power * params.tau / params.delta_e + GRID_EPS)
+    return np.clip(cap, 0, params.n_battery_levels - 1).astype(np.int64)
 
 
-def conservative_rate_table(params: ModelParams, h_values) -> np.ndarray:
-    """Conservative rate cap per (channel level, battery level).
+def conservative_rate_table(params: ModelParams, power: np.ndarray) -> np.ndarray:
+    """Conservative rate cap per (channel level, battery level), read off
+    power = required_power_table(params, h_values).
 
     rc[ih, ib] equals min(power_inverse(params, h_values[ih], p_bar +
     ib * delta_e / tau), q_max): the count of rates whose required power fits
     the budget, with power_inverse's floor of one once a single packet fits.
     """
-    ib = np.arange(params.n_battery_levels)
-    budget = params.p_bar + ib * params.delta_e / params.tau
-    rows = []
-    for h in h_values:
-        h = float(h)
-        powers = [required_power(params, h, r) for r in range(1, params.q_max + 1)]
-        fits = np.searchsorted(powers, budget + GRID_EPS, side="right")
-        rows.append(np.where(budget < required_power(params, h, 1) - GRID_EPS,
-                             0, np.maximum(fits, 1)))
-    return np.minimum(np.array(rows, dtype=np.int64), params.q_max)
+    rc = np.zeros((len(power), params.n_battery_levels), dtype=np.int64)
+    if params.q_max == 0:  # rate 0 alone
+        return rc
+    budget = params.p_bar + np.arange(params.n_battery_levels) * params.delta_e / params.tau
+    for row, p in zip(rc, power):
+        fits = np.searchsorted(p[1:], budget + GRID_EPS, side="right")
+        row[:] = np.where(budget < p[1] - GRID_EPS, 0, np.maximum(fits, 1))
+    return rc
 
 
 def _read_only(table: np.ndarray) -> np.ndarray:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -483,6 +482,9 @@ def _sweep(axis: str, model: Model, points, kinds, cfg: SimConfig,
     jobs = [(axis, model, float(v), kinds, cfg, n_levels) for v in points]
     if n_workers <= 1:
         return [_sweep_point(j) for j in jobs]
+    # imported here, so that a one-worker sweep does not pay for loading it
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         return list(pool.map(_sweep_point, jobs))
 

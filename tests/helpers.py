@@ -33,6 +33,7 @@ from ehsched.model import (
     draw_cap_table,
     feasible_actions,
     required_power,
+    required_power_table,
     step_battery,
     step_queue,
 )
@@ -670,8 +671,9 @@ def baseline_tables(model):
     rate's power on every model, as greedy_battery caps it."""
     space = model.space
     params = model.params
-    cap = draw_cap_table(params, model.channel.values)
-    rc = conservative_rate_table(params, model.channel.values)
+    power = required_power_table(params, model.channel.values)
+    cap = draw_cap_table(params, power)
+    rc = conservative_rate_table(params, power)
 
     def table(r):
         return TablePolicy(r=r, w_quanta=np.minimum(space.ib, cap[space.ih, r]),

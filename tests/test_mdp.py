@@ -411,6 +411,8 @@ def test_kernel_rows_are_canonical():
 
 
 def test_build_reads_the_cap_table_not_a_per_state_cap(monkeypatch):
+    # the draw windows 0..min(ib, cap[ih, r]) come from Model.cap_table, read
+    # off the power table: no cap is worked out per state or per entry
     calls = []
     real = model_module.battery_draw_cap_quanta
 
@@ -421,8 +423,17 @@ def test_build_reads_the_cap_table_not_a_per_state_cap(monkeypatch):
     monkeypatch.setattr(model_module, "battery_draw_cap_quanta", counting)
     monkeypatch.setattr(mdp, "battery_draw_cap_quanta", counting, raising=False)
     m = desk_model()
-    build_action_space(m)
-    assert 0 < len(calls) <= m.space.nh * (m.params.q_max + 1)
+    space = m.space
+    actions = build_action_space(m)
+    assert calls == []
+    windows = np.minimum(space.ib[:, None], m.cap_table[space.ih]) + 1
+    in_queue = np.arange(m.params.q_max + 1) <= space.iq[:, None]
+    assert actions.n_sa == int(windows[in_queue].sum())
+    # a cap table of zeros in its place leaves every pair the draw 0 alone
+    zero_caps = replace(m)
+    vars(zero_caps)["cap_table"] = np.zeros_like(m.cap_table)
+    assert build_action_space(zero_caps).n_sa == int((space.iq + 1).sum())
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from ehsched.model import (
     load_model,
     power_inverse,
     required_power,
+    required_power_table,
 )
 from ehsched.sim import (
     PolicyDomainError,
@@ -221,28 +222,43 @@ def test_mixed_heuristic_edge_weights_reduce_to_pure(lite):
 
 
 def assert_tables_match(params, h_values):
-    cap = draw_cap_table(params, h_values)
-    rc = conservative_rate_table(params, h_values)
+    """The cap and rate tables read off the power table against the per-entry
+    functions: every battery level of a grid up to 5,000 levels; on a larger
+    one both sides of every step of a rate row, its ends and every 1,000th
+    level (the row is a step function of the budget)."""
+    power = required_power_table(params, h_values)
+    cap = draw_cap_table(params, power)
+    rc = conservative_rate_table(params, power)
     nb = params.n_battery_levels
     assert cap.shape == (len(h_values), params.q_max + 1)
     assert rc.shape == (len(h_values), nb)
     for ih, h in enumerate(h_values):
-        for ib in range(nb):
+        levels = range(nb)
+        if nb > 5_000:
+            steps = np.flatnonzero(np.diff(rc[ih]))
+            levels = sorted({0, nb - 1, *range(0, nb, 1_000), *steps.tolist(),
+                             *(steps + 1).tolist()})
+        for ib in levels:
             budget = params.p_bar + ib * params.delta_e / params.tau
             assert rc[ih, ib] == min(power_inverse(params, h, budget),
                                      params.q_max), (ih, ib)
         for r in range(params.q_max + 1):
             c = int(cap[ih, r])
             # the battery levels where min(ib, cap) changes branch
-            for ib in {0, 1, c - 1, c, c + 1, nb - 1} & set(range(nb)):
+            for ib in {b for b in (0, 1, c - 1, c, c + 1, nb - 1) if 0 <= b < nb}:
                 assert (min(ib, c)
                         == battery_draw_cap_quanta(params, h, r, ib)), (ih, r, ib)
 
 
 def test_baseline_tables_match_per_state_functions_on_configs():
-    for name in ("desk", "channel", "mixed_budget"):
+    for name in ("desk", "channel", "fig4", "mixed_budget"):
         m = load_model(CONFIGS / f"{name}.json")
         assert_tables_match(m.params, m.channel.values)
+        # the model's cached tables are these
+        power = required_power_table(m.params, m.channel.values)
+        assert np.array_equal(m.power_table, power)
+        assert np.array_equal(m.cap_table, draw_cap_table(m.params, power))
+        assert np.array_equal(m.rate_table, conservative_rate_table(m.params, power))
     # budgets on a required power or within GRID_EPS below it, and an empty
     # buffer
     h = (0.5, 1.0)
@@ -254,11 +270,16 @@ def test_baseline_tables_match_per_state_functions_on_configs():
     assert_tables_match(ModelParams(q_max=0, e_max=1.0, delta_e=0.5, p_bar=2.0), h)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 20.0), st.integers(0, 8))
 def test_baseline_tables_match_per_state_functions_random(seed, p_bar, q_max):
     rng = np.random.default_rng(seed)
-    params = ModelParams(q_max=q_max, e_max=4.0, delta_e=0.25,
+    delta_e = float(rng.choice([0.1, 0.25, 0.5, 1.0]))
+    params = ModelParams(q_max=q_max, e_max=delta_e * int(rng.integers(0, 17)),
+                         delta_e=delta_e, tau=float(rng.choice([0.5, 1.0, 2.0])),
+                         b=float(rng.uniform(0.2, 3.0)),
+                         n_uses=float(rng.uniform(1.0, 10.0)),
+                         sigma2=float(rng.uniform(0.1, 3.0)),
                          circuit_c=float(rng.random()), rho=1.0 + float(rng.random()),
                          p_bar=p_bar)
     h_values = tuple(sorted(float(v) for v in rng.uniform(0.05, 3.0, size=3)))
@@ -438,8 +459,7 @@ def random_feasible_table(model, seed):
     r = rng.integers(0, space.iq + 1)
     cap = space.ib
     if model.restrict_w_to_power:
-        cap = np.minimum(cap, draw_cap_table(model.params, space.h_values)[
-            space.ih, r])
+        cap = np.minimum(cap, model.cap_table[space.ih, r])
     return TablePolicy(r=r, w_quanta=rng.integers(0, cap + 1),
                        delta_e=model.params.delta_e, tau=model.params.tau)
 
@@ -519,7 +539,7 @@ def test_infeasible_table_actions_are_refused_as_by_the_evaluator():
     # the rate's power wherever the charge exceeds cap[ih, 1]
     r = np.minimum(space.iq, 1)
     overdraw = TablePolicy(r=r, w_quanta=space.ib.copy(), delta_e=de, tau=tau)
-    assert (space.ib > draw_cap_table(m.params, space.h_values)[space.ih, r]).any()
+    assert (space.ib > m.cap_table[space.ih, r]).any()
     for policy in (negative_rate, overdraw):
         with pytest.raises(ValueError, match="infeasible"):
             evaluate_policy(policy, 1.0, m)

@@ -20,6 +20,7 @@ from ehsched.model import (
     ModelParams,
     battery_draw_cap_quanta,
     draw_cap_table,
+    required_power_table,
 )
 from ehsched.verify import (
     CertificateReport,
@@ -259,7 +260,7 @@ def probe_policies(model, solved):
     and the solved policy serving one packet less at every third busy state:
     FAIL witnesses get compared as well as passes."""
     space, p = model.space, model.params
-    cap = draw_cap_table(p, space.h_values)
+    cap = draw_cap_table(p, required_power_table(p, space.h_values))
 
     def table(r, w):
         return TablePolicy(r=r, w_quanta=w, delta_e=p.delta_e, tau=p.tau)
