@@ -10,11 +10,11 @@ at the action's post-decision index (Powell, Approximate Dynamic
 Programming, 2nd ed., 2011, ch. 4), and a policy's sparse chain, for its LU,
 comes from the same index. Both solves run the same Howard policy iteration
 first, which differs between them only in how it evaluates a policy (one
-bias-gain LU, or one LU of I - alpha P), and start value iteration from the
-values of the policy it ends on; the sweeps then only mop up rounding error
-before meeting their usual stopping rules (the span of T V - V for the
-long-run average, the sup-norm residual for the discounted solve behind the
-vanishing-discount route).
+bias-gain LU, or one LU of I - alpha P). The discounted solve ends there,
+with one backup for its residual and greedy policy; the average-cost solve
+starts damped value iteration from the bias of the policy it ends on, and
+takes its gain bounds, bias and policy from the backup that meets the span
+rule (where policy iteration reaches the optimum, the first).
 evaluate_policy computes exact stationary averages for any fixed (or
 two-policy mixed) stationary policy from the same bias-gain LU.
 """
@@ -56,11 +56,12 @@ class InstanceTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the value-iteration solvers.
+    """Knobs for the solvers.
 
     kappa is the damping weight of the averaged Bellman operator
     (1-kappa)*I + kappa*T used by relative VI; it removes periodicity without
-    changing the gain or the greedy policy.
+    changing the gain or the greedy policy. max_iters bounds the policy
+    evaluations of both solves, and relative VI's backups after them.
     """
 
     beta: float
@@ -436,8 +437,14 @@ def post_decision_values(values: np.ndarray, space, exogenous) -> np.ndarray:
 GREEDY_TIE_TOL = 1e-8
 
 
-# a solve's trace keeps its last TRACE_ROWS sweeps; n_iters counts them all
+# the average-cost solve's trace keeps its last TRACE_ROWS sweeps; n_iters
+# counts them all
 TRACE_ROWS = 10_000
+
+# rounding floor of the discounted solve's residual, in ulps of max |V|: the
+# exact values of the optimal policy, rounded and backed up once, read 1 to 11
+# ulps where epsilon (1 - alpha) / (2 alpha) is below one ulp (alpha 0.999)
+RESIDUAL_ULPS = 64
 
 
 @dataclass
@@ -513,14 +520,16 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     costs or from the table policy start) runs until no state moves, for at
     most cfg.max_iters evaluations; value iteration on the damped operator
     (1-kappa) V + kappa T V then starts from that policy's bias, divided by
-    kappa since that is the lazy chain's bias, and sweeps with span-seminorm
-    stopping: the span of T V - V brackets the optimal gain, and normalizing
-    at the reference state each sweep keeps the iterates bounded. Where
-    policy iteration reaches the optimum, one sweep meets the rule. If it
-    meets a multichain policy it stops there, and the sweeps start from the
-    last unichain bias (or from 0). n_iters counts the sweeps and trace
-    keeps the last TRACE_ROWS of them; n_evaluations counts the policies
-    evaluated.
+    kappa since that is the lazy chain's bias, normalizing at the reference
+    state after each backup. The first backup whose span of T V - V is below
+    cfg.epsilon (where policy iteration reaches the optimum, the first one)
+    gives the gain bounds (min and max of T V - V, which bracket the optimal
+    gain), the bias and the greedy policy. The span has no rounding floor:
+    an epsilon within a few ulps of max |V| raises NonConvergenceError after
+    cfg.max_iters backups. If policy iteration meets a multichain policy it
+    stops there, and the backups start from the last unichain bias (or from
+    0). n_iters counts the backups and trace keeps the last TRACE_ROWS of
+    them; n_evaluations counts the policies evaluated.
 
     Raises MultichainError before the first evaluation when an exogenous
     chain has more than one recurrent class: no policy can move the chain
@@ -558,29 +567,25 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     trace = deque(maxlen=TRACE_ROWS)
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
-        mins, _ = damped_backup(v)
+        mins, pick = damped_backup(v)
         d = mins - v
         lo, hi = float(d.min()), float(d.max())
         span = hi - lo
         trace.append((it, span, lo, hi))
-        v = mins - mins[ref]
         if span < cfg.epsilon:
             break
+        v = mins - mins[ref]
     else:
         raise NonConvergenceError(
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    mins, pick = damped_backup(v)
-    d = mins - v
-    lo, hi = float(d.min()), float(d.max())
-    gain = 0.5 * (lo + hi)
     # v solves the optimality equation of the lazy kernel (1-kappa)I + kappa*P,
     # whose gain and greedy sets match the original chain's; its bias is the
     # original bias divided by kappa, so rescale before reporting
     bias = ValueTable(values=kappa * (v - v[ref]), kind="relative-bias",
                       beta=cfg.beta, reference_state=ref)
-    return SolveResult(gain=float(gain), values=bias,
+    return SolveResult(gain=0.5 * (lo + hi), values=bias,
                        policy=actions.policy_from_sa(pick(10.0 * cfg.epsilon)),
                        n_iters=it, residual=span, gain_bounds=(lo, hi),
                        trace=list(trace), actions=actions, n_evaluations=n_eval)
@@ -595,49 +600,39 @@ def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
 
 def discounted_value_iteration(cfg: SolverConfig, model: Model,
                                actions: ActionSpace | None = None) -> SolveResult:
-    """Discounted solve with the standard contraction stopping rule: sweep
-    until the sup-norm residual is below epsilon*(1-alpha)/(2*alpha), which
-    puts the values within epsilon of the optimum.
+    """Discounted solve by Howard policy iteration (_howard, Puterman 1994,
+    sec. 6.4), from the greedy actions of the one-step costs, for at most
+    cfg.max_iters evaluations. Returns the values of the policy it ends on
+    and the tie-canonical greedy policy of one backup of them, which also
+    gives their residual |T V - V|.
 
-    The sweeps start from the exact values of the policy Howard policy
-    iteration ends on (Puterman 1994, sec. 6.4) rather than from V=0, so
-    they only mop up its rounding error: a handful of sweeps where a cold
-    start needs tens of thousands at alpha=0.999. Policy iteration is the
-    average-cost solve's (_howard), from the greedy actions of the one-step
-    costs: it keeps an incumbent action that ties within rounding, so it
-    cannot cycle between tied policies, and it stops when no state moves or
-    after cfg.max_iters evaluations. The start changes neither the stopping
-    rule nor its guarantee; n_iters counts the sweeps and trace keeps the
-    last TRACE_ROWS of them; n_evaluations counts the policies evaluated.
+    Contract: the residual is at most epsilon * (1 - alpha) / (2 * alpha),
+    which puts the values within epsilon of the optimum (sec. 6.3), or its
+    rounding floor RESIDUAL_ULPS ulps of max |V| where that is larger (at
+    alpha 0.999 and epsilon 1e-9, one ulp is larger above |V| = 4,096).
+    Otherwise, as after policy iteration cut short by max_iters, it raises
+    NonConvergenceError. n_iters is 1 and trace [(1, residual)].
     """
     if cfg.alpha is None:
         raise ValueError("discounted mode requires alpha")
     if actions is None:
         actions = build_action_space(model)
     alpha = cfg.alpha
-    threshold = cfg.epsilon * (1.0 - alpha) / (2.0 * alpha)
 
     v, n_eval = _howard(actions, cfg.beta, None, cfg.max_iters, alpha=alpha)
-    resid = np.inf
-    trace = deque(maxlen=TRACE_ROWS)
-    for it in range(1, cfg.max_iters + 1):
-        mins, _ = actions.backup(actions.next_values(v), cfg.beta, alpha)
-        resid = float(np.max(np.abs(mins - v)))
-        trace.append((it, resid))
-        v = mins
-        if resid < threshold:
-            break
-    else:
+    tv, sa = discounted_backup(actions, v, cfg.beta, alpha,
+                               tie_tol=10.0 * cfg.epsilon)
+    resid = float(np.max(np.abs(tv - v)))
+    bound = max(cfg.epsilon * (1.0 - alpha) / (2.0 * alpha),
+                RESIDUAL_ULPS * float(np.spacing(np.abs(v).max())))
+    if resid > bound:
         raise NonConvergenceError(
-            f"discounted VI did not reach residual {threshold:.3e} in "
-            f"{cfg.max_iters} iterations (final {resid:.3e})", residual=resid)
-
-    _, sa = discounted_backup(actions, v, cfg.beta, alpha,
-                              tie_tol=10.0 * cfg.epsilon)
+            f"discounted policy iteration did not reach residual {bound:.3e} "
+            f"in {n_eval} evaluations (final {resid:.3e})", residual=resid)
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
-                       policy=actions.policy_from_sa(sa), n_iters=it,
-                       residual=resid, trace=list(trace), actions=actions,
+                       policy=actions.policy_from_sa(sa), n_iters=1,
+                       residual=resid, trace=[(1, resid)], actions=actions,
                        n_evaluations=n_eval)
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
+from ehsched import mdp
 from ehsched.heuristics import conservative_rate_table
 from ehsched.io import _jsonable, format_float
 from ehsched.mdp import (
@@ -374,6 +375,21 @@ def first_hit(y, mins, oracle, tie_tol):
         lo, hi = oracle.indptr[s], oracle.indptr[s + 1]
         rows[s] = lo + np.flatnonzero(y[lo:hi] <= mins[s] + tol[s])[0]
     return oracle.r_sa[rows], oracle.wq_sa[rows]
+
+
+def count_backups(monkeypatch):
+    """Wraps ActionSpace.backup for the test: returns a list that gains one
+    entry per backup, the list of tie windows its pick is called with."""
+    calls = []
+    backup = mdp.ActionSpace.backup
+
+    def counted(self, *args, **kwargs):
+        mins, pick = backup(self, *args, **kwargs)
+        picks = []
+        calls.append(picks)
+        return mins, lambda tie_tol: picks.append(tie_tol) or pick(tie_tol)
+    monkeypatch.setattr(mdp.ActionSpace, "backup", counted)
+    return calls
 
 
 def cold_discounted_value_iteration(cfg, model, actions=None):

@@ -43,6 +43,7 @@ from helpers import (
     channel_model,
     cold_discounted_value_iteration,
     cold_relative_value_iteration,
+    count_backups,
     dense_stationary_distribution,
     desk_lite_model,
     desk_model,
@@ -545,22 +546,25 @@ def test_rvi_from_solved_policy_takes_one_evaluation_and_one_sweep(ref):
 
 def test_rvi_from_solved_policy_extracts_only_the_final_policy(monkeypatch):
     # policy iteration's one step keeps every incumbent, so it extracts
-    # nothing; the one extraction is the returned policy's
+    # nothing; the one extraction is the returned policy's, from the backup
+    # that meets the span rule
     m = desk_model()
     res = relative_value_iteration(SolverConfig(beta=1.0), m)
-    walks, picks = [], []
-    backup = mdp.ActionSpace.backup
-
-    def counted(self, *args, **kwargs):
-        mins, pick = backup(self, *args, **kwargs)
-        walks.append(1)
-        return mins, lambda tie_tol: picks.append(tie_tol) or pick(tie_tol)
-    monkeypatch.setattr(mdp.ActionSpace, "backup", counted)
+    calls = count_backups(monkeypatch)
     again = relative_value_iteration(SolverConfig(beta=1.0), m, res.actions,
                                      start=res.policy)
     assert again.n_evaluations == 1 and again.policy == res.policy
-    assert len(walks) == 1 + again.n_iters + 1
-    assert picks == [10.0 * SolverConfig(beta=1.0).epsilon]
+    assert len(calls) == 1 + again.n_iters
+    assert calls[-1] == [10.0 * SolverConfig(beta=1.0).epsilon]
+    assert not any(calls[:-1])
+
+
+def test_rvi_cold_solve_makes_one_backup_per_evaluation_and_sweep(monkeypatch):
+    # the greedy start, one backup per policy evaluated, then the damped
+    # backups; the last of them gives the bounds, the bias and the policy
+    calls = count_backups(monkeypatch)
+    res = relative_value_iteration(SolverConfig(beta=1.0), desk_model())
+    assert len(calls) == 1 + res.n_evaluations + res.n_iters
 
 
 @pytest.mark.parametrize("beta", [1.0, 100.0])
@@ -668,12 +672,42 @@ def test_dvi_policy_iteration_keeps_tied_incumbents_and_ends():
 
 
 def test_dvi_warm_start_leaves_few_sweeps():
-    # cold sweeps from V=0 need 28,743 here; the policy-iteration start
-    # leaves only its rounding error to mop up
+    # cold sweeps from V=0 need 28,743 here; policy iteration needs none,
+    # only the one backup that certifies its values
     res = discounted_value_iteration(
         SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999), desk_model())
-    assert res.n_iters < 100
-    assert len(res.trace) == res.n_iters
+    assert res.n_iters == 1
+    assert res.trace == [(1, res.residual)]
+
+
+def test_dvi_makes_no_sweep_after_policy_iteration(monkeypatch):
+    # the greedy start, one backup per policy evaluated, then the one backup
+    # that gives the residual and the policy
+    m = large_desk_model()
+    actions = build_action_space(m)
+    calls = count_backups(monkeypatch)
+    res = discounted_value_iteration(
+        SolverConfig(beta=100.0, epsilon=1e-9, alpha=0.999), m, actions)
+    assert len(calls) == 1 + res.n_evaluations + 1
+    assert calls[-1] == [10.0 * 1e-9]
+
+
+@pytest.mark.parametrize("make", [desk_model, large_desk_model])
+def test_dvi_residual_meets_the_contract_at_grid_prices(make):
+    # the a-posteriori bound or its rounding floor, whichever is larger: at
+    # alpha 0.999 one ulp exceeds the bound once |V| passes 4,096
+    m = make()
+    actions = build_action_space(m)
+    alpha, eps = 0.999, 1e-9
+    for beta in (0.01, 0.1, 1.0, 10.0, 100.0):
+        res = discounted_value_iteration(
+            SolverConfig(beta=beta, epsilon=eps, alpha=alpha), m, actions)
+        v = res.values.values
+        tv, _ = discounted_backup(actions, v, beta, alpha)
+        resid = np.max(np.abs(tv - v))
+        assert resid == res.residual
+        assert resid <= max(eps * (1 - alpha) / (2 * alpha),
+                            mdp.RESIDUAL_ULPS * np.spacing(np.abs(v).max()))
 
 
 def _cold_start(monkeypatch):
@@ -681,19 +715,6 @@ def _cold_start(monkeypatch):
     def zeros(actions, *args, **kwargs):
         return np.zeros(actions.model.space.n_states), 0
     monkeypatch.setattr(mdp, "_howard", zeros)
-
-
-def test_dvi_trace_keeps_the_last_rows_of_a_long_run(monkeypatch):
-    # 28,430 cold sweeps at alpha 0.999: the trace keeps the last TRACE_ROWS,
-    # n_iters counts them all
-    _cold_start(monkeypatch)
-    res = discounted_value_iteration(
-        SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999), power_delay_model())
-    assert res.n_iters > mdp.TRACE_ROWS
-    assert len(res.trace) == mdp.TRACE_ROWS
-    assert [row[0] for row in res.trace] == list(
-        range(res.n_iters - mdp.TRACE_ROWS + 1, res.n_iters + 1))
-    assert res.trace[-1][1] == res.residual
 
 
 def test_rvi_trace_keeps_the_last_rows(monkeypatch):
@@ -709,8 +730,8 @@ def test_rvi_trace_keeps_the_last_rows(monkeypatch):
 
 
 def test_dvi_truncated_start_still_meets_the_stopping_rule():
-    # max_iters bounds the policy evaluations too: one evaluation does not
-    # reach the optimum here, and one sweep cannot close the gap
+    # max_iters bounds the policy evaluations: one evaluation does not reach
+    # the optimum here, and the residual of its values fails the contract
     cfg = SolverConfig(beta=1.0, epsilon=1e-9, alpha=0.999, max_iters=1)
     with pytest.raises(NonConvergenceError) as err:
         discounted_value_iteration(cfg, desk_model())
