@@ -7,16 +7,28 @@ state's actions as (state, rate) pairs with a window of draws, and one
 backup walks the draw offsets over all pairs at once: every expectation
 E[V(next) | s, a] is one contraction of V with the exogenous chain, gathered
 at the action's post-decision index (Powell, Approximate Dynamic
-Programming, 2nd ed., 2011, ch. 4), and a policy's sparse chain, for its LU,
-comes from the same index. Both solves run the same Howard policy iteration
-first, which differs between them only in how it evaluates a policy (one
-bias-gain LU, or one LU of I - alpha P). The discounted solve ends there,
-with one backup for its residual and greedy policy; the average-cost solve
-starts damped value iteration from the bias of the policy it ends on, and
-takes its gain bounds, bias and policy from the backup that meets the span
-rule (where policy iteration reaches the optimum, the first).
-evaluate_policy computes exact stationary averages for any fixed (or
-two-policy mixed) stationary policy from the same bias-gain LU.
+Programming, 2nd ed., 2011, ch. 4).
+
+Policies are evaluated exactly on the lumped post-decision chain. A policy's
+chain over the n states factors as P = S R: S sends each state to its
+action's post-decision state, and R is the expectation operator. Post-decision
+states whose exogenous rows are identical have identical rows of R and lump
+exactly (Kemeny & Snell, Finite Markov Chains, 1960, ch. 6), so every LU is
+taken of Q = R S over the n_lumped = nq * nb * (distinct exogenous rows)
+lumped post-decision states (q', b', class): a quarter of the states on desk,
+whose i.i.d. arrival and harvest leave one class per channel level, and all
+of them where no two rows coincide. Q keeps P's nonzero spectrum, so its
+recurrent classes are as many, and the bias, the discounted values and the
+stationary law follow from Q's solves by one gather or one small product.
+Both solves run the same Howard policy iteration first, which differs
+between them only in how it evaluates a policy (one bias-gain LU of Q, or
+one LU of I - alpha Q). The discounted solve ends there, with one backup for
+its residual and greedy policy; the average-cost solve starts damped value
+iteration from the bias of the policy it ends on, and takes its gain bounds,
+bias and policy from the backup that meets the span rule (where policy
+iteration reaches the optimum, the first). evaluate_policy computes exact
+stationary averages for any fixed (or two-policy mixed) stationary policy
+from the same bias-gain LU.
 """
 
 from __future__ import annotations
@@ -179,14 +191,21 @@ class ActionSpace:
     length, longest first, so the pairs offering draw offset k = w - lo are
     the first n_offering[k], and backup walks k = 0..max window, one array
     expression on that prefix each. n_sa counts the actions. A policy is
-    its (r, wq) tables, sa below (two rows): post_index, grid, terms and
-    chain work out its actions' quantities and sparse chain.
+    its (r, wq) tables, sa below (two rows): post_index, grid and terms
+    work out its actions' quantities. For exact evaluation, exogenous rows
+    that are identical form classes (rep_rows holds one row of each), and
+    lumped maps post-decision indices to the n_lumped = nq * nb * classes
+    lumped post-decision states; lumped_chain builds a policy's Q = R S over
+    them, lumped_expectation gives R c, and state_measure carries a measure
+    over them to the states (mu R). No successor list is stored: Q is built
+    from the class rows' entries when a policy is evaluated.
     """
 
-    # The last bias-gain LU factorised on these actions at reference state 0,
-    # whoever made it (policy iteration or evaluate_policy): (P, lu, key),
-    # key the weight and the post-decision indices of each policy the chain
-    # plays, which fix P. One entry: a new chain replaces it.
+    # The last bias-gain LU factorised on these actions, whoever made it
+    # (policy iteration or evaluate_policy): (Q, lu, recurrent, key), the
+    # lumped chain, its LU at lumped state 0, the mask of its recurrent
+    # states, and key the weight and the lumped indices of each policy the
+    # chain plays, which fix Q. One entry: a new chain replaces it.
     last_lu = None
     # sparse LUs factorised on these actions, bias-gain and discounted
     n_factorised = 0
@@ -199,18 +218,30 @@ class ActionSpace:
         n = space.n_states
         na, ne, nb = space.na, space.ne, space.nb
 
-        # exogenous chain and, per row (ih, ia, ie), its positive entries with
-        # columns as state-index offsets ascending (the blocks chain() shifts)
         self.exogenous = exogenous_chain(model)
         n_ex = self._n_ex = self.exogenous.shape[0]
+        # exogenous rows that are identical, bit for bit, form one class,
+        # numbered by its first row; rep_rows holds that row of each class
+        _, first, inverse = np.unique(self.exogenous, axis=0, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        self.rep_rows = self.exogenous[first[order]]
+        self._class_of = rank[inverse.reshape(-1)]
+        self._n_cls = order.size
+        self.n_lumped = space.nq * nb * self._n_cls
+        # each class row's positive entries (class, column as a state-index
+        # offset, probability) and the state index of every (q, battery) at
+        # (h, a, e) 0
         offsets = (np.arange(space.nh)[:, None, None] * space.s_h
                    + np.arange(na)[None, :, None] * space.s_a
                    + np.arange(ne)[None, None, :]).ravel()
-        ex_rows, ex_cols = np.nonzero(self.exogenous > 0.0)
-        self.block_cols = offsets[ex_cols]
-        self.block_probs = self.exogenous[ex_rows, ex_cols]
-        self.block_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(ex_rows, minlength=n_ex))))
+        self._rep_class, ex_cols = np.nonzero(self.rep_rows > 0.0)
+        self._rep_cols = offsets[ex_cols]
+        self._rep_probs = self.rep_rows[self._rep_class, ex_cols]
+        self._qb_base = (np.arange(space.nq)[:, None] * space.s_q
+                         + np.arange(nb) * space.s_b).ravel()
 
         self._n_rates = n_rates = space.iq + 1
         n_pairs = int(n_rates.sum())
@@ -290,11 +321,12 @@ class ActionSpace:
                extra: np.ndarray | None = None):
         """Bellman backup on the post-decision table: (mins, pick), mins[s]
         the least y = scale * table[post] + (q + beta * grid) + extra[s]
-        (extra optional) over s's actions, and pick(tie_tol) the smallest
-        (r, w) with y <= mins + tie_tol + 1e-12 |mins|, extracted when
-        called. extra is added after the minimum, exactly, as rounding is
-        monotone. Extraction takes the smallest rate whose pair minimum is
-        in that window, then its first draw in it."""
+        (extra optional) over s's actions, and pick(tie_tol, rel) the
+        smallest (r, w) with y <= mins + tie_tol + rel |mins| (rel 1e-12
+        unless given), extracted when called. extra is added after the
+        minimum, exactly, as rounding is monotone. Extraction takes the
+        smallest rate whose pair minimum is in that window, then its first
+        draw in it."""
         if scale != 1.0:
             table = table * scale  # entry by entry, as at each action
         pair_min = None
@@ -310,8 +342,8 @@ class ActionSpace:
             mins += extra
         n_rates = self._n_rates
 
-        def pick(tie_tol: float) -> np.ndarray:
-            thr = mins + (tie_tol + 1e-12 * np.abs(mins))
+        def pick(tie_tol: float, rel: float = 1e-12) -> np.ndarray:
+            thr = mins + (tie_tol + rel * np.abs(mins))
             y = by_state if extra is None else by_state + np.repeat(extra, n_rates)
             hits = np.flatnonzero(y <= np.repeat(thr, n_rates))
             # a state's minimum is a hit, so its first hit is in its own segment
@@ -356,26 +388,50 @@ class ActionSpace:
                 np.maximum(self._b_in[at] - wq - (space.nb - 1), 0).astype(float)
                 * self.model.params.delta_e)
 
-    def chain(self, post: np.ndarray) -> sp.csr_matrix:
-        """Sparse one-step transition matrix of the actions with post-decision
-        indices post, one row each: the positive entries of the exogenous
-        chain's row for the action's (h, a, e), shifted to its next (q,
-        battery) state index."""
+    def lumped(self, post: np.ndarray) -> np.ndarray:
+        """Lumped post-decision index (q', b', class) of each post-decision
+        index in post: its (q', b') and the class of its exogenous row."""
+        qb, ex = np.divmod(post, self._n_ex)
+        qb *= self._n_cls
+        qb += self._class_of[ex]
+        return qb
+
+    def lumped_expectation(self, values: np.ndarray) -> np.ndarray:
+        """R values: E[values(next state)] at each lumped post-decision
+        state, the post-decision table at the class rows."""
+        return post_decision_values(values, self.model.space, self.rep_rows).ravel()
+
+    def state_measure(self, mu: np.ndarray) -> np.ndarray:
+        """mu R: a row vector over the lumped post-decision states carried
+        one step to the states, whose (q', b') it keeps and whose (h, a, e)
+        its class row draws."""
+        space = self.model.space
+        table = mu.reshape(space.nq * space.nb, self._n_cls) @ self.rep_rows
+        return (table.reshape(space.nq, space.nb, space.nh * space.na, space.ne)
+                .transpose(0, 2, 1, 3).ravel())
+
+    def lumped_chain(self, terms) -> sp.csr_matrix:
+        """Q = R S of the (weight, lumped indices) terms, one lumped index
+        per state each: R the expectation rows of the lumped post-decision
+        states, S the weighted sum of each term's 0/1 map from a state to its
+        lumped index. The policy's own chain is P = S R, and Q keeps its
+        nonzero spectrum, so its recurrent classes are as many. Row (q', b',
+        class) holds, term by term, the weight times the class row's
+        probability at the lumped index of every state that row reaches from
+        (q', b'); the CSR conversion sums repeated entries (scipy's strong
+        components loop forever on a repeated edge)."""
         import scipy.sparse as sp
 
-        space = self.model.space
-        ex, qb = post % self._n_ex, post // self._n_ex
-        base = (qb // space.nb) * space.s_q + (qb % space.nb) * space.s_b
-        row_nnz = np.diff(self.block_ptr)[ex]
-        ptr = np.concatenate(([0], np.cumsum(row_nnz)))
-        gather = np.repeat(self.block_ptr[ex] - ptr[:-1], row_nnz)
-        gather += np.arange(ptr[-1])
-        cols = self.block_cols[gather]
-        cols += np.repeat(base, row_nnz)
-        # each block's columns ascend and are unique, so every row is already
-        # in canonical (sorted, duplicate-free) form
-        return sp.csr_matrix((self.block_probs[gather], cols, ptr),
-                             shape=(post.size, space.n_states))
+        n_qb = self._qb_base.size
+        reached = self._qb_base[:, None] + self._rep_cols
+        rows = (np.arange(n_qb)[:, None] * self._n_cls + self._rep_class).ravel()
+        Q = sp.csr_matrix(
+            (np.concatenate([np.tile(w * self._rep_probs, n_qb) for w, _ in terms]),
+             (np.tile(rows, len(terms)),
+              np.concatenate([lp[reached].ravel() for _, lp in terms]))),
+            shape=(self.n_lumped, self.n_lumped))
+        Q.eliminate_zeros()  # a weight times a probability may underflow
+        return Q
 
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
         """The policy's (r, wq) as rows; raises ValueError naming the first
@@ -416,10 +472,12 @@ def post_decision_values(values: np.ndarray, space, exogenous) -> np.ndarray:
     """Expected next value of every post-decision state: entry ((q, b), (ih,
     ia, ie)) is E[values(q, h', a', b, e') | h, a, e]; values, reshaped to
     (nq*nb) x (nh*na*ne), times the exogenous chain's transpose (Powell,
-    Approximate Dynamic Programming, 2nd ed., 2011, ch. 4)."""
+    Approximate Dynamic Programming, 2nd ed., 2011, ch. 4). exogenous may
+    be some of the chain's rows (ActionSpace.rep_rows): the table has a
+    column per row given."""
     nq, nb = space.nq, space.nb
     V = (values.reshape(nq, space.nh * space.na, nb, space.ne)
-         .transpose(0, 2, 1, 3).reshape(nq * nb, exogenous.shape[0]))
+         .transpose(0, 2, 1, 3).reshape(nq * nb, exogenous.shape[1]))
     return V @ exogenous.T
 
 
@@ -460,24 +518,39 @@ class SolveResult:
     n_evaluations: int = 0  # policies evaluated by policy iteration
 
 
-def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
-            alpha: float | None = None, ref: int = 0) -> tuple[np.ndarray, int]:
-    """Howard policy iteration, average-cost (alpha None) or discounted, from
-    the policy sa = (r, wq), or with sa None from the greedy actions of the
-    one-step costs.
+def _residual_bound(epsilon: float, alpha: float, v: np.ndarray) -> float:
+    """The discounted solve's residual bound on the values v: epsilon (1 -
+    alpha) / (2 alpha), or RESIDUAL_ULPS ulps of max |v| where larger."""
+    return max(epsilon * (1.0 - alpha) / (2.0 * alpha),
+               RESIDUAL_ULPS * float(np.spacing(np.abs(v).max())))
 
-    Evaluates each policy by one sparse LU: the bias-gain LU of its chain at
-    reference state ref, or (I - alpha P) v = c. Improves on y = q + beta *
-    grid + alpha E[v(next)] (alpha 1 for the bias), keeping the incumbent
-    action wherever its y is within rounding of the state's minimum (the
-    anti-cycling rule of Puterman 1994, sec. 8.6), else taking the smallest
-    minimizing (r, w), which is extracted only when some state moves. Stops
-    when no state moves, after max_iters evaluations, or at the first
-    multichain policy, which has no single gain. Returns the values of the
-    last policy evaluated (zeros if none) and the number of evaluations. At
-    reference state 0 each bias-gain LU comes from actions.last_lu when that
-    is the same chain's (a warm start's first step) and is left there, where
-    the next solve and evaluate_policy find it.
+
+def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
+            alpha: float | None = None, ref: int = 0,
+            epsilon: float | None = None) -> tuple[np.ndarray, int]:
+    """Howard policy iteration, average-cost (alpha None) or discounted
+    (alpha and epsilon given), from the policy sa = (r, wq), or with sa None
+    from the greedy actions of the one-step costs.
+
+    Evaluates each policy by one sparse LU on its lumped chain Q = R S
+    (ActionSpace.lumped_chain), n_lumped square, with c the one-step costs
+    and lp each state's lumped index. Average cost: the bias-gain LU of Q at
+    lumped state 0 solves (I - Q + 1 e_0^T) x = R c, so the gain is g = x[0],
+    W = x - g is R h, and the bias is h = c - g + W[lp], then normalised at
+    reference state ref. Discounted: (I - alpha Q) W = R c, and v = c + alpha
+    W[lp]. Improves on y = q + beta * grid + alpha E[v(next)] (alpha 1 for
+    the bias), keeping the incumbent action wherever its y is within
+    rounding of the state's minimum (the anti-cycling rule of Puterman 1994,
+    sec. 8.6), 1e-12 of max |min y|, and discounted at most half the residual
+    bound, since the kept incumbents' lead adds to the residual |T v - v|
+    the solve returns; else taking the smallest minimizing (r, w), which is
+    extracted only when some state moves. Stops when no state moves, after
+    max_iters evaluations, or at the first multichain policy, which has no
+    single gain. Returns the values of the last policy evaluated (zeros if
+    none) and the number of evaluations. Each bias-gain LU comes from
+    actions.last_lu when that is the same chain's (a warm start's first
+    step) and is left there, where the next solve and evaluate_policy find
+    it.
     """
     queue = actions.model.space.iq
     scale = 1.0 if alpha is None else alpha
@@ -487,27 +560,37 @@ def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
     n_eval = 0
     while n_eval < max_iters:
         post = actions.post_index(*sa)
+        lp = actions.lumped(post)
         c = queue + beta * actions.grid(*sa)
+        rc = actions.lumped_expectation(c)
         if alpha is None:
-            _, lu, _ = _chain_lu(actions, [(1.0, post)], ref)
+            lu = _chain_lu(actions, [(1.0, lp)])[1]
             if lu is None:
                 break
-            x = lu.solve(c)
-            v = x - x[ref]
+            x = lu.solve(rc)
+            g = x[0]
+            x -= g
+            v = c - g
+            v += x[lp]
+            v -= v[ref]
         else:
-            from scipy.sparse.linalg import splu
-
-            v = splu(_identity_minus(actions.chain(post), alpha)).solve(c)
+            W = _factorise(actions.lumped_chain([(1.0, lp)]), alpha).solve(rc)
             actions.n_factorised += 1
+            v = c + alpha * W[lp]
         n_eval += 1
         table = actions.next_values(v)
         mins, pick = actions.backup(table, beta, scale)
         y = table[post] * scale
         y += c
-        keep = y <= mins + 1e-12 * max(1.0, float(np.abs(mins).max()))
+        tol = 1e-12 * max(1.0, float(np.abs(mins).max()))
+        rel = 1e-12
+        if alpha is not None:
+            tol = min(tol, 0.5 * _residual_bound(epsilon, alpha, v))
+            rel = 0.0  # a state that moves takes a minimizer, so improves by tol
+        keep = y <= mins + tol
         if keep.all():
             break
-        sa = np.where(keep, sa, pick(0.0))
+        sa = np.where(keep, sa, pick(0.0, rel))
     return v, n_eval
 
 
@@ -619,12 +702,12 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
         actions = build_action_space(model)
     alpha = cfg.alpha
 
-    v, n_eval = _howard(actions, cfg.beta, None, cfg.max_iters, alpha=alpha)
+    v, n_eval = _howard(actions, cfg.beta, None, cfg.max_iters, alpha=alpha,
+                        epsilon=cfg.epsilon)
     tv, sa = discounted_backup(actions, v, cfg.beta, alpha,
                                tie_tol=10.0 * cfg.epsilon)
     resid = float(np.max(np.abs(tv - v)))
-    bound = max(cfg.epsilon * (1.0 - alpha) / (2.0 * alpha),
-                RESIDUAL_ULPS * float(np.spacing(np.abs(v).max())))
+    bound = _residual_bound(cfg.epsilon, alpha, v)
     if resid > bound:
         raise NonConvergenceError(
             f"discounted policy iteration did not reach residual {bound:.3e} "
@@ -640,17 +723,6 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
 # exact policy evaluation
 
 
-def policy_chain(policy, actions: ActionSpace) -> sp.csr_matrix:
-    """Sparse chain P a fixed stationary policy induces.
-
-    Mixed policies marginalize the per-epoch coin into the chain (xi*P+ +
-    (1-xi)*P-), which equals the product chain of (state, coin) exactly since
-    the coin is i.i.d.
-    """
-    terms = _policy_terms(policy, actions)
-    return _terms_chain([(w, actions.post_index(*sa)) for w, sa in terms], actions)
-
-
 # The rows of a chain sum to one only within the spacing of floats at 1, so a
 # mixture weight at or below it is lost in their rounding: where the other
 # policy's chain is multichain, such a weight alone would join its classes,
@@ -661,7 +733,10 @@ MIX_WEIGHT_ROUNDING = float(np.finfo(float).eps)
 def _policy_terms(policy, actions: ActionSpace) -> list:
     """(weight, (r, wq)) of each table policy a stationary policy plays. A
     mixture plays only its other policy where one weight is at or below
-    MIX_WEIGHT_ROUNDING (both policies are still checked for feasibility)."""
+    MIX_WEIGHT_ROUNDING (both policies are still checked for feasibility).
+    Mixed policies marginalize the per-epoch coin into the chain (xi P+ +
+    (1-xi) P-), which equals the product chain of (state, coin) exactly since
+    the coin is i.i.d."""
     if not isinstance(policy, MixedPolicy):
         return [(1.0, actions.sa_of_policy(policy))]
     plus = actions.sa_of_policy(policy.policy_plus)
@@ -674,34 +749,27 @@ def _policy_terms(policy, actions: ActionSpace) -> list:
     return [(xi, plus), (1.0 - xi, minus)]
 
 
-def _terms_chain(terms, actions: ActionSpace) -> sp.csr_matrix:
-    if len(terms) == 1:  # weight 1: the policy's own chain
-        return actions.chain(terms[0][1])
-    P = sum(w * actions.chain(post) for w, post in terms).tocsr()
-    P.eliminate_zeros()
-    return P
-
-
-def _chain_lu(actions: ActionSpace, terms, ref: int = 0):
-    """(P, lu, reused): the chain the (weight, post-decision indices) terms
-    play, its bias-gain LU at reference state ref, and whether that LU was
-    actions.last_lu. At ref 0 a chain whose key matches the stored one is
-    neither built nor checked again; any other is built, checked and, when
-    unichain, factorised (counted in actions.n_factorised) and stored in
-    place of the last. lu is None when P is not unichain.
+def _chain_lu(actions: ActionSpace, terms):
+    """(Q, lu, recurrent, reused): the lumped chain the (weight, lumped
+    indices) terms play, its bias-gain LU at lumped state 0, the mask of Q's
+    recurrent states, and whether this was actions.last_lu. A chain whose
+    key matches the stored one is neither built nor checked again; any other
+    is built, checked and, when unichain, factorised (counted in
+    actions.n_factorised) and stored in place of the last. lu is None when Q
+    is not unichain.
     """
-    key = tuple((w, post.tobytes()) for w, post in terms)
+    key = tuple((w, lp.tobytes()) for w, lp in terms)
     memo = actions.last_lu
-    if ref == 0 and memo is not None and memo[2] == key:
-        return memo[0], memo[1], True
-    P = _terms_chain(terms, actions)
-    if recurrent_classes(P)[1] != 1:
-        return P, None, False
-    lu = _bias_gain_lu(P, ref)
+    if memo is not None and memo[3] == key:
+        return (*memo[:3], True)
+    Q = actions.lumped_chain(terms)
+    recurrent, n_classes = recurrent_classes(Q)
+    if n_classes != 1:
+        return Q, None, recurrent, False
+    lu = _bias_gain_lu(Q, 0)
     actions.n_factorised += 1
-    if ref == 0:
-        actions.last_lu = (P, lu, key)
-    return P, lu, False
+    actions.last_lu = (Q, lu, recurrent, key)
+    return Q, lu, recurrent, False
 
 
 def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
@@ -722,45 +790,24 @@ def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
     return closed[labels], int(np.count_nonzero(closed))
 
 
-def _identity_minus(P: sp.csr_matrix, scale: float = 1.0,
-                    ref: int | None = None) -> sp.csc_matrix:
-    """I - scale * P, plus 1 e_ref^T when ref is given, in CSC, built from
-    the canonical CSR arrays of P (sorted, duplicate-free, no explicit
-    zeros) without sparse arithmetic.
-
-    Its entries are those of scipy's (I - scale * P (+ ones)).tocsc(), bit
-    for bit: -(scale*p), then + 1 on the diagonal (1 - scale*p, the same
-    double), then + 1 in column ref; the zeros scipy drops (1 - p_ii of an
-    absorbing row, -p + 1 where p is 1) are dropped; and each column's rows
-    ascend. SuperLU therefore factorises the same matrix.
-    """
+def _factorise(P: sp.csr_matrix, scale: float = 1.0, ref: int | None = None):
+    """Sparse LU of I - scale * P, plus 1 e_ref^T when ref is given,
+    assembled from P's CSR arrays; repeated entries are summed."""
     import scipy.sparse as sp
+    from scipy.sparse.linalg import splu
 
     n = P.shape[0]
-    entries = (np.repeat(np.arange(n), np.diff(P.indptr)),
-               P.indices.astype(np.int64), -(P.data * scale))
-
-    def plus_one(rows, cols, vals, target):
-        # + 1 at (i, target[i]) in every row i: onto the entry there, or as
-        # a new entry where there is none
-        at = cols == target[rows]
-        vals[at] += 1.0
-        bare = np.ones(n, dtype=bool)
-        bare[rows[at]] = False
-        i = np.flatnonzero(bare)
-        return (np.concatenate((rows, i)), np.concatenate((cols, target[i])),
-                np.concatenate((vals, np.ones(i.size))))
-
-    entries = plus_one(*entries, np.arange(n))
+    diag = np.arange(n)
+    rows = [np.repeat(diag, np.diff(P.indptr)), diag]
+    cols = [P.indices, diag]
+    vals = [P.data * -scale, np.ones(n)]
     if ref is not None:
-        entries = plus_one(*entries, np.full(n, ref))
-    rows, cols, vals = entries
-    kept = vals != 0.0
-    rows, cols, vals = rows[kept], cols[kept], vals[kept]
-    order = np.argsort(cols * n + rows)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
-    # the constructor narrows the indices to scipy's dtype, int32 where they fit
-    return sp.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
+        rows.append(diag)
+        cols.append(np.full(n, ref))
+        vals.append(np.ones(n))
+    return splu(sp.csc_matrix((np.concatenate(vals),
+                               (np.concatenate(rows), np.concatenate(cols))),
+                              shape=(n, n)))
 
 
 def _bias_gain_lu(P: sp.csr_matrix, ref: int):
@@ -772,29 +819,33 @@ def _bias_gain_lu(P: sp.csr_matrix, ref: int):
     lu.solve(e_ref, trans="T") gives the stationary law pi, since
     pi A = e_ref^T.
     """
-    from scipy.sparse.linalg import splu
-
     try:
-        return splu(_identity_minus(P, ref=ref))
+        return _factorise(P, ref=ref)
     except RuntimeError as exc:  # SuperLU's "Factor is exactly singular"
         raise MultichainError(f"bias-gain matrix is singular ({exc}): P is "
                               f"multichain in floating point") from exc
 
 
-def stationary_distribution(P: sp.csr_matrix, lu) -> np.ndarray:
-    """Stationary law of a unichain P from the transpose solve of lu, its
-    bias-gain LU at reference state 0 (evaluate_policy passes the one
-    _chain_lu found or made); the residual |pi P - pi| is checked against P."""
-    e = np.zeros(P.shape[0])
+def stationary_distribution(actions: ActionSpace, Q: sp.csr_matrix, lu,
+                            recurrent: np.ndarray) -> np.ndarray:
+    """Stationary law of the states under a unichain policy, from its lumped
+    chain Q, Q's bias-gain LU at lumped state 0 and the mask of Q's
+    recurrent states (evaluate_policy passes what _chain_lu found or made).
+    The transpose solve gives Q's law mu, set to 0 outside its recurrent
+    class, so that states no recurrent state reaches get exact zeros; the
+    residual |mu Q - mu| is checked against Q; and pi = mu R, since pi P =
+    mu R S R = mu Q R = pi.
+    """
+    e = np.zeros(Q.shape[0])
     e[0] = 1.0
-    pi = lu.solve(e, trans="T")
-    pi = np.where(pi < 0, 0.0, pi)
-    pi = pi / pi.sum()
-    resid = np.max(np.abs(pi @ P - pi))
+    mu = lu.solve(e, trans="T")
+    mu = np.where(recurrent & (mu > 0), mu, 0.0)
+    mu /= mu.sum()
+    resid = np.max(np.abs(mu @ Q - mu))
     if resid > 1e-10:
         raise NonConvergenceError(f"stationary solve residual {resid:.3e}",
                                   residual=resid)
-    return pi
+    return actions.state_measure(mu)
 
 
 def evaluate_policy(policy, beta: float, model: Model,
@@ -802,14 +853,17 @@ def evaluate_policy(policy, beta: float, model: Model,
     """Exact long-run averages (J, B, K) of a TablePolicy or a MixedPolicy;
     raises MultichainError unless its chain is unichain.
 
-    The per-slot quantities (queue, grid power, overflow, spill) are worked
-    out at the policy's own actions only, n values per mixture term
-    (ActionSpace.terms). The LU comes from actions.last_lu when that is
-    the same chain's, whoever factorised it (policy iteration's last step,
-    an earlier evaluation, a mixture iterate): the same P gives the same
-    matrix A and so the same stationary law, bit for bit, and P was checked
-    unichain when it was stored. Otherwise P is built, checked, factorised
-    and stored there in its place.
+    The stationary law comes from the policy's lumped chain Q = R S
+    (stationary_distribution), n_lumped square, whose recurrent classes are
+    as many as those of the chain P = S R over the states. The per-slot
+    quantities (queue, grid power, overflow, spill) are worked out at the
+    policy's own actions only, n values per mixture term
+    (ActionSpace.terms). The LU comes from actions.last_lu when that is the
+    same chain's, whoever factorised it (policy iteration's last step, an
+    earlier evaluation, a mixture iterate): the same Q gives the same matrix
+    and so the same stationary law, bit for bit, and Q was checked unichain
+    when it was stored. Otherwise Q is built, checked, factorised and stored
+    there in its place.
     """
     if not isinstance(policy, (TablePolicy, MixedPolicy)):
         raise TypeError(
@@ -819,11 +873,12 @@ def evaluate_policy(policy, beta: float, model: Model,
     if actions is None:
         actions = build_action_space(model)
     terms = _policy_terms(policy, actions)
-    P, lu, reused = _chain_lu(actions, [(w, actions.post_index(*sa)) for w, sa in terms])
+    Q, lu, recurrent, reused = _chain_lu(
+        actions, [(w, actions.lumped(actions.post_index(*sa))) for w, sa in terms])
     if lu is None:
         raise MultichainError(
-            f"induced chain has {recurrent_classes(P)[1]} recurrent classes")
-    pi = stationary_distribution(P, lu)
+            f"induced chain has {recurrent_classes(Q)[1]} recurrent classes")
+    pi = stationary_distribution(actions, Q, lu, recurrent)
 
     at = [actions.terms(*sa) for _, sa in terms]
     b, k, overflow, spill = (
@@ -869,8 +924,9 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
     if math.prod(map(len, options)) > cap:
         raise InstanceTooLargeError(f"policy count exceeds cap {cap}")
 
-    eye = np.eye(n)
-    rhs = np.zeros(n)
+    m = actions.n_lumped
+    eye = np.eye(m)
+    rhs = np.zeros(m)
     rhs[-1] = 1.0
     best_gain = np.inf
     best_sa = None
@@ -878,15 +934,16 @@ def brute_force_solve(beta: float, model: Model, cap: int = 10_000_000,
     n_eval = 0
     for combo in itertools.product(*options):
         sa = np.array(combo).T
-        P = actions.chain(actions.post_index(*sa))
-        if recurrent_classes(P)[1] != 1:
+        Q = actions.lumped_chain([(1.0, actions.lumped(actions.post_index(*sa)))])
+        if recurrent_classes(Q)[1] != 1:
             skipped += 1
             continue
-        A = P.toarray().T - eye
+        A = Q.toarray().T - eye
         A[-1, :] = 1.0
-        piv = np.linalg.solve(A, rhs)
+        mu = np.linalg.solve(A, rhs)
         n_eval += 1
-        g = float(piv @ (space.iq + beta * actions.grid(*sa)))
+        # the gain pi c = mu R c
+        g = float(mu @ actions.lumped_expectation(space.iq + beta * actions.grid(*sa)))
         if g < best_gain:
             best_gain = g
             best_sa = sa

@@ -35,7 +35,6 @@ from .mdp import (
     discounted_value_iteration,
     evaluate_policy,
     exogenous_chain,
-    policy_chain,
     post_decision_values,
     recurrent_classes,
     relative_value_iteration,
@@ -86,8 +85,10 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
     name = "no-overflow-waste"
     space = model.space
     actions = actions if actions is not None else build_action_space(model)
-    P = policy_chain(policy, actions)
-    rec = np.flatnonzero(recurrent_classes(P)[0])
+    # a state is recurrent exactly when a recurrent lumped state reaches it
+    lp = actions.lumped(actions.post_index(*actions.sa_of_policy(policy)))
+    closed = recurrent_classes(actions.lumped_chain([(1.0, lp)]))[0]
+    rec = np.flatnonzero(actions.state_measure(closed.astype(float)) > 0.0)
     ib = space.ib[rec]
     eq = space.harvest_quanta[space.ie[rec]]
     if not (ib + eq > space.nb - 1).any():
@@ -119,19 +120,24 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
 # value-table shape
 
 
-def _shape_report(name: str, viol: np.ndarray, model: Model,
-                  coords_shape: tuple, tol: float) -> CertificateReport:
-    worst = float(viol.max()) if viol.size else 0.0
-    if viol.size and worst > 0.0:
-        at = np.unravel_index(int(np.argmax(viol)), coords_shape)
+def _shape_report(name: str, viols: list, model: Model,
+                  tol: float) -> CertificateReport:
+    """Fails on the worst violation over the arrays viols, each indexed by
+    the first corner of its difference in the value table's (q, h, a, b, e)
+    shape. The witness is the smallest state index within tol of the worst,
+    so rounding-level moves of the values cannot move it among tied
+    violations."""
+    worst = max((float(v.max()) for v in viols if v.size), default=0.0)
+    if worst > 0.0:
         space = model.space
-        idx = np.ravel_multi_index(at, (space.nq, space.nh, space.na,
-                                        space.nb, space.ne))
+        shape = (space.nq, space.nh, space.na, space.nb, space.ne)
+        idx = min(int(np.ravel_multi_index(np.nonzero(v >= worst - tol), shape).min())
+                  for v in viols if v.size and v.max() >= worst - tol)
         return CertificateReport(name, FAIL, worst_violation=worst,
                                  witness=_state_witness(model, idx),
                                  details={"tolerance": tol})
-    return CertificateReport(name, PASS, details={"tolerance": tol,
-                                                  "n_compared": int(viol.size)})
+    return CertificateReport(name, PASS, details={
+        "tolerance": tol, "n_compared": sum(int(v.size) for v in viols)})
 
 
 def check_value_shape(values: ValueTable, model: Model,
@@ -152,19 +158,16 @@ def check_value_shape(values: ValueTable, model: Model,
     V = values.values.reshape(space.nq, space.nh, space.na, space.nb, space.ne)
 
     if space.nq > 1:
-        d = V[1:] - V[:-1]
-        viol = np.maximum(0.0, tol - d)
-        rep_q = _shape_report("value-increasing-in-backlog", viol, model,
-                              d.shape, tol)
+        rep_q = _shape_report("value-increasing-in-backlog",
+                              [np.maximum(0.0, tol - (V[1:] - V[:-1]))], model, tol)
     else:
         rep_q = CertificateReport("value-increasing-in-backlog", NOT_APPLICABLE,
                                   details={"reason": "single backlog level"})
 
     if space.nb > 1:
         d = V[:, :, :, 1:, :] - V[:, :, :, :-1, :]
-        viol = np.maximum(0.0, d - tol)
-        rep_b = _shape_report("value-non-increasing-in-battery", viol, model,
-                              d.shape, tol)
+        rep_b = _shape_report("value-non-increasing-in-battery",
+                              [np.maximum(0.0, d - tol)], model, tol)
     else:
         rep_b = CertificateReport("value-non-increasing-in-battery",
                                   NOT_APPLICABLE,
@@ -175,7 +178,6 @@ def check_value_shape(values: ValueTable, model: Model,
         rep_c = CertificateReport(name_c, NOT_APPLICABLE, details={
             "reason": "draw-above-required-power allowed; convexity not implied"})
     else:
-        worst, at_shape, at_idx = 0.0, None, None
         segments = []
         if space.nq > 2:
             segments.append(V[2:] - 2 * V[1:-1] + V[:-2])
@@ -191,24 +193,8 @@ def check_value_shape(values: ValueTable, model: Model,
             rep_c = CertificateReport(name_c, NOT_APPLICABLE, details={
                 "reason": "grids too small for curvature"})
         else:
-            n_compared = 0
-            worst_report = None
-            for seg in segments:
-                viol = np.maximum(0.0, -(seg) - tol)
-                n_compared += viol.size
-                m = float(viol.max()) if viol.size else 0.0
-                if m > worst:
-                    worst = m
-                    at = np.unravel_index(int(np.argmax(viol)), seg.shape)
-                    worst_report = _state_witness(
-                        model, np.ravel_multi_index(at, V.shape))
-            if worst > 0.0:
-                rep_c = CertificateReport(name_c, FAIL, worst_violation=worst,
-                                          witness=worst_report,
-                                          details={"tolerance": tol})
-            else:
-                rep_c = CertificateReport(name_c, PASS, details={
-                    "tolerance": tol, "n_compared": n_compared})
+            rep_c = _shape_report(name_c, [np.maximum(0.0, -seg - tol)
+                                           for seg in segments], model, tol)
     return rep_q, rep_b, rep_c
 
 

@@ -107,6 +107,15 @@ def random_model(seed):
     )
 
 
+def iid_random_model(seed):
+    """random_model with i.i.d. arrival and harvest (each at its chain's
+    first row): the exogenous rows repeat across (a, e), so the post-decision
+    states lump to one class per channel level."""
+    m = random_model(seed)
+    iid = [MarkovChainSpec.iid(c.values, c.transition[0]) for c in (m.arrival, m.harvest)]
+    return replace(m, arrival=iid[0], harvest=iid[1])
+
+
 # --- mid-size instance for fast end-to-end unit tests -----------------------
 
 
@@ -232,7 +241,7 @@ def assert_same_action_space(got, want):
         b = getattr(want, name)
         assert a.dtype == b.dtype, name
         np.testing.assert_array_equal(a, b, err_msg=name)
-    assert_same_csr(got.chain(got.post_index(r, wq, state)), want.kernel)
+    assert_same_csr(full_chain(got, got.post_index(r, wq, state)), want.kernel)
 
 
 def matching_oracle(actions):
@@ -287,9 +296,104 @@ def transition_kernel(x: SystemState, act: Action, model: Model):
 # --- reference implementations ----------------------------------------------
 
 
+def full_chain(actions, post):
+    """Sparse one-step transition matrix over the states of the actions with
+    post-decision indices post, one row each: the positive entries of the
+    exogenous chain's row for the action's (h, a, e), shifted to its next
+    (q, battery) state index. Every row is canonical (sorted,
+    duplicate-free). This is the chain P = S R that the solvers evaluate
+    through the lumped chain Q = R S."""
+    space = actions.model.space
+    X = actions.exogenous
+    n_ex = X.shape[0]
+    offsets = (np.arange(space.nh)[:, None, None] * space.s_h
+               + np.arange(space.na)[None, :, None] * space.s_a
+               + np.arange(space.ne)[None, None, :]).ravel()
+    ex_rows, ex_cols = np.nonzero(X > 0.0)
+    block_ptr = np.concatenate(([0], np.cumsum(np.bincount(ex_rows, minlength=n_ex))))
+    ex, qb = post % n_ex, post // n_ex
+    base = (qb // space.nb) * space.s_q + (qb % space.nb) * space.s_b
+    row_nnz = np.diff(block_ptr)[ex]
+    ptr = np.concatenate(([0], np.cumsum(row_nnz)))
+    gather = np.repeat(block_ptr[ex] - ptr[:-1], row_nnz) + np.arange(ptr[-1])
+    cols = offsets[ex_cols[gather]] + np.repeat(base, row_nnz)
+    return sp.csr_matrix((X[ex_rows, ex_cols][gather], cols, ptr),
+                         shape=(post.size, space.n_states))
+
+
+def policy_chain(policy, actions):
+    """Sparse chain P over the states that a table or mixed policy induces;
+    a mixture marginalizes its coin (xi P+ + (1 - xi) P-)."""
+    terms = mdp._policy_terms(policy, actions)
+    if len(terms) == 1:
+        return full_chain(actions, actions.post_index(*terms[0][1]))
+    P = sum(w * full_chain(actions, actions.post_index(*sa)) for w, sa in terms).tocsr()
+    P.eliminate_zeros()
+    return P
+
+
+def identity_minus(P, scale=1.0, ref=None):
+    """I - scale * P, plus 1 e_ref^T when ref is given, in CSC, built from
+    the canonical CSR arrays of P without sparse arithmetic.
+
+    Its entries are those of scipy's (I - scale * P (+ ones)).tocsc(), bit
+    for bit: -(scale*p), then + 1 on the diagonal (1 - scale*p, the same
+    double), then + 1 in column ref; the zeros scipy drops (1 - p_ii of an
+    absorbing row, -p + 1 where p is 1) are dropped; and each column's rows
+    ascend.
+    """
+    n = P.shape[0]
+    entries = (np.repeat(np.arange(n), np.diff(P.indptr)),
+               P.indices.astype(np.int64), -(P.data * scale))
+
+    def plus_one(rows, cols, vals, target):
+        # + 1 at (i, target[i]) in every row i: onto the entry there, or as
+        # a new entry where there is none
+        at = cols == target[rows]
+        vals[at] += 1.0
+        bare = np.ones(n, dtype=bool)
+        bare[rows[at]] = False
+        i = np.flatnonzero(bare)
+        return (np.concatenate((rows, i)), np.concatenate((cols, target[i])),
+                np.concatenate((vals, np.ones(i.size))))
+
+    entries = plus_one(*entries, np.arange(n))
+    if ref is not None:
+        entries = plus_one(*entries, np.full(n, ref))
+    rows, cols, vals = entries
+    kept = vals != 0.0
+    rows, cols, vals = rows[kept], cols[kept], vals[kept]
+    order = np.argsort(cols * n + rows)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(cols, minlength=n))))
+    return sp.csc_matrix((vals[order], rows[order], indptr), shape=(n, n))
+
+
+def full_chain_evaluation(policy, beta, actions, alpha=None, ref=0):
+    """Reference evaluation on the full chain P over the states, one sparse
+    LU of n states: with alpha None, (gain, bias normalised at ref,
+    stationary law) from the bias-gain LU of P at ref 0, or None where P is
+    multichain; with alpha, the discounted values of a table policy."""
+    from scipy.sparse.linalg import splu
+
+    P = policy_chain(policy, actions)
+    c = sum(w * (q + beta * grid) for w, (q, grid, _, _) in
+            ((w, actions.terms(*sa)) for w, sa in mdp._policy_terms(policy, actions)))
+    if alpha is not None:
+        return splu(identity_minus(P, alpha)).solve(c)
+    if recurrent_classes(P)[1] != 1:
+        return None
+    lu = splu(identity_minus(P, ref=0))
+    x = lu.solve(c)
+    e = np.zeros(P.shape[0])
+    e[0] = 1.0
+    pi = np.maximum(lu.solve(e, trans="T"), 0.0)
+    bias = x - x[ref]
+    return x[0], bias, pi / pi.sum()
+
+
 def scipy_bias_gain_matrix(P, ref):
     """I - P + 1 e_ref^T by scipy's sparse arithmetic, in CSC: the assembly
-    mdp._identity_minus replaces."""
+    identity_minus replaces."""
     n = P.shape[0]
     ones_col = sp.csr_matrix((np.ones(n), (np.arange(n), np.full(n, ref))),
                              shape=(n, n))
@@ -387,7 +491,7 @@ def count_backups(monkeypatch):
         mins, pick = backup(self, *args, **kwargs)
         picks = []
         calls.append(picks)
-        return mins, lambda tie_tol: picks.append(tie_tol) or pick(tie_tol)
+        return mins, lambda tie_tol, *rel: picks.append(tie_tol) or pick(tie_tol, *rel)
     monkeypatch.setattr(mdp.ActionSpace, "backup", counted)
     return calls
 

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -171,6 +172,23 @@ def test_warm_started_solve_certifies_like_cold_sweeps(desk, beta):
         return [(r.name, r.status) for r in reports]
 
     assert statuses(warm) == statuses(cold)
+
+
+def test_value_shape_witness_is_the_smallest_tied_state(desk):
+    # at beta 100 the convexity violation, 1.996, ties at several states of
+    # each segment: the witness is the smallest of them, and values moved by
+    # 1e-11 (rounding-level, far below the tolerance) report the same state
+    res = discounted_value_iteration(
+        SolverConfig(beta=100.0, alpha=0.999, epsilon=1e-9), desk)
+    _, _, want = check_value_shape(res.values, desk)
+    assert want.status == "fail" and want.witness["state_index"] == 50
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        noise = rng.uniform(-1e-11, 1e-11, res.values.values.size)
+        moved = replace(res.values, values=res.values.values + noise)
+        _, _, got = check_value_shape(moved, desk)
+        assert got.witness == want.witness
+        assert got.worst_violation == pytest.approx(want.worst_violation, abs=1e-10)
 
 
 def test_value_shape_convexity_gated_on_draw_restriction():
