@@ -154,8 +154,11 @@ def cmd_solve(args) -> int:
 
 
 def _simulation_policy(args, model, sim_cfg):
-    """Resolve --policy into an actor; returns (actor, metadata dict)."""
+    """Resolve --policy into a policy; returns (policy, metadata dict)."""
     if args.policy == "optimal":
+        if args.xi is not None:
+            raise ConfigError("xi applies to the mixed policy only, not "
+                              "optimal")
         if args.constrained:
             sol = solve_constrained(ConstrainedSolverConfig(), model)
             return sol.policy, {"kind": sol.kind, "beta_star": sol.beta_star,
@@ -171,7 +174,7 @@ def _simulation_policy(args, model, sim_cfg):
                 "g_conservative": cal.g_conservative,
                 "calibration_feasible": cal.feasible}
         return make_heuristic(HeuristicKind("mixed", xi=cal.xi), model), meta
-    return make_heuristic(HeuristicKind(args.policy), model), {}
+    return make_heuristic(HeuristicKind(args.policy, xi=args.xi), model), {}
 
 
 def cmd_simulate(args) -> int:

@@ -6,14 +6,15 @@ calibrated so the average grid power meets the budget. All three spend the
 battery greedily. The reduced solve optimizes the rate alone with the battery
 draw forced greedy, collapsing the two-dimensional action to one.
 
-On a model's grid the baselines are two small integer tables, built once per
-model: the greedy draw cap per (channel level, rate) (Model.cap_table) and the
-conservative rate per (channel level, battery level) (Model.rate_table, from
-conservative_rate_table). make_heuristic's baselines carry their params and
-the probability of playing radical (radical_weight); run_simulation runs the
-baseline from the model's two tables, on a model with the same params only.
-For exact evaluation, TablePolicy.from_callable turns radical_policy or
-conservative_policy into a table.
+A baseline is data: make_heuristic returns a Baseline, the params it was
+built for and the probability of playing radical in a slot (1 radical, 0
+conservative, xi mixed). run_simulation runs it, on a model with the same
+params only, from two small integer tables built once per model: the greedy
+draw cap per (channel level, rate) (Model.cap_table) and the conservative
+rate per (channel level, battery level) (Model.rate_table, from
+conservative_rate_table). conservative_policy and greedy_battery are the
+per-state form of the same rules; TablePolicy.from_callable turns them into
+a table for exact evaluation.
 """
 
 from __future__ import annotations
@@ -48,6 +49,23 @@ class HeuristicKind:
         if self.kind == "mixed":
             if self.xi is None or not 0.0 <= self.xi <= 1.0:
                 raise ConfigError("mixed policy needs xi in [0, 1]")
+        elif self.xi is not None:
+            raise ConfigError(f"xi applies to the mixed policy only, not "
+                              f"{self.kind}")
+
+
+@dataclass(frozen=True)
+class Baseline:
+    """A baseline as run_simulation runs it: the params it was built for and
+    the probability of playing radical in a slot, conservative otherwise."""
+
+    params: ModelParams
+    weight: float
+
+    def __post_init__(self):
+        if not 0.0 <= self.weight <= 1.0:
+            raise ConfigError(f"baseline weight must be in [0, 1], got "
+                              f"{self.weight!r}")
 
 
 def greedy_battery(x: SystemState, r: int, params: ModelParams) -> float:
@@ -55,11 +73,6 @@ def greedy_battery(x: SystemState, r: int, params: ModelParams) -> float:
     ib = int(round(x.e_b / params.delta_e))
     wq = battery_draw_cap_quanta(params, x.h, r, ib, restrict=True)
     return wq * params.delta_e / params.tau
-
-
-def radical_policy(x: SystemState, params: ModelParams) -> Action:
-    """Serve the whole buffer, battery first."""
-    return Action(x.q, greedy_battery(x, x.q, params))
 
 
 def conservative_policy(x: SystemState, params: ModelParams) -> Action:
@@ -70,32 +83,6 @@ def conservative_policy(x: SystemState, params: ModelParams) -> Action:
     """
     r = min(x.q, power_inverse(params, x.h, params.p_bar + x.e_b / params.tau))
     return Action(r, greedy_battery(x, r, params))
-
-
-def mixed_action(x: SystemState, params: ModelParams, xi: float, u: float) -> Action:
-    """Radical when the uniform draw u falls below xi, else conservative."""
-    if u < xi:
-        return radical_policy(x, params)
-    return conservative_policy(x, params)
-
-
-@dataclass(frozen=True)
-class MixedHeuristic:
-    """Per-slot randomization between radical and conservative.
-
-    The simulator feeds act() one uniform coin per slot from its own stream.
-    """
-
-    params: ModelParams
-    xi: float
-
-    def act(self, x: SystemState, coin: float) -> Action:
-        return mixed_action(x, self.params, self.xi, coin)
-
-    @property
-    def radical_weight(self) -> float:
-        """Radical plays when the slot's coin is below it."""
-        return self.xi
 
 
 def mixing_weight(g_radical: float, g_conservative: float, p_bar: float) -> float:
@@ -119,8 +106,9 @@ class CalibrationResult:
 def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> CalibrationResult:
     """Measure G_r and G_c by simulation (same seed, common random numbers)
     and interpolate the mixing weight."""
-    # local: sim imports HeuristicKind, make_heuristic and mixing_weight from
-    # this module, so a module-level import here would be circular
+    # local: sim imports Baseline, HeuristicKind, make_heuristic and
+    # mixing_weight from this module, so a module-level import here would be
+    # circular
     from .sim import run_simulation
 
     if p_bar is None:
@@ -135,28 +123,12 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> Calibrati
                              feasible=min(g_r, g_c) <= p_bar)
 
 
-def make_heuristic(kind: HeuristicKind, model: Model):
-    """Baseline for run_simulation: a per-state callable, or MixedHeuristic
-    for mixed.
-
-    Every baseline carries its params and a radical_weight (1 for radical, 0
-    for conservative, xi for mixed). run_simulation runs it from the model's
-    cap_table and rate_table, on a model with those params only
-    (PolicyDomainError otherwise).
-    """
-    params = model.params
+def make_heuristic(kind: HeuristicKind, model: Model) -> Baseline:
+    """The baseline of the given kind for the model's params: weight 1 for
+    radical, 0 for conservative, xi for mixed."""
     if kind.kind == "mixed":
-        return MixedHeuristic(params=params, xi=kind.xi)
-    if kind.kind == "radical":
-        def actor(x):
-            return radical_policy(x, params)
-        actor.radical_weight = 1.0
-    else:
-        def actor(x):
-            return conservative_policy(x, params)
-        actor.radical_weight = 0.0
-    actor.params = params
-    return actor
+        return Baseline(model.params, kind.xi)
+    return Baseline(model.params, 1.0 if kind.kind == "radical" else 0.0)
 
 
 def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,

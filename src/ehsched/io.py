@@ -1,14 +1,15 @@
 """Deterministic artifact writers: CSV and JSON with stable formatting.
 
 Every writer produces byte-identical output for identical inputs — floats are
-rendered with repr-shortest (JSON) or %.12g (CSV), keys are sorted, and
-nothing here looks at the clock. That property is load-bearing: reruns of the
+rendered with repr-shortest (JSON, where a non-finite float is null) or
+%.12g (CSV), keys are sorted, and nothing here looks at the clock. That property is load-bearing: reruns of the
 same seeded command are compared byte-for-byte.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -30,15 +31,17 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj.tolist()]
     if isinstance(obj, (np.integer,)):
         return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        # strict JSON has no NaN or Infinity
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
     return obj
 
 
 def dump_json(obj) -> str:
-    return json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n"
+    return json.dumps(_jsonable(obj), indent=2, sort_keys=True,
+                      allow_nan=False) + "\n"
 
 
 def write_json(path, obj) -> Path:

@@ -5,10 +5,14 @@ buffer, a Markov fading channel sets the energy price of transmission, and the
 transmitter pays for each slot's transmit power from a finite battery (fed by
 a Markov harvest process) plus, for the remainder, from the power grid.
 
-Everything downstream (solvers, certificates, simulator) works on the state
-tuple ``(q, h, a, e_b, e)`` -- queue length, channel gain, current arrival,
-battery charge, current harvest -- and the action ``(r, w)`` -- packets served
-and battery draw (power) this slot.
+The state is ``(q, h, a, e_b, e)`` -- queue length, channel gain, current
+arrival, battery charge, current harvest -- and the action ``(r, w)`` --
+packets served and battery draw (power) this slot. The solvers, certificates
+and simulator work on the states' flat enumeration (StateSpace: one index
+array per coordinate) and on per-channel-level tables the Model builds once
+(required power, greedy draw cap, conservative rate). SystemState and Action
+are the per-state form, used by StateSpace.state_of, by
+heuristics.conservative_policy and by TablePolicy.from_callable.
 """
 
 from __future__ import annotations
@@ -206,33 +210,6 @@ def power_inverse(params: ModelParams, h: float, budget: float) -> int:
     return r
 
 
-def grid_power(params: ModelParams, x: SystemState, r: int, w: float) -> float:
-    """Power bought from the grid this slot: (required - battery draw)+."""
-    if r < 0 or r > x.q:
-        raise ValueError(f"rate {r} infeasible at queue {x.q}")
-    if w < -GRID_EPS or w * params.tau > x.e_b + GRID_EPS:
-        raise ValueError(f"battery draw {w} infeasible at charge {x.e_b}")
-    return max(required_power(params, x.h, r) - w, 0.0)
-
-
-def step_queue(q: int, r: int, a: int, q_max: int) -> tuple[int, int]:
-    """Next queue and the packets lost to the buffer clamp."""
-    if r < 0 or r > q:
-        raise ValueError(f"rate {r} infeasible at queue {q}")
-    raw = q - r + a
-    nxt = min(raw, q_max)
-    return nxt, raw - nxt
-
-
-def step_battery(e_b: float, w: float, e: float, params: ModelParams) -> tuple[float, float]:
-    """Next battery charge and the harvest energy lost to the capacity clamp."""
-    if w * params.tau > e_b + GRID_EPS:
-        raise ValueError(f"battery draw {w} infeasible at charge {e_b}")
-    raw = e_b - w * params.tau + e
-    nxt = min(raw, params.e_max)
-    return nxt, raw - nxt
-
-
 class StateSpace:
     """Flat enumeration of (q, h, a, e_b, e) with mixed-radix index arithmetic.
 
@@ -263,7 +240,7 @@ class StateSpace:
         self.harvest_quanta = np.array(
             [int(round(v / params.delta_e)) for v in harvest.values])
 
-        # strides for index_of / state_of
+        # index = iq*s_q + ih*s_h + ia*s_a + ib*s_b + ie
         self.s_q = self.nh * self.na * self.nb * self.ne
         self.s_h = self.na * self.nb * self.ne
         self.s_a = self.nb * self.ne
@@ -279,25 +256,6 @@ class StateSpace:
         self.ib = rem // self.s_b
         self.ie = rem % self.s_b
 
-    def index_of(self, x: SystemState) -> int:
-        iq = int(x.q)
-        if not 0 <= iq < self.nq:
-            raise ValueError(f"queue {x.q} outside [0, {self.nq - 1}]")
-        ih = int(np.argmin(np.abs(self.h_values - x.h)))
-        if abs(self.h_values[ih] - x.h) > 1e-9:
-            raise ValueError(f"channel gain {x.h} is not a chain level")
-        ia = int(np.argmin(np.abs(self.arrival_pkts - x.a)))
-        if self.arrival_pkts[ia] != x.a:
-            raise ValueError(f"arrival {x.a} is not a chain level")
-        ib = int(round(x.e_b / self.params.delta_e))
-        if not 0 <= ib < self.nb or abs(ib * self.params.delta_e - x.e_b) > GRID_EPS:
-            raise ValueError(f"battery charge {x.e_b} is off-grid")
-        ev = np.asarray(self.harvest.values)
-        ie = int(np.argmin(np.abs(ev - x.e)))
-        if abs(ev[ie] - x.e) > 1e-9:
-            raise ValueError(f"harvest {x.e} is not a chain level")
-        return ((iq * self.nh + ih) * self.na + ia) * self.nb * self.ne + ib * self.ne + ie
-
     def state_of(self, i: int) -> SystemState:
         if not 0 <= i < self.n_states:
             raise IndexError(i)
@@ -308,12 +266,6 @@ class StateSpace:
             e_b=float(self.ib[i] * self.params.delta_e),
             e=float(np.asarray(self.harvest.values)[self.ie[i]]),
         )
-
-
-def enumerate_states(params: ModelParams, channel: MarkovChainSpec,
-                     arrival: MarkovChainSpec, harvest: MarkovChainSpec,
-                     max_states: int = 2_000_000) -> StateSpace:
-    return StateSpace(params, channel, arrival, harvest, max_states=max_states)
 
 
 @dataclass(frozen=True)
@@ -348,7 +300,7 @@ class Model:
 
     @cached_property
     def space(self) -> StateSpace:
-        return enumerate_states(self.params, self.channel, self.arrival, self.harvest)
+        return StateSpace(self.params, self.channel, self.arrival, self.harvest)
 
     # The per-channel-level tables below are built on first use and kept
     # read-only, like space; none of them enumerates the states.
@@ -425,23 +377,6 @@ def conservative_rate_table(params: ModelParams, power: np.ndarray) -> np.ndarra
 def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
-
-
-def feasible_actions(x: SystemState, params: ModelParams,
-                     restrict_w_to_power: bool = True) -> list[Action]:
-    """All feasible (r, w) at state x; w on the delta_e/tau grid.
-
-    r runs over 0..q; w over multiples of delta_e/tau up to the battery charge
-    and (by default) the required power of the chosen rate. (0, 0) is always
-    present.
-    """
-    ib = int(round(x.e_b / params.delta_e))
-    acts = []
-    for r in range(int(x.q) + 1):
-        cap = battery_draw_cap_quanta(params, x.h, r, ib, restrict_w_to_power)
-        for k in range(cap + 1):
-            acts.append(Action(r, k * params.delta_e / params.tau))
-    return acts
 
 
 # ---------------------------------------------------------------------------

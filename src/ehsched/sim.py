@@ -1,7 +1,7 @@
 """Seeded Monte-Carlo rollout of a scheduling policy, plus sweep runners.
 
 The simulator runs policies as data: a TablePolicy, a MixedPolicy of two,
-or one of make_heuristic's baselines, whose actions come from two integer
+or a Baseline from make_heuristic, whose actions come from two integer
 tables the model builds once (Model.cap_table and Model.rate_table). A
 per-state function is turned into a table first (TablePolicy.from_callable).
 No kernel calls a function per slot: a table policy walks a precomputed
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .heuristics import HeuristicKind, make_heuristic, mixing_weight
+from .heuristics import Baseline, HeuristicKind, make_heuristic, mixing_weight
 from .mdp import MixedPolicy, TablePolicy
 from .model import GRID_EPS, ConfigError, MarkovChainSpec, Model, SystemState
 
@@ -182,24 +182,6 @@ def _table_lookup(policy: TablePolicy, model: Model):
     return r, wq
 
 
-def _baseline_weight(policy, model: Model) -> float:
-    """The radical_weight of a make_heuristic baseline built for the model's
-    params; a baseline built for other params is a PolicyDomainError and
-    anything else a TypeError."""
-    weight = getattr(policy, "radical_weight", None)
-    if weight is None:
-        raise TypeError(
-            f"run_simulation takes a TablePolicy, a MixedPolicy or a "
-            f"make_heuristic baseline, not {type(policy).__name__}; "
-            f"TablePolicy.from_callable turns a per-state function into a "
-            f"TablePolicy")
-    if getattr(policy, "params", None) != model.params:
-        raise PolicyDomainError(
-            "baseline was built for other params than the model's; build it "
-            "with make_heuristic for this model")
-    return weight
-
-
 def _walk_tables(tables, model: Model, keys: np.ndarray):
     """(r, wq) per slot of table policies, by one walk of a next-state table.
 
@@ -310,8 +292,18 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
     elif isinstance(policy, MixedPolicy):
         tables = [_table_lookup(p, model)
                   for p in (policy.policy_plus, policy.policy_minus)]
+    elif isinstance(policy, Baseline):
+        if policy.params != model.params:
+            raise PolicyDomainError(
+                "baseline was built for other params than the model's; build "
+                "it with make_heuristic for this model")
+        tables = None
     else:
-        tables, weight = None, _baseline_weight(policy, model)
+        raise TypeError(
+            f"run_simulation takes a TablePolicy, a MixedPolicy or a "
+            f"Baseline, not {type(policy).__name__}; "
+            f"TablePolicy.from_callable turns a per-state function into a "
+            f"TablePolicy")
 
     streams = np.random.SeedSequence(cfg.seed).spawn(4)
     gen_h, gen_a, gen_e, gen_coin = (
@@ -332,11 +324,11 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
             keys += space.n_states * (coins >= policy.xi)
         r_slot, w_slot = _walk_tables(tables, model, keys)
         del keys
-    elif weight >= 1.0:
+    elif policy.weight >= 1.0:
         r_slot, w_slot = _radical_slots(model, ih_path, a_slot, e_slot)
     else:
-        r_slot, w_slot = _baseline_slots(model, weight, ih_path, a_slot,
-                                         e_slot, coins)
+        r_slot, w_slot = _baseline_slots(model, policy.weight, ih_path,
+                                         a_slot, e_slot, coins)
 
     q_step = a_slot - r_slot
     b_step = e_slot - w_slot
@@ -455,8 +447,8 @@ def _sweep_point(args) -> dict:
 
     def simulate(name, xi=None):
         if name not in runs:
-            actor = make_heuristic(HeuristicKind(name, xi=xi), point)
-            runs[name] = run_simulation(actor, point, cfg)
+            baseline = make_heuristic(HeuristicKind(name, xi=xi), point)
+            runs[name] = run_simulation(baseline, point, cfg)
         return runs[name]
 
     row = {column: value}

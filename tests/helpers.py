@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from ehsched import mdp
-from ehsched.heuristics import conservative_rate_table
+from ehsched.heuristics import conservative_policy, conservative_rate_table, greedy_battery
 from ehsched.io import _jsonable, format_float
 from ehsched.mdp import (
     NonConvergenceError,
@@ -29,17 +29,99 @@ from ehsched.model import (
     MarkovChainSpec,
     Model,
     ModelParams,
+    StateSpace,
     SystemState,
     battery_draw_cap_quanta,
     draw_cap_table,
-    feasible_actions,
     required_power,
     required_power_table,
-    step_battery,
-    step_queue,
 )
 from ehsched.sim import PolicyDomainError, SimResult, _batch_se
 from ehsched.verify import FAIL, NOT_APPLICABLE, PASS, CertificateReport, _state_witness
+
+# --- per-state reference semantics -------------------------------------------
+#
+# One state and one action at a time: the dynamics and baselines that the
+# package runs as index arrays and integer tables.
+
+
+def grid_power(params: ModelParams, x: SystemState, r: int, w: float) -> float:
+    """Power bought from the grid this slot: (required - battery draw)+."""
+    if r < 0 or r > x.q:
+        raise ValueError(f"rate {r} infeasible at queue {x.q}")
+    if w < -GRID_EPS or w * params.tau > x.e_b + GRID_EPS:
+        raise ValueError(f"battery draw {w} infeasible at charge {x.e_b}")
+    return max(required_power(params, x.h, r) - w, 0.0)
+
+
+def step_queue(q: int, r: int, a: int, q_max: int) -> tuple[int, int]:
+    """Next queue and the packets lost to the buffer clamp."""
+    if r < 0 or r > q:
+        raise ValueError(f"rate {r} infeasible at queue {q}")
+    raw = q - r + a
+    nxt = min(raw, q_max)
+    return nxt, raw - nxt
+
+
+def step_battery(e_b: float, w: float, e: float, params: ModelParams) -> tuple[float, float]:
+    """Next battery charge and the harvest energy lost to the capacity clamp."""
+    if w * params.tau > e_b + GRID_EPS:
+        raise ValueError(f"battery draw {w} infeasible at charge {e_b}")
+    raw = e_b - w * params.tau + e
+    nxt = min(raw, params.e_max)
+    return nxt, raw - nxt
+
+
+def feasible_actions(x: SystemState, params: ModelParams,
+                     restrict_w_to_power: bool = True) -> list[Action]:
+    """All feasible (r, w) at state x; w on the delta_e/tau grid.
+
+    r runs over 0..q; w over multiples of delta_e/tau up to the battery charge
+    and (by default) the required power of the chosen rate. (0, 0) is always
+    present.
+    """
+    ib = int(round(x.e_b / params.delta_e))
+    acts = []
+    for r in range(int(x.q) + 1):
+        cap = battery_draw_cap_quanta(params, x.h, r, ib, restrict_w_to_power)
+        for k in range(cap + 1):
+            acts.append(Action(r, k * params.delta_e / params.tau))
+    return acts
+
+
+def index_of(space: StateSpace, x: SystemState) -> int:
+    """Flat index of state x, the inverse of space.state_of; ValueError for
+    a coordinate off the space's levels or grid."""
+    iq = int(x.q)
+    if not 0 <= iq < space.nq:
+        raise ValueError(f"queue {x.q} outside [0, {space.nq - 1}]")
+    ih = int(np.argmin(np.abs(space.h_values - x.h)))
+    if abs(space.h_values[ih] - x.h) > 1e-9:
+        raise ValueError(f"channel gain {x.h} is not a chain level")
+    ia = int(np.argmin(np.abs(space.arrival_pkts - x.a)))
+    if space.arrival_pkts[ia] != x.a:
+        raise ValueError(f"arrival {x.a} is not a chain level")
+    ib = int(round(x.e_b / space.params.delta_e))
+    if not 0 <= ib < space.nb or abs(ib * space.params.delta_e - x.e_b) > GRID_EPS:
+        raise ValueError(f"battery charge {x.e_b} is off-grid")
+    ev = np.asarray(space.harvest.values)
+    ie = int(np.argmin(np.abs(ev - x.e)))
+    if abs(ev[ie] - x.e) > 1e-9:
+        raise ValueError(f"harvest {x.e} is not a chain level")
+    return ((iq * space.nh + ih) * space.na + ia) * space.nb * space.ne + ib * space.ne + ie
+
+
+def radical_policy(x: SystemState, params: ModelParams) -> Action:
+    """Serve the whole buffer, battery first."""
+    return Action(x.q, greedy_battery(x, x.q, params))
+
+
+def mixed_action(x: SystemState, params: ModelParams, xi: float, u: float) -> Action:
+    """Radical when the uniform draw u falls below xi, else conservative."""
+    if u < xi:
+        return radical_policy(x, params)
+    return conservative_policy(x, params)
+
 
 # --- tiny instances for the enumeration oracle (<= 6 states) ---------------
 
@@ -287,7 +369,7 @@ def transition_kernel(x: SystemState, act: Action, model: Model):
                 nxt = SystemState(q=q_next, h=float(space.h_values[ih2]),
                                   a=int(space.arrival_pkts[ia2]), e_b=eb_next,
                                   e=float(np.asarray(model.harvest.values)[ie2]))
-                idx.append(space.index_of(nxt))
+                idx.append(index_of(space, nxt))
                 probs.append(p)
     order = np.argsort(idx)
     return np.asarray(idx, dtype=np.int64)[order], np.asarray(probs)[order]

@@ -60,6 +60,22 @@ def test_simulate_same_seed_is_byte_identical(tmp_path):
         assert (out / name).read_bytes() == blob
 
 
+def test_short_simulation_writes_strict_json(tmp_path):
+    # one measured slot has no batch standard error: it is written as null,
+    # not as the NaN that strict JSON parsers reject
+    out = tmp_path / "run"
+    assert run("simulate", "--config", DESK_CONFIG, "--out", out,
+               "--policy", "conservative", "--n-slots", 10, "--warmup", 9) == 0
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    parsed = {name: json.loads((out / name).read_text(), parse_constant=refuse)
+              for name in ("sim.json", "manifest.json")}
+    assert parsed["sim.json"]["mean_queue_se"] is None
+    assert parsed["sim.json"]["mean_grid_power_se"] is None
+
+
 def test_simulate_constrained_optimal_reports_multiplier(tmp_path):
     out = tmp_path / "run"
     assert run("simulate", "--config", DESK_CONFIG, "--out", out,
@@ -106,6 +122,10 @@ def test_malformed_transition_row_fails_validation(tmp_path):
     (("solve", "--beta", "-1"), "beta must be >= 0"),
     (("simulate", "--policy", "mixed", "--xi", "2", "--n-slots", "100"),
      "mixed policy needs xi in [0, 1]"),
+    (("simulate", "--policy", "radical", "--xi", "0.5", "--n-slots", "100"),
+     "xi applies to the mixed policy only, not radical"),
+    (("simulate", "--policy", "optimal", "--xi", "0.5", "--n-slots", "100"),
+     "xi applies to the mixed policy only, not optimal"),
     (("sweep", "--axis", "channel", "--points", "0.5", "--n-levels", "0",
       "--n-slots", "100"), "n_levels must be at least 1"),
     (("sweep", "--axis", "arrival", "--points", "0.5,x", "--n-slots", "100"),
@@ -125,7 +145,8 @@ def test_malformed_transition_row_fails_validation(tmp_path):
      "channel: chain levels must be finite, got (nan, 1.4)"),
     (("solve", "--set", "channel.transition=[[NaN,0.3],[0.4,0.6]]"),
      "channel: transition probabilities must be finite"),
-], ids=["negative-beta", "xi-above-one", "no-channel-levels",
+], ids=["negative-beta", "xi-above-one", "xi-on-radical", "xi-on-optimal",
+        "no-channel-levels",
         "points-not-a-number", "points-nan-arrival", "points-inf-budget",
         "points-nan-channel", "nan-budget", "nan-slot-length",
         "inf-circuit-power", "nan-channel-level", "nan-transition-entry"])

@@ -1,15 +1,15 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
 from ehsched.heuristics import (
+    Baseline,
     HeuristicKind,
-    MixedHeuristic,
     conservative_policy,
     greedy_battery,
     make_heuristic,
-    mixed_action,
     mixing_weight,
-    radical_policy,
     solve_reduced_rate_mdp,
 )
 from ehsched.mdp import (
@@ -19,14 +19,16 @@ from ehsched.mdp import (
     evaluate_policy,
     relative_value_iteration,
 )
-from ehsched.model import Action, ModelParams, SystemState, required_power
+from ehsched.model import Action, ConfigError, ModelParams, SystemState, required_power
 
 from helpers import (
     assert_same_action_space,
     desk_lite_model,
     desk_model,
     loop_action_space,
+    mixed_action,
     power_delay_model,
+    radical_policy,
 )
 
 HALF_GRID = ModelParams(tau=1.0, circuit_c=1.0, q_max=20, e_max=10.0, delta_e=0.5)
@@ -97,17 +99,34 @@ def test_heuristic_kind_validation():
         HeuristicKind("mixed")
     with pytest.raises(ValueError):
         HeuristicKind("mixed", xi=1.5)
+    for kind in ("radical", "conservative"):
+        with pytest.raises(ConfigError, match=f"mixed policy only, not {kind}"):
+            HeuristicKind(kind, xi=0.5)
 
 
 def test_make_heuristic_actors():
+    # what each baseline plays is checked slot by slot against the per-state
+    # functions in test_sim (test_baseline_tables_reproduce_per_state_actors)
     m = desk_lite_model()
-    x = SystemState(q=3, h=0.6, a=2, e_b=1.0, e=0.5)
-    rad = make_heuristic(HeuristicKind("radical"), m)
-    assert rad(x) == radical_policy(x, m.params)
-    mix = make_heuristic(HeuristicKind("mixed", xi=0.8), m)
-    assert isinstance(mix, MixedHeuristic)
-    assert mix.act(x, 0.1) == radical_policy(x, m.params)
-    assert mix.act(x, 0.9) == conservative_policy(x, m.params)
+    assert make_heuristic(HeuristicKind("radical"), m) == Baseline(m.params, 1.0)
+    assert make_heuristic(HeuristicKind("conservative"), m) == Baseline(m.params, 0.0)
+    assert make_heuristic(HeuristicKind("mixed", xi=0.8), m) == Baseline(m.params, 0.8)
+
+
+def test_baseline_is_frozen_and_compares_by_value():
+    m = desk_lite_model()
+    a, b = Baseline(m.params, 0.25), Baseline(replace(m.params), 0.25)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, Baseline(m.params, 0.5)}) == 2
+    assert a != Baseline(replace(m.params, p_bar=m.params.p_bar + 1.0), 0.25)
+    with pytest.raises(FrozenInstanceError):
+        a.weight = 1.0
+
+
+@pytest.mark.parametrize("weight", [-0.1, 1.5, float("nan"), float("inf")])
+def test_baseline_weight_outside_unit_interval_is_refused(weight):
+    with pytest.raises(ConfigError, match="weight must be in"):
+        Baseline(desk_lite_model().params, weight)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 
 from ehsched.heuristics import HeuristicKind, make_heuristic
 from ehsched.io import (
     columns_to_csv,
+    dump_json,
     policy_columns,
     write_csv,
     write_policy_artifacts,
@@ -88,3 +91,11 @@ def test_write_csv_renders_dict_rows_as_columns(tmp_path):
     assert path == tmp_path / "rows.csv"
     assert path.read_text() == rows_to_csv(rows)
     assert write_csv(tmp_path / "empty.csv", []).read_text() == rows_to_csv([])
+
+
+def test_dump_json_writes_non_finite_floats_as_null():
+    obj = {"nan": float("nan"), "inf": np.float64("inf"), "row": [-np.inf, 0.5],
+           "array": np.array([1.25, np.nan])}
+    assert json.loads(dump_json(obj)) == {"nan": None, "inf": None,
+                                          "row": [None, 0.5],
+                                          "array": [1.25, None]}

@@ -55,6 +55,7 @@ from helpers import (
     gth_stationary_distribution,
     identity_minus,
     iid_random_model,
+    index_of,
     assert_same_csr,
     large_desk_model,
     loop_action_space,
@@ -80,7 +81,7 @@ def _chain_row(m, x, act):
     """Successor indices and probabilities of the action's row in chain(),
     None when the state's draw windows do not hold it."""
     actions = build_action_space(m)
-    s = np.array([m.space.index_of(x)])
+    s = np.array([index_of(m.space, x)])
     r = np.array([act.r])
     wq = np.array([int(round(act.w * m.params.tau / m.params.delta_e))])
     if not 0 <= act.r <= x.q:

@@ -12,18 +12,16 @@ from ehsched.model import (
     MarkovChainSpec,
     Model,
     ModelParams,
+    StateSpace,
     SystemState,
     battery_draw_cap_quanta,
-    enumerate_states,
-    feasible_actions,
-    grid_power,
     load_model,
     model_to_config,
     power_inverse,
     required_power,
-    step_battery,
-    step_queue,
 )
+
+from helpers import feasible_actions, grid_power, index_of, step_battery, step_queue
 
 # reference parameter set used throughout: tau=1, b=1, N=5 (theta = 2 ln2 / 5),
 # rho=1, sigma2=1, C=1
@@ -101,10 +99,10 @@ def test_enumerate_states_counts():
     chans = MarkovChainSpec.iid((0.5, 1.5), (0.5, 0.5))
     arr = MarkovChainSpec.iid((0.0, 2.0), (0.5, 0.5))
     har = MarkovChainSpec.iid((0.0, 1.0), (0.5, 0.5))
-    space = enumerate_states(params, chans, arr, har)
+    space = StateSpace(params, chans, arr, har)
     assert space.n_states == 6 * 2 * 2 * 4 * 2 == 192
 
-    tiny = enumerate_states(
+    tiny = StateSpace(
         ModelParams(q_max=0, e_max=0.0, delta_e=1.0),
         MarkovChainSpec.iid((1.0,), (1.0,)),
         MarkovChainSpec.iid((0.0,), (1.0,)),
@@ -118,9 +116,9 @@ def test_enumerate_states_round_trip():
     chans = MarkovChainSpec.iid((0.5, 1.0, 2.0), (0.3, 0.4, 0.3))
     arr = MarkovChainSpec.iid((0.0, 1.0), (0.6, 0.4))
     har = MarkovChainSpec.iid((0.0, 0.5, 1.0), (0.5, 0.3, 0.2))
-    space = enumerate_states(params, chans, arr, har)
+    space = StateSpace(params, chans, arr, har)
     for i in range(space.n_states):
-        assert space.index_of(space.state_of(i)) == i
+        assert index_of(space, space.state_of(i)) == i
 
 
 def test_enumerate_states_capacity_limit():
@@ -128,7 +126,7 @@ def test_enumerate_states_capacity_limit():
     c = MarkovChainSpec.iid((1.0,), (1.0,))
     a = MarkovChainSpec.iid((0.0, 1.0), (0.5, 0.5))
     with pytest.raises(CapacityError):
-        enumerate_states(params, c, a, c, max_states=1000)
+        StateSpace(params, c, a, c, max_states=1000)
 
 
 def test_feasible_actions_reference_cases():

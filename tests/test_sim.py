@@ -11,13 +11,10 @@ from ehsched import heuristics
 from ehsched import sim
 from ehsched.heuristics import (
     HeuristicKind,
-    MixedHeuristic,
     conservative_policy,
     conservative_rate_table,
     make_heuristic,
-    mixed_action,
     mixing_weight,
-    radical_policy,
 )
 from ehsched.io import sim_result_dict
 from ehsched.mdp import (
@@ -33,6 +30,7 @@ from ehsched.model import (
     ConfigError,
     MarkovChainSpec,
     ModelParams,
+    StateSpace,
     battery_draw_cap_quanta,
     draw_cap_table,
     load_model,
@@ -56,8 +54,11 @@ from helpers import (
     baseline_tables,
     desk_lite_model,
     desk_model,
+    index_of,
     large_desk_model,
     loop_chain_path,
+    mixed_action,
+    radical_policy,
     random_model,
     reference_simulation,
 )
@@ -189,7 +190,7 @@ def _per_slot_table_actor(policy, model):
 
     def act(x, coin):
         pol = next(p for w, p in tables if coin < w)
-        return pol.action(space.index_of(x))
+        return pol.action(index_of(space, x))
 
     return SimpleNamespace(act=act)
 
@@ -209,10 +210,12 @@ def test_table_actors_match_per_slot_lookup_bit_for_bit(lite, lite_solved):
 
 def test_mixed_heuristic_edge_weights_reduce_to_pure(lite):
     cfg = SimConfig(n_slots=20_000, seed=23)
-    always = run_simulation(MixedHeuristic(params=lite.params, xi=1.0), lite, cfg)
+    always = run_simulation(make_heuristic(HeuristicKind("mixed", xi=1.0), lite),
+                            lite, cfg)
     pure_r = run_simulation(radical(lite), lite, cfg)
     assert always.mean_queue == pure_r.mean_queue
-    never = run_simulation(MixedHeuristic(params=lite.params, xi=0.0), lite, cfg)
+    never = run_simulation(make_heuristic(HeuristicKind("mixed", xi=0.0), lite),
+                           lite, cfg)
     pure_c = run_simulation(make_heuristic(HeuristicKind("conservative"), lite),
                             lite, cfg)
     assert never.mean_grid_power == pure_c.mean_grid_power
@@ -318,9 +321,9 @@ def test_make_heuristic_actors_never_build_states_in_the_simulator(monkeypatch):
     def fail(*args):
         raise ValueError("per-state baseline called")
 
-    monkeypatch.setattr(heuristics, "radical_policy", fail)
+    monkeypatch.setattr(StateSpace, "state_of", fail)
     monkeypatch.setattr(heuristics, "conservative_policy", fail)
-    monkeypatch.setattr(heuristics, "mixed_action", fail)
+    monkeypatch.setattr(heuristics, "greedy_battery", fail)
     for actor in actors:
         run_simulation(actor, m, SimConfig(n_slots=500, seed=1))
     # an actor built for other params is refused before any slot runs
@@ -708,7 +711,7 @@ def test_sweeps_run_each_baseline_once_per_point(lite, monkeypatch):
     run = sim.run_simulation
 
     def counted(policy, model, cfg):
-        calls.append(policy.radical_weight)
+        calls.append(policy.weight)
         return run(policy, model, cfg)
 
     monkeypatch.setattr(sim, "run_simulation", counted)
