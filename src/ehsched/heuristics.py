@@ -104,19 +104,20 @@ class CalibrationResult:
 
 
 def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> CalibrationResult:
-    """Measure G_r and G_c by simulation (same seed, common random numbers)
-    and interpolate the mixing weight."""
+    """Measure G_r and G_c by simulation on one sample of the exogenous
+    paths (common random numbers) and interpolate the mixing weight."""
     # local: sim imports Baseline, HeuristicKind, make_heuristic and
     # mixing_weight from this module, so a module-level import here would be
     # circular
-    from .sim import run_simulation
+    from .sim import run_simulation, sample_paths
 
     if p_bar is None:
         p_bar = model.params.p_bar
+    sample = sample_paths(model, sim_cfg)
     res_r = run_simulation(make_heuristic(HeuristicKind("radical"), model),
-                           model, sim_cfg)
+                           model, sim_cfg, sample=sample)
     res_c = run_simulation(make_heuristic(HeuristicKind("conservative"), model),
-                           model, sim_cfg)
+                           model, sim_cfg, sample=sample)
     g_r, g_c = res_r.mean_grid_power, res_c.mean_grid_power
     xi = mixing_weight(g_r, g_c, p_bar)
     return CalibrationResult(xi=xi, g_radical=g_r, g_conservative=g_c,

@@ -320,6 +320,16 @@ class Model:
         """conservative_rate_table of the params and power_table."""
         return _read_only(conservative_rate_table(self.params, self.power_table))
 
+    @cached_property
+    def baseline_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """(rates, caps, radical_row): rate_table with a row of q_max (the
+        radical rate) appended as row radical_row, and cap_table, each
+        flattened row by row to a tuple of ints, for the simulator's
+        baseline loop, which reads one entry of each per slot."""
+        radical = np.full(self.params.n_battery_levels, self.params.q_max)
+        return (tuple(np.concatenate((self.rate_table.ravel(), radical)).tolist()),
+                tuple(self.cap_table.ravel().tolist()), self.rate_table.shape[0])
+
     def mean_arrival(self) -> float:
         return self.arrival.mean()
 
@@ -338,9 +348,17 @@ def battery_draw_cap_quanta(params: ModelParams, h: float, r: int, ib: int,
 
 
 def required_power_table(params: ModelParams, h_values) -> np.ndarray:
-    """required_power per (channel level, rate 0..q_max)."""
-    return np.array([[required_power(params, float(h), r)
-                      for r in range(params.q_max + 1)] for h in h_values])
+    """required_power per (channel level, rate 0..q_max), bit for bit: one
+    math.expm1 per rate, then required_power's operations in its order."""
+    h = np.asarray(h_values, dtype=float)
+    if (h <= 0).any():
+        raise ValueError("channel gain must be positive")
+    # math.expm1, not np.expm1: the two differ in the last bit on some inputs
+    grow = np.array([math.expm1(params.theta * r)
+                     for r in range(1, params.q_max + 1)])
+    table = np.zeros((h.size, params.q_max + 1))
+    table[:, 1:] = params.rho * (params.sigma2 / h)[:, None] * grow + params.circuit_c
+    return table
 
 
 def draw_cap_table(params: ModelParams, power: np.ndarray) -> np.ndarray:

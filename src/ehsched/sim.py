@@ -11,9 +11,14 @@ conservative and mixed baselines run one inline loop over flat tables.
 The three exogenous chains are stepped from independent substreams of one
 counter-based generator (Philox), so runs are bit-reproducible and every
 sweep point / policy kind sees the same random numbers — differences between
-curves are then policy effects, not sampling noise. The slot loop mirrors the
-solver's transition convention exactly: the current state already carries the
-arrival and harvest that land this slot, and the chains advance afterwards.
+curves are then policy effects, not sampling noise. The paths do not depend
+on the policy, so sample_paths draws them before any slot runs, and
+run_simulation takes them presampled: a sweep point samples once and runs
+each distinct Baseline once on that sample (a mixed weight of exactly 1 or 0
+is the radical or conservative baseline, whose run it reuses). The slot loop
+mirrors the solver's transition convention exactly: the current state already
+carries the arrival and harvest that land this slot, and the chains advance
+afterwards.
 """
 
 from __future__ import annotations
@@ -118,6 +123,71 @@ def _chain_path(chain: MarkovChainSpec, gen: np.random.Generator,
     for t in range(n - 1):
         path.append(rows[path[-1]][t])
     return np.array(path, dtype=np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class ExogenousSample:
+    """The exogenous paths of one run, as sample_paths draws them: each
+    chain's level index per slot (ih, ia, ie), the policy coin per slot,
+    and the arrivals (packets) and harvests (energy quanta) of those levels.
+
+    seed, n_slots, chains (channel, arrival, harvest) and delta_e record
+    what the sample was drawn for. The arrays are read-only, so the runs
+    that share a sample cannot alter it.
+    """
+
+    seed: int
+    n_slots: int
+    chains: tuple[MarkovChainSpec, MarkovChainSpec, MarkovChainSpec]
+    delta_e: float
+    ih: np.ndarray
+    ia: np.ndarray
+    ie: np.ndarray
+    coins: np.ndarray
+    arrivals: np.ndarray
+    harvests: np.ndarray
+
+
+def sample_paths(model: Model, cfg: SimConfig) -> ExogenousSample:
+    """Draw the exogenous paths of a cfg.n_slots run on the model.
+
+    The channel, arrival, harvest and coin streams are the four spawned
+    substreams of SeedSequence(cfg.seed), in that order; each chain consumes
+    one initial uniform (its stationary start) and then one uniform per
+    slot, and the coin stream one uniform per slot.
+    """
+    n = cfg.n_slots
+    chains = (model.channel, model.arrival, model.harvest)
+    gens = [np.random.Generator(np.random.Philox(s))
+            for s in np.random.SeedSequence(cfg.seed).spawn(4)]
+    ih, ia, ie = (_chain_path(chain, gen, n) for chain, gen in zip(chains, gens))
+    coins = gens[3].random(n)
+    a_pkts = np.array([int(round(v)) for v in model.arrival.values], dtype=np.int64)
+    de = model.params.delta_e
+    e_quanta = np.array([int(round(v / de)) for v in model.harvest.values],
+                        dtype=np.int64)
+    arrays = (ih, ia, ie, coins, a_pkts[ia], e_quanta[ie])
+    for a in arrays:
+        a.setflags(write=False)
+    return ExogenousSample(cfg.seed, n, chains, de, *arrays)
+
+
+def _same_chain(a: MarkovChainSpec, b: MarkovChainSpec) -> bool:
+    return a is b or (a.values == b.values
+                      and np.array_equal(a.transition, b.transition))
+
+
+def _check_sample(sample: ExogenousSample, model: Model, cfg: SimConfig):
+    """ValueError unless sample_paths(model, cfg) would draw this sample."""
+    if (sample.seed, sample.n_slots) != (cfg.seed, cfg.n_slots):
+        raise ValueError(
+            f"sample was drawn for seed {sample.seed} and {sample.n_slots} "
+            f"slots, not seed {cfg.seed} and {cfg.n_slots} slots")
+    chains = (model.channel, model.arrival, model.harvest)
+    if (sample.delta_e != model.params.delta_e
+            or not all(map(_same_chain, sample.chains, chains))):
+        raise ValueError("sample was drawn for other chains or another energy "
+                         "grid than the model's")
 
 
 def _clamped_walk(steps: np.ndarray, top: int) -> np.ndarray:
@@ -227,9 +297,8 @@ def _baseline_slots(model: Model, weight: float, ih_path, a_slot, e_slot,
     params = model.params
     q_max, nb = params.q_max, params.n_battery_levels
     b_top = nb - 1
-    rc = np.concatenate((model.rate_table.ravel(), np.full(nb, q_max))).tolist()
-    cap = model.cap_table.ravel().tolist()
-    rows = np.where(coins < weight, model.channel.n, ih_path)
+    rc, cap, radical_row = model.baseline_rows
+    rows = np.where(coins < weight, radical_row, ih_path)
     rs, ws = [], []
     q = ib = 0
     # memoryviews hand out one int per slot and hold no per-slot list
@@ -261,24 +330,26 @@ def _batch_se(series: np.ndarray, n_batches: int) -> float:
     return float(means.std(ddof=1) / math.sqrt(nb))
 
 
-def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
+def run_simulation(policy, model: Model, cfg: SimConfig,
+                   sample: ExogenousSample | None = None) -> SimResult:
     """Roll the system forward cfg.n_slots slots under the given policy.
 
-    Bit-reproducible for a fixed (policy, model, cfg): the channel, arrival,
-    harvest and coin streams are the four spawned substreams of
-    SeedSequence(cfg.seed), in that order, and each consumes one initial
-    uniform (stationary start of the chains) followed by one uniform per slot.
-    The buffer and battery start empty. The coin stream is consumed every
-    slot regardless of the policy kind, so deterministic and randomized
-    policies see identical chain paths under the same seed.
+    Bit-reproducible for a fixed (policy, model, cfg): the exogenous paths
+    are sample_paths(model, cfg), drawn here unless given as sample. A
+    presampled set makes the same run as drawing it here; it raises
+    ValueError if it was drawn for another seed, n_slots, set of chains or
+    energy grid. The buffer and battery start empty. The coin stream is
+    consumed every slot regardless of the policy kind, so deterministic and
+    randomized policies see identical chain paths under the same seed.
 
     The policy's data are checked before any slot runs. The chains do not
-    depend on the policy, so their paths are sampled first; then one kernel
-    per policy kind finds every slot's action: a table policy or mixture by
-    walking its next-state table, the radical baseline in closed form, the
-    conservative and mixed baselines by one loop over the model's two
-    baseline tables. The queue and battery series, grid power, clipping and
-    trace are computed from the actions afterwards.
+    depend on the policy, so their paths are sampled first, or shared by
+    the caller's runs; then one kernel per policy kind finds every slot's
+    action: a table policy or mixture by walking its next-state table, the
+    radical baseline in closed form, the conservative and mixed baselines by
+    one loop over the model's two baseline tables. The queue and battery
+    series, grid power, clipping and trace are computed from the actions
+    afterwards.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
@@ -305,17 +376,12 @@ def run_simulation(policy, model: Model, cfg: SimConfig) -> SimResult:
             f"TablePolicy.from_callable turns a per-state function into a "
             f"TablePolicy")
 
-    streams = np.random.SeedSequence(cfg.seed).spawn(4)
-    gen_h, gen_a, gen_e, gen_coin = (
-        np.random.Generator(np.random.Philox(s)) for s in streams)
-    ih_path = _chain_path(model.channel, gen_h, n)
-    ia_path = _chain_path(model.arrival, gen_a, n)
-    ie_path = _chain_path(model.harvest, gen_e, n)
-    coins = gen_coin.random(n)
-    a_pkts = np.array([int(round(v)) for v in model.arrival.values], dtype=np.int64)
-    e_quanta = np.array([int(round(v / de)) for v in model.harvest.values],
-                        dtype=np.int64)
-    a_slot, e_slot = a_pkts[ia_path], e_quanta[ie_path]
+    if sample is None:
+        sample = sample_paths(model, cfg)
+    else:
+        _check_sample(sample, model, cfg)
+    ih_path, ia_path, ie_path = sample.ih, sample.ia, sample.ie
+    coins, a_slot, e_slot = sample.coins, sample.arrivals, sample.harvests
 
     if tables is not None:
         space = model.space
@@ -436,20 +502,24 @@ def _sweep_model(axis: str, model: Model, value: float, n_levels: int) -> Model:
 def _sweep_point(args) -> dict:
     """One sweep row: each named baseline simulated on the point's model.
 
-    Radical and conservative run at most once each. A mixed baseline takes
-    its weight from those two runs (mixing_weight at the point's budget),
-    which share cfg's seed with it (common random numbers).
+    The point's exogenous paths are sampled once, and every run shares them
+    (common random numbers). Each distinct Baseline runs once: radical and
+    conservative at most once each, and a mixed baseline takes its weight
+    from those two runs (mixing_weight at the point's budget). A weight of
+    exactly 1 or 0 makes the mixed baseline equal to the radical or the
+    conservative one, so it reuses that run.
     """
     axis, model, value, kinds, cfg, n_levels = args
     point = _sweep_model(axis, model, value, n_levels)
     column, cells = _SWEEP_COLUMNS[axis]
+    sample = sample_paths(point, cfg)
     runs = {}
 
     def simulate(name, xi=None):
-        if name not in runs:
-            baseline = make_heuristic(HeuristicKind(name, xi=xi), point)
-            runs[name] = run_simulation(baseline, point, cfg)
-        return runs[name]
+        baseline = make_heuristic(HeuristicKind(name, xi=xi), point)
+        if baseline not in runs:
+            runs[baseline] = run_simulation(baseline, point, cfg, sample=sample)
+        return runs[baseline]
 
     row = {column: value}
     for name in kinds:
@@ -496,7 +566,8 @@ def sweep_arrival(model_template: Model, abar_list, policy_kind: str,
 def sweep_budget(model: Model, pbar_list, policy_kind: str, cfg: SimConfig,
                  n_workers: int = 1) -> list[dict]:
     """Mean queue against the grid-power budget, one simulation per budget
-    (three for mixed: radical and conservative calibrate its weight)."""
+    (three for mixed: radical and conservative calibrate its weight, and a
+    weight of 1 or 0 reuses their run)."""
     return _sweep("budget", model, pbar_list, (policy_kind,), cfg, n_workers)
 
 

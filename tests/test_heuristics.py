@@ -5,7 +5,9 @@ import pytest
 
 from ehsched.heuristics import (
     Baseline,
+    CalibrationResult,
     HeuristicKind,
+    calibrate_xi,
     conservative_policy,
     greedy_battery,
     make_heuristic,
@@ -131,6 +133,19 @@ def test_baseline_weight_outside_unit_interval_is_refused(weight):
 
 # ---------------------------------------------------------------------------
 # reduced rate-only solve
+
+def test_calibration_equals_independent_runs():
+    from ehsched.sim import SimConfig, run_simulation
+    for m, p_bar in ((desk_model(), None), (desk_lite_model(), 0.25)):
+        cfg = SimConfig(n_slots=3_000, seed=17)
+        g_r, g_c = (run_simulation(make_heuristic(HeuristicKind(k), m), m,
+                                   cfg).mean_grid_power
+                    for k in ("radical", "conservative"))
+        budget = m.params.p_bar if p_bar is None else p_bar
+        assert calibrate_xi(m, cfg, p_bar) == CalibrationResult(
+            xi=mixing_weight(g_r, g_c, budget), g_radical=g_r,
+            g_conservative=g_c, feasible=min(g_r, g_c) <= budget)
+
 
 def test_reduced_solve_equals_full_when_battery_is_trivial():
     m = power_delay_model()

@@ -19,6 +19,7 @@ from ehsched.model import (
     model_to_config,
     power_inverse,
     required_power,
+    required_power_table,
 )
 
 from helpers import feasible_actions, grid_power, index_of, step_battery, step_queue
@@ -46,6 +47,22 @@ def test_required_power_rejects_bad_gain():
         required_power(REF, h=0.0, r=1)
     with pytest.raises(ValueError):
         required_power(REF, h=-1.0, r=1)
+
+
+@pytest.mark.parametrize("name", ["channel", "desk", "fig4", "mixed_budget"])
+def test_required_power_table_is_the_per_entry_function(name):
+    from pathlib import Path
+
+    from ehsched.sim import discretize_rayleigh
+    m = load_model(Path(__file__).resolve().parents[1] / "configs" / f"{name}.json")
+    p = m.params
+    for h in [m.channel.values, *(discretize_rayleigh(mu, k).values
+                                  for mu in (0.05, 0.7, 3.0) for k in (1, 8))]:
+        want = np.array([[required_power(p, x, r) for r in range(p.q_max + 1)]
+                         for x in h])
+        assert required_power_table(p, h).tobytes() == want.tobytes()
+    with pytest.raises(ValueError, match="positive"):
+        required_power_table(p, (0.5, 0.0))
 
 
 def test_required_power_circuit_jump():

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -513,6 +514,47 @@ def test_table_walk_matches_the_per_slot_reference_random(seed, xi, n, restrict)
                         reference_simulation(_per_slot_table_actor(policy, m), m, cfg))
 
 
+@pytest.mark.parametrize("name", ["desk", "desk-lite"])
+def test_a_presampled_run_equals_the_unshared_run(name):
+    m = {"desk": desk_model, "desk-lite": desk_lite_model}[name]()
+    table = random_feasible_table(m, 0)
+    policies = [table, MixedPolicy(table, random_feasible_table(m, 1), 0.4),
+                *(make_heuristic(kind, m) for kind in (
+                    HeuristicKind("radical"), HeuristicKind("conservative"),
+                    HeuristicKind("mixed", xi=0.3)))]
+    for n in (1, 2, 3_000):
+        cfg = SimConfig(n_slots=n, seed=n + 11, record_trace=True)
+        sample = sim.sample_paths(m, cfg)
+        for policy in policies:
+            assert_same_run(run_simulation(policy, m, cfg, sample=sample),
+                            run_simulation(policy, m, cfg))
+        # read-only: no run can alter what the next one reads
+        for key in ("ih", "ia", "ie", "coins", "arrivals", "harvests"):
+            assert not getattr(sample, key).flags.writeable, key
+
+
+def test_a_sample_drawn_for_another_run_is_refused(lite):
+    cfg = SimConfig(n_slots=500, seed=3)
+    sample = sim.sample_paths(lite, cfg)
+    for other in (SimConfig(n_slots=500, seed=4), SimConfig(n_slots=501, seed=3)):
+        with pytest.raises(ValueError, match="drawn for seed 3 and 500 slots"):
+            run_simulation(radical(lite), lite, other, sample=sample)
+    # desk has desk-lite's chains on a finer energy grid
+    others = [desk_model(),
+              replace(lite, channel=discretize_rayleigh(1.0, 2)),
+              replace(lite, arrival=MarkovChainSpec.iid((0.0, 2.0), (0.4, 0.6))),
+              replace(lite, harvest=MarkovChainSpec.iid((0.0, 1.0), (0.5, 0.5)))]
+    for m in others:
+        with pytest.raises(ValueError, match="other chains"):
+            run_simulation(radical(m), m, cfg, sample=sample)
+    # warmup and trace are not the sample's; equal chains are the same chains
+    same = desk_lite_model(p_bar=0.3)
+    assert same.channel is not lite.channel
+    cfg = replace(cfg, warmup=7, record_trace=True)
+    assert_same_run(run_simulation(radical(same), same, cfg, sample=sample),
+                    run_simulation(radical(same), same, cfg))
+
+
 # --- policy domain errors ------------------------------------------------------
 
 
@@ -677,6 +719,8 @@ def test_channel_sweep_header(lite):
 
 def sweep_point_model(axis, model, value):
     if axis == "arrival":
+        if value == 0.0:
+            return replace(model, arrival=MarkovChainSpec.iid((0.0,), (1.0,)))
         return replace(model, arrival=MarkovChainSpec.iid((0.0, 2.0 * value),
                                                           (0.5, 0.5)))
     if axis == "budget":
@@ -710,22 +754,146 @@ def test_sweeps_run_each_baseline_once_per_point(lite, monkeypatch):
     calls = []
     run = sim.run_simulation
 
-    def counted(policy, model, cfg):
-        calls.append(policy.weight)
-        return run(policy, model, cfg)
+    def counted(policy, model, cfg, sample=None):
+        calls.append((model, policy))
+        return run(policy, model, cfg, sample=sample)
+
+    def weights_per_point():
+        """The weights of each point's simulated baselines, in call order;
+        each distinct Baseline once."""
+        points = {}
+        for model, policy in calls:
+            points.setdefault(id(model), []).append(policy)
+        for baselines in points.values():
+            assert len(set(baselines)) == len(baselines)
+        calls.clear()
+        return [[b.weight for b in baselines] for baselines in points.values()]
+
+    def mixed_point(xi):
+        # at xi 1 or 0 the mixed baseline is the radical or conservative one
+        return list(dict.fromkeys([1.0, 0.0, xi]))
 
     monkeypatch.setattr(sim, "run_simulation", counted)
     cfg = SimConfig(n_slots=1_000, seed=53)
-    sweep_channel(lite, [0.5, 1.0, 2.0], ("radical", "conservative", "mixed"),
-                  cfg, n_levels=4)
-    assert len(calls) == 9
-    assert calls[0::3] == [1.0] * 3 and calls[1::3] == [0.0] * 3
-    calls.clear()
+    rows = sweep_channel(lite, [0.5, 1.0, 2.0],
+                         ("radical", "conservative", "mixed"), cfg, n_levels=4)
+    assert weights_per_point() == [mixed_point(row["xi"]) for row in rows]
     sweep_arrival(lite, [1.0, 2.0], "radical", cfg)
-    assert calls == [1.0, 1.0]
-    calls.clear()
-    sweep_budget(lite, [0.3], "mixed", cfg)
-    assert len(calls) == 3
+    assert weights_per_point() == [[1.0], [1.0]]
+    # a budget above radical's draw makes xi 1, so that point runs twice
+    rows = sweep_budget(lite, [0.2, 1e6], "mixed", cfg)
+    assert 0.0 < rows[0]["xi"] < 1.0 and rows[1]["xi"] == 1.0
+    assert weights_per_point() == [[1.0, 0.0, rows[0]["xi"]], [1.0, 0.0]]
+
+
+def test_a_three_kind_channel_point_samples_its_paths_once(lite, monkeypatch):
+    paths = []
+    chain_path = sim._chain_path
+
+    def counted(chain, gen, n):
+        paths.append(chain)
+        return chain_path(chain, gen, n)
+
+    monkeypatch.setattr(sim, "_chain_path", counted)
+    sweep_channel(lite, [0.8], ("radical", "conservative", "mixed"),
+                  SimConfig(n_slots=1_000, seed=53), n_levels=4)
+    assert len(paths) == 3
+
+
+def independent_sweep_row(axis, model, value, kinds, cfg):
+    """A sweep row from one run_simulation per baseline on the point model,
+    each drawing its own paths, and the mixed weight from radical's and
+    conservative's grid draws."""
+    point = sweep_point_model(axis, model, value)
+    cells = {"arrival": SWEEP_CELLS["arrival"][1:],
+             "budget": SWEEP_CELLS["budget"][1:],
+             "channel": ["mean_queue", "mean_queue_se", "mean_grid_power"]}[axis]
+
+    def run(kind):
+        return run_simulation(make_heuristic(kind, point), point, cfg)
+
+    row = {{"arrival": "abar", "budget": "p_bar", "channel": "hbar"}[axis]: value}
+    for name in kinds:
+        if name == "mixed":
+            xi = mixing_weight(run(HeuristicKind("radical")).mean_grid_power,
+                               run(HeuristicKind("conservative")).mean_grid_power,
+                               point.params.p_bar)
+            if axis == "channel":
+                row["xi"] = xi
+            res = run(HeuristicKind("mixed", xi=xi))
+        else:
+            res = run(HeuristicKind(name))
+        suffix = f"_{name}" if axis == "channel" else ""
+        for cell in cells:
+            row[cell + suffix] = getattr(res, cell)
+        if name == "mixed" and axis != "channel":
+            row["xi"] = xi
+    return row
+
+
+def same_row(got, want):
+    """Rows equal cell for cell with ==, with NaN equal to NaN (the standard
+    errors of runs too short for two batches)."""
+    return list(got) == list(want) and all(
+        a == b or (math.isnan(a) and math.isnan(b))
+        for a, b in zip(got.values(), want.values()))
+
+
+def sweep_rows(axis, model, value, cfg):
+    """(kinds, row) of each sweep the axis runs at one point."""
+    if axis == "channel":
+        kinds = ("radical", "conservative", "mixed")
+        yield kinds, sweep_channel(model, [value], kinds, cfg, n_levels=4)[0]
+        return
+    for kind in ("radical", "conservative", "mixed"):
+        yield (kind,), SWEEPS[axis](model, [value], kind, cfg)[0]
+
+
+SWEEP_VALUES = {"arrival": st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0]),
+                "budget": st.floats(0.0, 3.0),
+                "channel": st.floats(0.05, 4.0)}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(SWEEP_VALUES)).flatmap(
+           lambda axis: st.tuples(st.just(axis), SWEEP_VALUES[axis])),
+       st.integers(0, 10_000), st.sampled_from([1, 2, 3, 40, 700]),
+       st.sampled_from([None, 0.0, 1e6]))
+def test_sweep_rows_equal_independent_runs(lite, axis_value, seed, n, p_bar):
+    """A shared sample and reused runs give the row that independent runs
+    give, bit for bit; a p_bar of 1e6 makes xi 1 and one of 0 makes it 0
+    wherever conservative draws from the grid."""
+    axis, value = axis_value
+    model = lite
+    if p_bar is not None:
+        model = replace(lite, params=replace(lite.params, p_bar=p_bar))
+    cfg = SimConfig(n_slots=n, seed=seed)
+    for kinds, row in sweep_rows(axis, model, value, cfg):
+        assert same_row(row, independent_sweep_row(axis, model, value, kinds,
+                                                   cfg)), (kinds, row)
+
+
+@pytest.mark.parametrize("axis", ["arrival", "budget", "channel"])
+@pytest.mark.parametrize("xi", [0.0, 1.0])
+def test_sweep_rows_at_xi_zero_and_one_reuse_a_run(lite, axis, xi, monkeypatch):
+    p_bar = 1e6 if xi == 1.0 else 0.0
+    model = replace(lite, params=replace(lite.params, p_bar=p_bar))
+    value = 1.0 if axis == "channel" else p_bar if axis == "budget" else 1.5
+    cfg = SimConfig(n_slots=2_000, seed=59)
+    runs = []
+    run = sim.run_simulation
+
+    def counted(policy, model, cfg, sample=None):
+        runs.append(policy)
+        return run(policy, model, cfg, sample=sample)
+
+    monkeypatch.setattr(sim, "run_simulation", counted)
+    for kinds, row in sweep_rows(axis, model, value, cfg):
+        assert row["xi"] == xi if "mixed" in kinds else "xi" not in row
+        assert len(runs) == (2 if "mixed" in kinds else 1)
+        runs.clear()
+        assert same_row(row, independent_sweep_row(axis, model, value, kinds,
+                                                   cfg))
 
 
 @pytest.mark.parametrize("axis", ["channel", "arrival"])
