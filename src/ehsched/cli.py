@@ -24,7 +24,7 @@ from .constrained import (
     ConstrainedSolverConfig,
     solve_constrained,
 )
-from .heuristics import HeuristicKind, calibrate_xi, make_heuristic
+from .heuristics import VALID_KINDS, HeuristicKind, calibrate_xi, make_heuristic
 from .io import (
     dump_json,
     evaluation_dict,
@@ -165,6 +165,9 @@ def _simulation_policy(args, model, sim_cfg):
                                 "xi": sol.xi}
         res = relative_value_iteration(SolverConfig(beta=args.beta), model)
         return res.policy, {"beta": args.beta}
+    if args.constrained:
+        raise ConfigError(f"constrained applies to the optimal policy only, "
+                          f"not {args.policy}")
     if args.policy == "mixed":
         if args.xi is not None:
             return make_heuristic(HeuristicKind("mixed", xi=args.xi), model), \
@@ -209,21 +212,21 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--points needs a comma-separated list of finite "
                           "numbers")
     sim_cfg = SimConfig(n_slots=args.n_slots, seed=args.seed)
-    if args.axis == "arrival":
-        rows = sweep_arrival(model, points, args.policy, sim_cfg,
-                             n_workers=args.n_workers)
-    elif args.axis == "budget":
-        rows = sweep_budget(model, points, args.policy, sim_cfg,
-                            n_workers=args.n_workers)
-    else:
-        rows = sweep_channel(model, points,
-                             ("radical", "conservative", "mixed"), sim_cfg,
+    if args.axis == "channel":
+        if args.policy is not None:
+            raise ConfigError("--policy applies to the arrival and budget axes only")
+        policy = list(VALID_KINDS)
+        rows = sweep_channel(model, points, VALID_KINDS, sim_cfg,
                              n_levels=args.n_levels, n_workers=args.n_workers)
+    else:
+        policy = args.policy or "radical"
+        sweep = sweep_arrival if args.axis == "arrival" else sweep_budget
+        rows = sweep(model, points, policy, sim_cfg, n_workers=args.n_workers)
     name = f"sweep_{args.axis}.csv"
     write_csv(out / name, rows)
     _write_manifest(out, args, cfg, [name],
                     {"axis": args.axis, "points": points,
-                     "policy": args.policy, "n_slots": args.n_slots})
+                     "policy": policy, "n_slots": args.n_slots})
     return EXIT_OK
 
 
@@ -283,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
                          choices=("arrival", "budget", "channel"))
     p_sweep.add_argument("--points", required=True,
                          help="comma-separated sweep values")
-    p_sweep.add_argument("--policy", default="radical",
-                         choices=("radical", "conservative", "mixed"))
+    p_sweep.add_argument("--policy", choices=VALID_KINDS,
+                         help="arrival and budget axes (default radical)")
     p_sweep.add_argument("--n-slots", type=int, default=100_000)
     p_sweep.add_argument("--n-levels", type=int, default=8,
                          help="channel quantizer levels (channel axis)")

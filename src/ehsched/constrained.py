@@ -59,7 +59,7 @@ class Probe(NamedTuple):
 
 @dataclass(frozen=True)
 class ConstrainedSolverConfig:
-    """Outer-loop knobs; inner relative-VI settings are forwarded verbatim.
+    """Outer-loop knobs; each price probe's relative-VI solve runs at epsilon.
 
     k_tolerance=None resolves to 1e-3 * p_bar (absolute 1e-6 when the budget
     is zero). max_outer_iters caps price probes plus mixture-weight iterates.
@@ -75,8 +75,6 @@ class ConstrainedSolverConfig:
     max_outer_iters: int = 100
     beta_floor: float = 1e-5
     epsilon: float = 1e-10
-    max_inner_iters: int = 1_000_000
-    kappa: float = 0.5
 
     def __post_init__(self):
         if self.beta_init <= 0:
@@ -152,10 +150,9 @@ class _Prober:
         return self.actions.n_factorised - self._lu_start
 
     def __call__(self, beta: float) -> Probe:
-        sc = SolverConfig(beta=beta, epsilon=self.cfg.epsilon,
-                          max_iters=self.cfg.max_inner_iters, kappa=self.cfg.kappa)
-        res = relative_value_iteration(sc, self.model, actions=self.actions,
-                                       start=self._start(beta))
+        res = relative_value_iteration(
+            SolverConfig(beta=beta, epsilon=self.cfg.epsilon), self.model,
+            actions=self.actions, start=self._start(beta))
         ev = evaluate_policy(res.policy, beta, self.model, actions=self.actions)
         self.n_sweeps += res.n_iters
         self.trace.append(TraceRow(len(self.trace) + 1, beta, ev.gain_j,

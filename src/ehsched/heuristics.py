@@ -132,8 +132,7 @@ def make_heuristic(kind: HeuristicKind, model: Model) -> Baseline:
     return Baseline(model.params, 1.0 if kind.kind == "radical" else 0.0)
 
 
-def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,
-                           max_iters: int = 1_000_000) -> SolveResult:
+def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9) -> SolveResult:
     """Average-cost solve over the rate alone, battery draw forced greedy.
 
     Each (state, rate) pair's draw window is the one greedy draw
@@ -142,5 +141,5 @@ def solve_reduced_rate_mdp(beta: float, model: Model, epsilon: float = 1e-9,
     is a full (r, w) table with w = greedy_battery(x, r*(x)).
     """
     actions = build_action_space(model, greedy_draw=True)
-    cfg = SolverConfig(beta=beta, epsilon=epsilon, max_iters=max_iters)
-    return relative_value_iteration(cfg, model, actions=actions)
+    return relative_value_iteration(SolverConfig(beta=beta, epsilon=epsilon),
+                                    model, actions=actions)

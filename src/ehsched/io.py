@@ -123,16 +123,8 @@ def evaluation_dict(ev: PolicyEvaluation) -> dict:
 
 
 def solve_trace_rows(result: SolveResult) -> list[dict]:
-    rows = []
-    for entry in result.trace:
-        if len(entry) == 4:
-            it, span, lo, hi = entry
-            rows.append({"iteration": it, "span": span,
-                         "gain_lower": lo, "gain_upper": hi})
-        else:
-            it, resid = entry
-            rows.append({"iteration": it, "residual": resid})
-    return rows
+    return [{"iteration": it, "span": span, "gain_lower": lo, "gain_upper": hi}
+            for it, span, lo, hi in result.trace]
 
 
 def search_trace_rows(trace) -> list[dict]:

@@ -68,20 +68,14 @@ class InstanceTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the solvers.
-
-    kappa is the damping weight of the averaged Bellman operator
-    (1-kappa)*I + kappa*T used by relative VI; it removes periodicity without
-    changing the gain or the greedy policy. max_iters bounds the policy
-    evaluations of both solves, and relative VI's backups after them.
-    """
+    """Knobs for the solvers; max_iters bounds the policy evaluations of both
+    solves, and relative VI's backups after them."""
 
     beta: float
     epsilon: float = 1e-9
     max_iters: int = 1_000_000
     reference_state: int = 0
     alpha: float | None = None
-    kappa: float = 0.5
 
     def __post_init__(self):
         if self.beta < 0:
@@ -90,8 +84,6 @@ class SolverConfig:
             raise ConfigError("epsilon must be positive")
         if self.alpha is not None and not 0.0 < self.alpha < 1.0:
             raise ConfigError("alpha must be in (0, 1)")
-        if not 0.0 < self.kappa <= 1.0:
-            raise ConfigError("kappa must be in (0, 1]")
         if self.max_iters < 1:
             raise ConfigError("max_iters must be >= 1")
 
@@ -499,6 +491,10 @@ GREEDY_TIE_TOL = 1e-8
 # counts them all
 TRACE_ROWS = 10_000
 
+# relative VI's damping weight, (1 - KAPPA) V + KAPPA T V: it removes periodicity
+# and keeps the gain and greedy policy (Puterman 1994, aperiodicity transformation)
+KAPPA = 0.5
+
 # rounding floor of the discounted solve's residual, in ulps of max |V|: the
 # exact values of the optimal policy, rounded and backed up once, read 1 to 11
 # ulps where epsilon (1 - alpha) / (2 alpha) is below one ulp (alpha 0.999)
@@ -602,8 +598,8 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     Howard policy iteration (_howard, from the greedy actions of the one-step
     costs or from the table policy start) runs until no state moves, for at
     most cfg.max_iters evaluations; value iteration on the damped operator
-    (1-kappa) V + kappa T V then starts from that policy's bias, divided by
-    kappa since that is the lazy chain's bias, normalizing at the reference
+    (1-KAPPA) V + KAPPA T V then starts from that policy's bias, divided by
+    KAPPA since that is the lazy chain's bias, normalizing at the reference
     state after each backup. The first backup whose span of T V - V is below
     cfg.epsilon (where policy iteration reaches the optimum, the first one)
     gives the gain bounds (min and max of T V - V, which bracket the optimal
@@ -636,17 +632,16 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
     ref = cfg.reference_state
     if not 0 <= ref < n:
         raise ValueError(f"reference_state {ref} out of range")
-    kappa = cfg.kappa
 
     def damped_backup(v):
-        # c + kappa E[v(next)] + (1 - kappa) v
-        return actions.backup(actions.next_values(v), cfg.beta, kappa,
-                              extra=(1.0 - kappa) * v)
+        # c + KAPPA E[v(next)] + (1 - KAPPA) v
+        return actions.backup(actions.next_values(v), cfg.beta, KAPPA,
+                              extra=(1.0 - KAPPA) * v)
 
     sa = None if start is None else actions.sa_of_policy(start)
     h, n_eval = _howard(actions, cfg.beta, sa, cfg.max_iters, ref=ref)
 
-    v = h / kappa
+    v = h / KAPPA
     trace = deque(maxlen=TRACE_ROWS)
     span = np.inf
     for it in range(1, cfg.max_iters + 1):
@@ -663,10 +658,10 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
             f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
             f"iterations (final span {span:.3e})", residual=span)
 
-    # v solves the optimality equation of the lazy kernel (1-kappa)I + kappa*P,
+    # v solves the optimality equation of the lazy kernel (1-KAPPA)I + KAPPA*P,
     # whose gain and greedy sets match the original chain's; its bias is the
-    # original bias divided by kappa, so rescale before reporting
-    bias = ValueTable(values=kappa * (v - v[ref]), kind="relative-bias",
+    # original bias divided by KAPPA, so rescale before reporting
+    bias = ValueTable(values=KAPPA * (v - v[ref]), kind="relative-bias",
                       beta=cfg.beta, reference_state=ref)
     return SolveResult(gain=0.5 * (lo + hi), values=bias,
                        policy=actions.policy_from_sa(pick(10.0 * cfg.epsilon)),

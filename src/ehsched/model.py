@@ -416,6 +416,7 @@ def _chain_from_config(cfg: dict, name: str) -> MarkovChainSpec:
 
 
 _PARAM_FIELDS = {f for f in ModelParams.__dataclass_fields__}
+_SECTIONS = {"params", "channel", "arrival", "harvest", "restrict_w_to_power"}
 
 
 def load_model(source) -> Model:
@@ -440,6 +441,11 @@ def load_model(source) -> Model:
     else:
         raise ConfigError(f"cannot load a model from {type(source).__name__}")
 
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"a model config is a JSON object, not {type(cfg).__name__}")
+    unknown = set(cfg) - _SECTIONS
+    if unknown:
+        raise ConfigError(f"unknown section(s) {sorted(unknown)}")
     if "params" not in cfg:
         raise ConfigError("missing 'params' section")
     unknown = set(cfg["params"]) - _PARAM_FIELDS
@@ -456,8 +462,10 @@ def load_model(source) -> Model:
             raise ConfigError(f"missing '{name}' section")
         chains[name] = _chain_from_config(cfg[name], name)
 
-    return Model(params=params, restrict_w_to_power=bool(cfg.get("restrict_w_to_power", True)),
-                 **chains)
+    restrict = cfg.get("restrict_w_to_power", True)
+    if not isinstance(restrict, bool):
+        raise ConfigError(f"restrict_w_to_power must be true or false, got {restrict!r}")
+    return Model(params=params, restrict_w_to_power=restrict, **chains)
 
 
 def model_to_config(model: Model) -> dict:

@@ -49,23 +49,20 @@ class SimConfig:
 
     warmup=None discards the first 1% of the horizon (the rollout starts from
     an empty buffer and an empty battery, so the early slots are transient).
-    Standard errors come from non-overlapping batch means over the measured
-    span.
+    Standard errors come from the means of N_BATCHES (32) non-overlapping
+    batches of the measured span.
     """
 
     n_slots: int
     seed: int
     warmup: int | None = None
     record_trace: bool = False
-    n_batches: int = 32
 
     def __post_init__(self):
         if self.n_slots <= 0:
             raise ConfigError("n_slots must be positive")
         if not 0 <= self.effective_warmup < self.n_slots:
             raise ConfigError("need n_slots > warmup >= 0")
-        if self.n_batches < 1:
-            raise ConfigError("n_batches must be positive")
 
     @property
     def effective_warmup(self) -> int:
@@ -321,6 +318,9 @@ def _baseline_slots(model: Model, weight: float, ih_path, a_slot, e_slot,
     return np.array(rs, dtype=np.int64), np.array(ws, dtype=np.int64)
 
 
+N_BATCHES = 32  # batch means per standard error (fewer on a shorter span)
+
+
 def _batch_se(series: np.ndarray, n_batches: int) -> float:
     nb = min(n_batches, series.size)
     if nb < 2:
@@ -427,8 +427,8 @@ def run_simulation(policy, model: Model, cfg: SimConfig,
         mean_queue=float(q_meas.mean()),
         mean_grid_power=float(g_meas.mean()),
         overflow_fraction=float((of_meas > 0).mean()),
-        mean_queue_se=_batch_se(q_meas, cfg.n_batches),
-        mean_grid_power_se=_batch_se(g_meas, cfg.n_batches),
+        mean_queue_se=_batch_se(q_meas, N_BATCHES),
+        mean_grid_power_se=_batch_se(g_meas, N_BATCHES),
         overflow_rate=float(of_meas.mean()),
         battery_spill_rate=float(sp_meas.mean() * de),
         max_grid_power=float(g_series.max()),

@@ -119,14 +119,17 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
 # ---------------------------------------------------------------------------
 # value-table shape
 
+# the values are solved to epsilon 1e-9: a shape miss within it is rounding
+VALUE_SHAPE_TOL = 1e-9
 
-def _shape_report(name: str, viols: list, model: Model,
-                  tol: float) -> CertificateReport:
+
+def _shape_report(name: str, viols: list, model: Model) -> CertificateReport:
     """Fails on the worst violation over the arrays viols, each indexed by
     the first corner of its difference in the value table's (q, h, a, b, e)
-    shape. The witness is the smallest state index within tol of the worst,
-    so rounding-level moves of the values cannot move it among tied
-    violations."""
+    shape. The witness is the smallest state index within the tolerance of
+    the worst, so rounding-level moves of the values cannot move it among
+    tied violations."""
+    tol = VALUE_SHAPE_TOL
     worst = max((float(v.max()) for v in viols if v.size), default=0.0)
     if worst > 0.0:
         space = model.space
@@ -140,10 +143,8 @@ def _shape_report(name: str, viols: list, model: Model,
         "tolerance": tol, "n_compared": sum(int(v.size) for v in viols)})
 
 
-def check_value_shape(values: ValueTable, model: Model,
-                      tol: float = 1e-9) -> tuple[CertificateReport,
-                                                  CertificateReport,
-                                                  CertificateReport]:
+def check_value_shape(values: ValueTable, model: Model) -> tuple[
+        CertificateReport, CertificateReport, CertificateReport]:
     """Monotonicity and midpoint convexity of the discounted value table.
 
     Returns three reports: strictly increasing in backlog, non-increasing in
@@ -156,10 +157,11 @@ def check_value_shape(values: ValueTable, model: Model,
         raise ValueError("value-shape checks expect discounted values")
     space = model.space
     V = values.values.reshape(space.nq, space.nh, space.na, space.nb, space.ne)
+    tol = VALUE_SHAPE_TOL
 
     if space.nq > 1:
         rep_q = _shape_report("value-increasing-in-backlog",
-                              [np.maximum(0.0, tol - (V[1:] - V[:-1]))], model, tol)
+                              [np.maximum(0.0, tol - (V[1:] - V[:-1]))], model)
     else:
         rep_q = CertificateReport("value-increasing-in-backlog", NOT_APPLICABLE,
                                   details={"reason": "single backlog level"})
@@ -167,7 +169,7 @@ def check_value_shape(values: ValueTable, model: Model,
     if space.nb > 1:
         d = V[:, :, :, 1:, :] - V[:, :, :, :-1, :]
         rep_b = _shape_report("value-non-increasing-in-battery",
-                              [np.maximum(0.0, d - tol)], model, tol)
+                              [np.maximum(0.0, d - tol)], model)
     else:
         rep_b = CertificateReport("value-non-increasing-in-battery",
                                   NOT_APPLICABLE,
@@ -194,7 +196,7 @@ def check_value_shape(values: ValueTable, model: Model,
                 "reason": "grids too small for curvature"})
         else:
             rep_c = _shape_report(name_c, [np.maximum(0.0, -seg - tol)
-                                           for seg in segments], model, tol)
+                                           for seg in segments], model)
     return rep_q, rep_b, rep_c
 
 
@@ -286,8 +288,12 @@ def _difference_algebra(values: ValueTable, model: Model):
     return marginal, feasible, rate_price, draw_price
 
 
-def _cmp_tol(tol: float, a, b):
-    return tol * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
+# relative slack of marginal against price: a marginal differences two values
+MARGINAL_TOL = 1e-7
+
+
+def _cmp_tol(a, b):
+    return MARGINAL_TOL * np.maximum(np.maximum(1.0, np.abs(a)), np.abs(b))
 
 
 def _first_worst(viol: np.ndarray):
@@ -306,8 +312,7 @@ _SIDES = (("serve-one-less", 1, 0), ("serve-one-more", -1, 0),
 
 
 def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
-                               model: Model,
-                               tol: float = 1e-7) -> CertificateReport:
+                               model: Model) -> CertificateReport:
     """First-order optimality of the stored action at every state.
 
     Each feasible one-step perturbation of the action (serve one more/less,
@@ -335,7 +340,7 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
                       price - z if du + dj > 0 else z - price, price, z))
     # (state, side) tables
     checked, raw, prices, zs = (np.stack(col, axis=1) for col in zip(*sides))
-    bad = checked & (raw - _cmp_tol(tol, prices, zs) > 0)
+    bad = checked & (raw - _cmp_tol(prices, zs) > 0)
 
     n_checked = int(checked.sum())
     n_at_action = int(at_action.sum())
@@ -343,7 +348,7 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
                          "n_sides_skipped": 6 * n_at_action - n_checked,
                          "n_states_skipped": space.n_states - n_at_action,
                          "alpha": float(values.alpha),
-                         "beta": float(values.beta), "tolerance": tol})
+                         "beta": float(values.beta), "tolerance": MARGINAL_TOL})
     worst = _first_worst(np.where(bad, raw, 0.0))
     if worst is None:
         return CertificateReport(name, PASS, details=details)
@@ -358,7 +363,7 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
 
 
 def check_special_states(values: ValueTable, policy: TablePolicy,
-                         model: Model, tol: float = 1e-7) -> CertificateReport:
+                         model: Model) -> CertificateReport:
     """Closed-form actions where the marginal prices certify them.
 
     Two regimes admit closed forms: serve-everything with the largest
@@ -406,12 +411,12 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
     z1, ok1 = marginal(0, ib - cap_full, 1, 0)
     z2, ok2 = marginal(0, ib - cap_full, 0, 1)
     serve_eval = busy & ok1 & ok2
-    prem = ((z1 > rate_price + _cmp_tol(tol, rate_price, z1))
-            & (z2 > draw_price + _cmp_tol(tol, draw_price, z2)))
+    prem = ((z1 > rate_price + _cmp_tol(rate_price, z1))
+            & (z2 > draw_price + _cmp_tol(draw_price, z2)))
     ordered = (((rate_lo > rate_hi)
-                | (z1 <= rate_lo + _cmp_tol(tol, z1, rate_lo)))
+                | (z1 <= rate_lo + _cmp_tol(z1, rate_lo)))
                & ((draw_lo > draw_hi)
-                  | (z2 <= draw_lo + _cmp_tol(tol, z2, draw_lo))))
+                  | (z2 <= draw_lo + _cmp_tol(z2, draw_lo))))
     serve_all = serve_eval & prem & ordered
     serve_excluded = serve_eval & prem & ~ordered
 
@@ -419,12 +424,12 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
     z1, ok1 = marginal(q, ib, 1, 0)
     z2, ok2 = marginal(q, ib, 0, 1)
     idle_eval = busy & ok1 & ok2
-    prem = ((z1 < rate_price - _cmp_tol(tol, rate_price, z1))
-            & (z2 < draw_price - _cmp_tol(tol, draw_price, z2)))
+    prem = ((z1 < rate_price - _cmp_tol(rate_price, z1))
+            & (z2 < draw_price - _cmp_tol(draw_price, z2)))
     ordered = (((rate_lo > rate_hi)
-                | (z1 >= rate_hi - _cmp_tol(tol, z1, rate_hi)))
+                | (z1 >= rate_hi - _cmp_tol(z1, rate_hi)))
                & ((draw_lo > draw_hi)
-                  | (z2 >= draw_hi - _cmp_tol(tol, z2, draw_hi))))
+                  | (z2 >= draw_hi - _cmp_tol(z2, draw_hi))))
     idle = idle_eval & prem & ordered
     idle_excluded = idle_eval & prem & ~ordered
 
@@ -439,7 +444,7 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
                          "n_unevaluable": (busy & ~serve_eval).sum()
                          + (busy & ~idle_eval).sum(),
                          "alpha": float(values.alpha),
-                         "beta": float(values.beta), "tolerance": tol})
+                         "beta": float(values.beta), "tolerance": MARGINAL_TOL})
     off_serve_all = serve_all & ((r != q) | (np.abs(wq - cap_full) > 1))
     viol = np.stack([
         np.where(empty & acts, 1.0, 0.0),
@@ -466,20 +471,22 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
 # ---------------------------------------------------------------------------
 # monotonicity across the price and across the state lattice
 
+# solves at 1e-11 whatever the battery's epsilon, so 1e-9 comparisons hold
+MONOTONICITY_TOL = 1e-9
+MONOTONICITY_EPSILON = 1e-11
+
 
 def check_beta_monotonicity(model: Model, beta_grid,
-                            tol: float = 1e-9, epsilon: float = 1e-11,
-                            kappa: float = 0.5,
                             actions: ActionSpace | None = None) -> CertificateReport:
     """Exact per-policy averages must move monotonically with the price.
 
     Raising the grid-power price never lowers the optimal combined gain,
     never lowers the backlog average, and never raises the grid-power
     average. Each grid point is solved and then evaluated exactly (stationary
-    law), so comparisons are meaningful at 1e-9. The grid is walked in
-    ascending order and each solve's policy iteration starts from the
-    previous price's policy, whose LU the previous evaluation left on the
-    actions; as in the budgeted search, the start only saves evaluations.
+    law). The grid is walked in ascending order and each solve's policy
+    iteration starts from the previous price's policy, whose LU the previous
+    evaluation left on the actions; as in the budgeted search, the start only
+    saves evaluations.
     """
     name = "price-monotonicity"
     betas = sorted(float(b) for b in beta_grid)
@@ -490,7 +497,7 @@ def check_beta_monotonicity(model: Model, beta_grid,
     policy = None
     for b in betas:
         res = relative_value_iteration(
-            SolverConfig(beta=b, epsilon=epsilon, kappa=kappa), model,
+            SolverConfig(beta=b, epsilon=MONOTONICITY_EPSILON), model,
             actions=actions, start=policy)
         policy = res.policy
         ev = evaluate_policy(policy, b, model, actions=actions)
@@ -504,13 +511,13 @@ def check_beta_monotonicity(model: Model, beta_grid,
                   ("mean_queue_b", lo["mean_queue_b"] - hi["mean_queue_b"]),
                   ("mean_grid_k", hi["mean_grid_k"] - lo["mean_grid_k"])]
         for label, raw in checks:
-            if raw > tol and raw > worst:
+            if raw > MONOTONICITY_TOL and raw > worst:
                 worst = raw
                 witness = _jsonable({"quantity": label, "beta_low": lo["beta"],
                                    "beta_high": hi["beta"],
                                    "value_low": lo[label],
                                    "value_high": hi[label]})
-    details = _jsonable({"grid": rows, "tolerance": tol})
+    details = _jsonable({"grid": rows, "tolerance": MONOTONICITY_TOL})
     if witness is not None:
         return CertificateReport(name, FAIL, worst_violation=worst,
                                  witness=witness, details=details)
@@ -556,10 +563,14 @@ def check_policy_monotonicity(policy: TablePolicy,
 # ---------------------------------------------------------------------------
 # price regimes for the battery draw
 
+BETA_GRID = (0.01, 0.1, 1.0, 10.0, 100.0)  # two decades around price 1
+BETA_LARGE = 1e4  # grid power outweighs any backlog
+BETA_SMALL = 1e-6  # grid power is nearly free
+GAIN_TOL = 1e-6  # each gain is bracketed to epsilon by its own solve
 
-def check_greedy_regimes(model: Model, beta_large: float = 1e4,
-                         beta_small: float = 1e-6, epsilon: float = 1e-9,
-                         kappa: float = 0.5, gain_tol: float = 1e-6,
+
+def check_greedy_regimes(model: Model, beta_large: float = BETA_LARGE,
+                         beta_small: float = BETA_SMALL, epsilon: float = 1e-9,
                          actions: ActionSpace | None = None) -> CertificateReport:
     """Battery-draw structure at extreme grid-power prices.
 
@@ -576,7 +587,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     actions = actions if actions is not None else build_action_space(model)
 
     full = relative_value_iteration(
-        SolverConfig(beta=beta_large, epsilon=epsilon, kappa=kappa), model,
+        SolverConfig(beta=beta_large, epsilon=epsilon), model,
         actions=actions)
     _, caps = actions.window(full.policy.r)  # the greedy draws
     non_greedy = full.policy.w_quanta != caps
@@ -584,7 +595,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
     gain_gap = abs(full.gain - reduced.gain)
 
     small = relative_value_iteration(
-        SolverConfig(beta=beta_small, epsilon=epsilon, kappa=kappa), model,
+        SolverConfig(beta=beta_small, epsilon=epsilon), model,
         actions=actions)
     _, caps_small = actions.window(small.policy.r)
     held_back = (small.policy.w_quanta < caps_small) & (space.ib > 0)
@@ -601,7 +612,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
         "beta_large": beta_large, "beta_small": beta_small,
         "full_gain_at_beta_large": full.gain,
         "reduced_gain_at_beta_large": reduced.gain,
-        "gain_gap": gain_gap, "gain_tolerance": gain_tol,
+        "gain_gap": gain_gap, "gain_tolerance": GAIN_TOL,
         "n_non_greedy_at_beta_large": int(non_greedy.sum()),
         "non_greedy_at_beta_small": bool(held_back.any()),
         "beta_small_sample": sample})
@@ -619,7 +630,7 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
                                    / params.tau,
                                    regime="large-price"),
             details=details)
-    if gain_gap > gain_tol:
+    if gain_gap > GAIN_TOL:
         return CertificateReport(
             name, FAIL, worst_violation=float(gain_gap),
             witness=_jsonable({"regime": "large-price-reduction",
@@ -634,27 +645,21 @@ def check_greedy_regimes(model: Model, beta_large: float = 1e4,
 
 
 def run_all_checks(model: Model, beta: float = 1.0, alpha: float = 0.999,
-                   beta_grid=(0.01, 0.1, 1.0, 10.0, 100.0),
-                   epsilon: float = 1e-9, kappa: float = 0.5,
-                   beta_large: float = 1e4,
-                   beta_small: float = 1e-6) -> list[CertificateReport]:
+                   epsilon: float = 1e-9) -> list[CertificateReport]:
     """Solve once and run the whole certificate battery."""
     actions = build_action_space(model)
     avg = relative_value_iteration(
-        SolverConfig(beta=beta, epsilon=epsilon, kappa=kappa), model,
-        actions=actions)
+        SolverConfig(beta=beta, epsilon=epsilon), model, actions=actions)
     disc = discounted_value_iteration(
-        SolverConfig(beta=beta, alpha=alpha, epsilon=epsilon, kappa=kappa),
-        model, actions=actions)
+        SolverConfig(beta=beta, alpha=alpha, epsilon=epsilon), model,
+        actions=actions)
     reports = [check_no_overflow_waste(avg.policy, model, actions=actions)]
     reports.extend(check_value_shape(disc.values, model))
     reports.append(check_necessary_conditions(disc.values, disc.policy, model))
     reports.append(check_special_states(disc.values, disc.policy, model))
-    reports.append(check_beta_monotonicity(model, beta_grid, actions=actions))
+    reports.append(check_beta_monotonicity(model, BETA_GRID, actions=actions))
     reports.append(check_policy_monotonicity(avg.policy, model))
-    reports.append(check_greedy_regimes(model, beta_large=beta_large,
-                                        beta_small=beta_small,
-                                        epsilon=epsilon, kappa=kappa,
+    reports.append(check_greedy_regimes(model, epsilon=epsilon,
                                         actions=actions))
     return reports
 

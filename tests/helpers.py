@@ -36,7 +36,7 @@ from ehsched.model import (
     required_power,
     required_power_table,
 )
-from ehsched.sim import PolicyDomainError, SimResult, _batch_se
+from ehsched.sim import N_BATCHES, PolicyDomainError, SimResult, _batch_se
 from ehsched.verify import FAIL, NOT_APPLICABLE, PASS, CertificateReport, _state_witness
 
 # --- per-state reference semantics -------------------------------------------
@@ -612,7 +612,7 @@ def cold_relative_value_iteration(cfg, model, actions=None):
     same tie-canonical extraction and kappa-rescaled bias."""
     if actions is None:
         actions = build_action_space(model)
-    ref, kappa = cfg.reference_state, cfg.kappa
+    ref, kappa = cfg.reference_state, mdp.KAPPA
     oracle = matching_oracle(actions)
     c = oracle.queue_sa + cfg.beta * oracle.grid_sa
     K = oracle.kernel
@@ -858,8 +858,8 @@ def reference_simulation(policy, model, cfg):
         mean_queue=float(q_meas.mean()),
         mean_grid_power=float(g_meas.mean()),
         overflow_fraction=float((overflow[warmup:] > 0).mean()),
-        mean_queue_se=_batch_se(q_meas, cfg.n_batches),
-        mean_grid_power_se=_batch_se(g_meas, cfg.n_batches),
+        mean_queue_se=_batch_se(q_meas, N_BATCHES),
+        mean_grid_power_se=_batch_se(g_meas, N_BATCHES),
         overflow_rate=float(overflow[warmup:].mean()),
         battery_spill_rate=float(spill[warmup:].mean() * de),
         max_grid_power=float(series["grid_power"].max()),

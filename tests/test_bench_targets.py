@@ -16,3 +16,12 @@ def test_traced_targets_resolve(monkeypatch):
     constrained = importlib.import_module("ehsched.constrained")
     assert constrained.relative_value_iteration is importlib.import_module(
         "ehsched.mdp").relative_value_iteration
+
+
+def test_config_fields_read_at_run_time_resolve():
+    # the exact-engine checks read the solve's epsilon and the budget
+    # tolerance off the package's config classes
+    ehsched = importlib.import_module("ehsched")
+    for cfg, field in ((ehsched.SolverConfig(beta=1.0), "epsilon"),
+                       (ehsched.ConstrainedSolverConfig(), "k_tolerance")):
+        assert hasattr(cfg, field), (type(cfg).__name__, field)

@@ -106,6 +106,15 @@ def test_sweep_arrival_writes_rows(tmp_path):
     assert [r["abar"] for r in rows] == ["0.5", "1"]
 
 
+def test_sweep_manifest_names_the_baselines_run(tmp_path):
+    for axis, policy in (("arrival", "radical"), ("channel",
+                         ["radical", "conservative", "mixed"])):
+        out = tmp_path / axis
+        assert run("sweep", "--config", DESK_CONFIG, "--out", out,
+                   "--axis", axis, "--points", "0.5", "--n-slots", "1000") == 0
+        assert read_json(out / "manifest.json")["policy"] == policy
+
+
 def test_malformed_transition_row_fails_validation(tmp_path):
     cfg = read_json(DESK_CONFIG)
     cfg["channel"]["transition"] = [[0.7, 0.2], [0.4, 0.6]]
@@ -126,6 +135,11 @@ def test_malformed_transition_row_fails_validation(tmp_path):
      "xi applies to the mixed policy only, not radical"),
     (("simulate", "--policy", "optimal", "--xi", "0.5", "--n-slots", "100"),
      "xi applies to the mixed policy only, not optimal"),
+    (("simulate", "--policy", "radical", "--constrained", "--n-slots", "100"),
+     "constrained applies to the optimal policy only, not radical"),
+    (("sweep", "--axis", "channel", "--points", "0.5", "--policy",
+      "conservative", "--n-slots", "100"),
+     "--policy applies to the arrival and budget axes only"),
     (("sweep", "--axis", "channel", "--points", "0.5", "--n-levels", "0",
       "--n-slots", "100"), "n_levels must be at least 1"),
     (("sweep", "--axis", "arrival", "--points", "0.5,x", "--n-slots", "100"),
@@ -145,11 +159,15 @@ def test_malformed_transition_row_fails_validation(tmp_path):
      "channel: chain levels must be finite, got (nan, 1.4)"),
     (("solve", "--set", "channel.transition=[[NaN,0.3],[0.4,0.6]]"),
      "channel: transition probabilities must be finite"),
+    (("solve", "--set", "restrict_w_to_power=no"),
+     "restrict_w_to_power must be true or false, got 'no'"),
 ], ids=["negative-beta", "xi-above-one", "xi-on-radical", "xi-on-optimal",
+        "constrained-on-radical", "policy-on-channel-axis",
         "no-channel-levels",
         "points-not-a-number", "points-nan-arrival", "points-inf-budget",
         "points-nan-channel", "nan-budget", "nan-slot-length",
-        "inf-circuit-power", "nan-channel-level", "nan-transition-entry"])
+        "inf-circuit-power", "nan-channel-level", "nan-transition-entry",
+        "non-boolean-restrict"])
 def test_bad_arguments_fail_validation(tmp_path, argv, message):
     out = tmp_path / "run"
     assert run(*argv, "--config", DESK_CONFIG, "--out", out) == 2

@@ -342,6 +342,24 @@ def test_load_model_names_bad_section():
         load_model({k: v for k, v in good.items() if k != "harvest"})
 
 
+def test_load_model_refuses_unknown_section_and_non_boolean_flag():
+    import io
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "configs" / "desk.json"
+    desk = json.loads(path.read_text())
+    assert load_model({**desk, "restrict_w_to_power": False}).restrict_w_to_power is False
+    for flag in ("false", "no", 0, None):
+        with pytest.raises(ConfigError, match="restrict_w_to_power must be true or false"):
+            load_model({**desk, "restrict_w_to_power": flag})
+    misspelt = {k: v for k, v in desk.items() if k != "restrict_w_to_power"}
+    with pytest.raises(ConfigError, match=r"unknown section\(s\) \['restrict_w_to_powr'\]"):
+        load_model({**misspelt, "restrict_w_to_powr": False})
+    with pytest.raises(ConfigError, match="a model config is a JSON object, not list"):
+        load_model(io.StringIO("[{}]"))
+
+
 @pytest.mark.parametrize("name", sorted(ModelParams.__dataclass_fields__))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_params_reject_non_finite_fields(name, bad):

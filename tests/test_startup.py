@@ -44,9 +44,11 @@ SIMULATION_PATHS = {
                    "for path in sys.argv[1:]:\n    load_model(path)",
                    *(CONFIGS / name for name in SHIPPED)),
     **{f"sweep {axis}": (CLI, "sweep", "--config", CONFIGS / "channel.json",
-                         "--axis", axis, "--points", point, "--policy", "mixed",
+                         "--axis", axis, "--points", point, *policy,
                          "--n-slots", 2000)
-       for axis, point in (("channel", "0.3"), ("arrival", "2"), ("budget", "3000"))},
+       for axis, point, policy in (("channel", "0.3", ()),
+                                   ("arrival", "2", ("--policy", "mixed")),
+                                   ("budget", "3000", ("--policy", "mixed")))},
     **{f"simulate {kind}": (CLI, "simulate", "--config", CONFIGS / "channel.json",
                             "--policy", kind, "--n-slots", 2000)
        for kind in ("radical", "conservative", "mixed")},
