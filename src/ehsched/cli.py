@@ -8,6 +8,12 @@ feasible action at a state the simulator reached, and an instance too large
 to build), 3 non-convergence (also a multichain model, whose long-run
 averages depend on the start state), 4 certificate failure. Every typed
 error also lands in --out as error.json.
+
+Only `model` is imported with this module, since every command loads a
+model. Each command imports the modules it runs when it runs, so a sweep or
+a baseline simulation loads neither the constrained search nor the
+certificates. The typed errors' classes are imported only once an exception
+arrives, to map it to its exit code.
 """
 
 from __future__ import annotations
@@ -18,41 +24,7 @@ import math
 import sys
 from pathlib import Path
 
-from .constrained import (
-    BudgetInfeasibleError,
-    ConstrainedSearchError,
-    ConstrainedSolverConfig,
-    solve_constrained,
-)
-from .heuristics import VALID_KINDS, HeuristicKind, calibrate_xi, make_heuristic
-from .io import (
-    dump_json,
-    evaluation_dict,
-    search_trace_rows,
-    sim_result_dict,
-    solve_trace_rows,
-    write_csv,
-    write_json,
-    write_policy_artifacts,
-)
-from .mdp import (
-    InstanceTooLargeError,
-    MultichainError,
-    NonConvergenceError,
-    SolverConfig,
-    evaluate_policy,
-    relative_value_iteration,
-)
-from .model import CapacityError, ConfigError, load_model, model_to_config
-from .sim import (
-    PolicyDomainError,
-    SimConfig,
-    run_simulation,
-    sweep_arrival,
-    sweep_budget,
-    sweep_channel,
-)
-from .verify import any_hard_failure, format_reports, reports_to_json, run_all_checks
+from .model import ConfigError, load_model
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -103,6 +75,8 @@ def _out_dir(args) -> Path:
 
 def _write_manifest(out: Path, args, cfg: dict, artifacts: list[str],
                     extra: dict | None = None) -> None:
+    from .io import write_json
+
     manifest = {
         "format_version": FORMAT_VERSION,
         "subcommand": args.subcommand,
@@ -118,11 +92,27 @@ def _write_manifest(out: Path, args, cfg: dict, artifacts: list[str],
     write_json(out / "manifest.json", manifest)
 
 
+def _price(args) -> float:
+    """--beta resolved: 1.0 when not given; refused where the price is
+    searched for (--constrained)."""
+    if args.constrained and args.beta is not None:
+        raise ConfigError("beta applies to the unconstrained solve only, not "
+                          "constrained")
+    return 1.0 if args.beta is None else args.beta
+
+
 def cmd_solve(args) -> int:
+    from .io import (evaluation_dict, search_trace_rows, solve_trace_rows,
+                     write_csv, write_json, write_policy_artifacts)
+    from .mdp import SolverConfig, evaluate_policy, relative_value_iteration
+
+    beta = _price(args)
     model, cfg = _load(args)
     out = _out_dir(args)
     artifacts: list[str] = []
     if args.constrained:
+        from .constrained import ConstrainedSolverConfig, solve_constrained
+
         sol = solve_constrained(ConstrainedSolverConfig(), model)
         artifacts += write_policy_artifacts(out, sol.policy, model)
         ev = evaluation_dict(sol.evaluation)
@@ -136,8 +126,8 @@ def cmd_solve(args) -> int:
         artifacts += ["eval.json", "search_trace.csv"]
         flags = {"constrained": True}
     else:
-        res = relative_value_iteration(SolverConfig(beta=args.beta), model)
-        exact = evaluate_policy(res.policy, args.beta, model, actions=res.actions)
+        res = relative_value_iteration(SolverConfig(beta=beta), model)
+        exact = evaluate_policy(res.policy, beta, model, actions=res.actions)
         artifacts += write_policy_artifacts(out, res.policy, model,
                                             values=res.values.values)
         ev = evaluation_dict(exact)
@@ -148,45 +138,67 @@ def cmd_solve(args) -> int:
         write_json(out / "eval.json", ev)
         write_csv(out / "solve_trace.csv", solve_trace_rows(res))
         artifacts += ["eval.json", "solve_trace.csv"]
-        flags = {"constrained": False, "beta": args.beta}
+        flags = {"constrained": False, "beta": beta}
     _write_manifest(out, args, cfg, artifacts, flags)
     return EXIT_OK
 
 
 def _simulation_policy(args, model, sim_cfg):
-    """Resolve --policy into a policy; returns (policy, metadata dict)."""
+    """Resolve --policy into a policy; returns (policy, metadata dict,
+    exogenous sample or None).
+
+    A calibrated mixed policy returns the sample its calibration ran on, and
+    the run itself reuses it (common random numbers, one sampling).
+    """
+    from .heuristics import HeuristicKind, calibrate_xi, make_heuristic
+
     if args.policy == "optimal":
         if args.xi is not None:
             raise ConfigError("xi applies to the mixed policy only, not "
                               "optimal")
+        beta = _price(args)
         if args.constrained:
+            from .constrained import ConstrainedSolverConfig, solve_constrained
+
             sol = solve_constrained(ConstrainedSolverConfig(), model)
             return sol.policy, {"kind": sol.kind, "beta_star": sol.beta_star,
-                                "xi": sol.xi}
-        res = relative_value_iteration(SolverConfig(beta=args.beta), model)
-        return res.policy, {"beta": args.beta}
+                                "xi": sol.xi}, None
+        from .mdp import SolverConfig, relative_value_iteration
+
+        res = relative_value_iteration(SolverConfig(beta=beta), model)
+        return res.policy, {"beta": beta}, None
     if args.constrained:
         raise ConfigError(f"constrained applies to the optimal policy only, "
                           f"not {args.policy}")
+    if args.beta is not None:
+        raise ConfigError(f"beta applies to the optimal policy only, not "
+                          f"{args.policy}")
     if args.policy == "mixed":
         if args.xi is not None:
             return make_heuristic(HeuristicKind("mixed", xi=args.xi), model), \
-                {"xi": args.xi}
-        cal = calibrate_xi(model, sim_cfg)
+                {"xi": args.xi}, None
+        from .sim import sample_paths
+
+        sample = sample_paths(model, sim_cfg)
+        cal = calibrate_xi(model, sim_cfg, sample=sample)
         meta = {"xi": cal.xi, "g_radical": cal.g_radical,
                 "g_conservative": cal.g_conservative,
                 "calibration_feasible": cal.feasible}
-        return make_heuristic(HeuristicKind("mixed", xi=cal.xi), model), meta
-    return make_heuristic(HeuristicKind(args.policy, xi=args.xi), model), {}
+        return make_heuristic(HeuristicKind("mixed", xi=cal.xi), model), meta, \
+            sample
+    return make_heuristic(HeuristicKind(args.policy, xi=args.xi), model), {}, None
 
 
 def cmd_simulate(args) -> int:
+    from .io import sim_result_dict, write_csv, write_json
+    from .sim import SimConfig, run_simulation
+
     model, cfg = _load(args)
     out = _out_dir(args)
     sim_cfg = SimConfig(n_slots=args.n_slots, seed=args.seed,
                         warmup=args.warmup, record_trace=args.trace)
-    policy, meta = _simulation_policy(args, model, sim_cfg)
-    res = run_simulation(policy, model, sim_cfg)
+    policy, meta, sample = _simulation_policy(args, model, sim_cfg)
+    res = run_simulation(policy, model, sim_cfg, sample=sample)
     summary = sim_result_dict(res)
     summary["policy"] = args.policy
     summary.update(meta)
@@ -202,6 +214,10 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .heuristics import VALID_KINDS
+    from .io import write_csv
+    from .sim import SimConfig, sweep_arrival, sweep_budget, sweep_channel
+
     model, cfg = _load(args)
     out = _out_dir(args)
     try:
@@ -216,9 +232,12 @@ def cmd_sweep(args) -> int:
         if args.policy is not None:
             raise ConfigError("--policy applies to the arrival and budget axes only")
         policy = list(VALID_KINDS)
+        n_levels = 8 if args.n_levels is None else args.n_levels
         rows = sweep_channel(model, points, VALID_KINDS, sim_cfg,
-                             n_levels=args.n_levels, n_workers=args.n_workers)
+                             n_levels=n_levels, n_workers=args.n_workers)
     else:
+        if args.n_levels is not None:
+            raise ConfigError("--n-levels applies to the channel axis only")
         policy = args.policy or "radical"
         sweep = sweep_arrival if args.axis == "arrival" else sweep_budget
         rows = sweep(model, points, policy, sim_cfg, n_workers=args.n_workers)
@@ -231,6 +250,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .verify import any_hard_failure, format_reports, reports_to_json, run_all_checks
+
     model, cfg = _load(args)
     out = _out_dir(args)
     reports = run_all_checks(model, beta=args.beta, alpha=args.alpha,
@@ -245,6 +266,8 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .heuristics import VALID_KINDS
+
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", required=True, help="model config JSON")
     shared.add_argument("--out", required=True, help="artifact directory")
@@ -260,8 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", parents=[shared],
                              help="solve for an optimal policy")
-    p_solve.add_argument("--beta", type=float, default=1.0,
-                         help="grid-power price (unconstrained solve)")
+    p_solve.add_argument("--beta", type=float, default=None,
+                         help="grid-power price (unconstrained solve, "
+                              "default 1.0)")
     p_solve.add_argument("--constrained", action="store_true",
                          help="meet the configured power budget p_bar")
     p_solve.set_defaults(func=cmd_solve)
@@ -270,7 +294,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="roll a policy forward under the chains")
     p_sim.add_argument("--policy", default="optimal",
                        choices=("optimal", "radical", "conservative", "mixed"))
-    p_sim.add_argument("--beta", type=float, default=1.0)
+    p_sim.add_argument("--beta", type=float, default=None,
+                       help="grid-power price (unconstrained optimal policy, "
+                            "default 1.0)")
     p_sim.add_argument("--constrained", action="store_true")
     p_sim.add_argument("--xi", type=float, default=None,
                        help="fixed mixing weight (skip calibration)")
@@ -289,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--policy", choices=VALID_KINDS,
                          help="arrival and budget axes (default radical)")
     p_sweep.add_argument("--n-slots", type=int, default=100_000)
-    p_sweep.add_argument("--n-levels", type=int, default=8,
-                         help="channel quantizer levels (channel axis)")
+    p_sweep.add_argument("--n-levels", type=int, default=None,
+                         help="channel quantizer levels (channel axis, "
+                              "default 8)")
     p_sweep.add_argument("--n-workers", type=int, default=1)
     p_sweep.set_defaults(func=cmd_sweep)
 
@@ -303,7 +330,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _exit_code(exc: Exception) -> int | None:
+    """The exit code of a typed error, None for any other exception.
+
+    The error classes are imported only here, once an exception has arrived.
+    """
+    from .constrained import BudgetInfeasibleError, ConstrainedSearchError
+    from .mdp import InstanceTooLargeError, MultichainError, NonConvergenceError
+    from .model import CapacityError
+    from .sim import PolicyDomainError
+
+    if isinstance(exc, (ConfigError, CapacityError, BudgetInfeasibleError,
+                        PolicyDomainError, InstanceTooLargeError,
+                        FileNotFoundError, json.JSONDecodeError)):
+        return EXIT_VALIDATION
+    if isinstance(exc, (NonConvergenceError, ConstrainedSearchError,
+                        MultichainError)):
+        return EXIT_NO_CONVERGENCE
+    return None
+
+
 def _report_error(args, exc: Exception) -> None:
+    from .io import dump_json, write_json
+
     payload = {"error": type(exc).__name__, "message": str(exc)}
     sys.stderr.write(dump_json(payload))
     try:
@@ -318,15 +367,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError, BudgetInfeasibleError,
-            PolicyDomainError, InstanceTooLargeError,
-            FileNotFoundError, json.JSONDecodeError) as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         _report_error(args, exc)
-        return EXIT_VALIDATION
-    except (NonConvergenceError, ConstrainedSearchError,
-            MultichainError) as exc:
-        _report_error(args, exc)
-        return EXIT_NO_CONVERGENCE
+        return code
 
 
 if __name__ == "__main__":

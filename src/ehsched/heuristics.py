@@ -103,9 +103,13 @@ class CalibrationResult:
     feasible: bool  # False when even the conservative baseline overshoots p_bar
 
 
-def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> CalibrationResult:
+def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None,
+                 sample=None) -> CalibrationResult:
     """Measure G_r and G_c by simulation on one sample of the exogenous
-    paths (common random numbers) and interpolate the mixing weight."""
+    paths (common random numbers) and interpolate the mixing weight.
+
+    sample: the run's sample_paths(model, sim_cfg), when the caller has
+    drawn it already; drawn here when None."""
     # local: sim imports Baseline, HeuristicKind, make_heuristic and
     # mixing_weight from this module, so a module-level import here would be
     # circular
@@ -113,7 +117,8 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None) -> Calibrati
 
     if p_bar is None:
         p_bar = model.params.p_bar
-    sample = sample_paths(model, sim_cfg)
+    if sample is None:
+        sample = sample_paths(model, sim_cfg)
     res_r = run_simulation(make_heuristic(HeuristicKind("radical"), model),
                            model, sim_cfg, sample=sample)
     res_c = run_simulation(make_heuristic(HeuristicKind("conservative"), model),

@@ -540,8 +540,11 @@ def _sweep_point(args) -> dict:
 
 def _sweep(axis: str, model: Model, points, kinds, cfg: SimConfig,
            n_workers: int, n_levels: int = 8) -> list[dict]:
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be at least 1, got {n_workers}")
     kinds = tuple(kinds)
     jobs = [(axis, model, float(v), kinds, cfg, n_levels) for v in points]
+    n_workers = min(n_workers, len(jobs))  # no idle worker processes
     if n_workers <= 1:
         return [_sweep_point(j) for j in jobs]
     # imported here, so that a one-worker sweep does not pay for loading it

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ehsched import cli, mdp
+from ehsched import mdp, sim
 from ehsched.cli import main
 from ehsched.sim import PolicyDomainError
 
@@ -115,6 +115,22 @@ def test_sweep_manifest_names_the_baselines_run(tmp_path):
         assert read_json(out / "manifest.json")["policy"] == policy
 
 
+def test_calibrated_mixed_simulation_samples_its_paths_once(tmp_path,
+                                                           monkeypatch):
+    calls = []
+    sample_paths = sim.sample_paths
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample_paths(*args, **kwargs)
+
+    monkeypatch.setattr(sim, "sample_paths", counted)
+    assert run("simulate", "--config", DESK_CONFIG, "--out", tmp_path,
+               "--policy", "mixed", "--n-slots", 5000) == 0
+    assert len(calls) == 1
+    assert "g_radical" in read_json(tmp_path / "sim.json")
+
+
 def test_malformed_transition_row_fails_validation(tmp_path):
     cfg = read_json(DESK_CONFIG)
     cfg["channel"]["transition"] = [[0.7, 0.2], [0.4, 0.6]]
@@ -161,13 +177,26 @@ def test_malformed_transition_row_fails_validation(tmp_path):
      "channel: transition probabilities must be finite"),
     (("solve", "--set", "restrict_w_to_power=no"),
      "restrict_w_to_power must be true or false, got 'no'"),
+    (("sweep", "--axis", "arrival", "--points", "0.5", "--n-levels", "8",
+      "--n-slots", "100"), "--n-levels applies to the channel axis only"),
+    (("simulate", "--policy", "radical", "--beta", "5", "--n-slots", "100"),
+     "beta applies to the optimal policy only, not radical"),
+    (("solve", "--constrained", "--beta", "3"),
+     "beta applies to the unconstrained solve only, not constrained"),
+    (("simulate", "--policy", "optimal", "--constrained", "--beta", "3",
+      "--n-slots", "100"),
+     "beta applies to the unconstrained solve only, not constrained"),
+    (("sweep", "--axis", "budget", "--points", "0.1", "--n-workers", "0",
+      "--n-slots", "100"), "n_workers must be at least 1, got 0"),
 ], ids=["negative-beta", "xi-above-one", "xi-on-radical", "xi-on-optimal",
         "constrained-on-radical", "policy-on-channel-axis",
         "no-channel-levels",
         "points-not-a-number", "points-nan-arrival", "points-inf-budget",
         "points-nan-channel", "nan-budget", "nan-slot-length",
         "inf-circuit-power", "nan-channel-level", "nan-transition-entry",
-        "non-boolean-restrict"])
+        "non-boolean-restrict", "levels-on-arrival-axis", "beta-on-radical",
+        "beta-on-constrained-solve", "beta-on-constrained-simulate",
+        "no-sweep-workers"])
 def test_bad_arguments_fail_validation(tmp_path, argv, message):
     out = tmp_path / "run"
     assert run(*argv, "--config", DESK_CONFIG, "--out", out) == 2
@@ -222,7 +251,7 @@ def test_policy_domain_error_exits_two(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise PolicyDomainError("action (3, 0.0) infeasible at state 17")
 
-    monkeypatch.setattr(cli, "run_simulation", fail)
+    monkeypatch.setattr(sim, "run_simulation", fail)
     out = tmp_path / "run"
     assert run("simulate", "--config", DESK_CONFIG, "--out", out,
                "--policy", "radical", "--n-slots", 100) == 2

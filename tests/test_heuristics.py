@@ -135,16 +135,19 @@ def test_baseline_weight_outside_unit_interval_is_refused(weight):
 # reduced rate-only solve
 
 def test_calibration_equals_independent_runs():
-    from ehsched.sim import SimConfig, run_simulation
+    from ehsched.sim import SimConfig, run_simulation, sample_paths
     for m, p_bar in ((desk_model(), None), (desk_lite_model(), 0.25)):
         cfg = SimConfig(n_slots=3_000, seed=17)
         g_r, g_c = (run_simulation(make_heuristic(HeuristicKind(k), m), m,
                                    cfg).mean_grid_power
                     for k in ("radical", "conservative"))
         budget = m.params.p_bar if p_bar is None else p_bar
-        assert calibrate_xi(m, cfg, p_bar) == CalibrationResult(
+        want = CalibrationResult(
             xi=mixing_weight(g_r, g_c, budget), g_radical=g_r,
             g_conservative=g_c, feasible=min(g_r, g_c) <= budget)
+        assert calibrate_xi(m, cfg, p_bar) == want
+        # on the run's own sample, drawn by the caller
+        assert calibrate_xi(m, cfg, p_bar, sample=sample_paths(m, cfg)) == want
 
 
 def test_reduced_solve_equals_full_when_battery_is_trivial():

@@ -667,6 +667,36 @@ def test_sweep_arrival_parallel_matches_serial(lite):
     assert serial == parallel
 
 
+def test_sweeps_start_no_more_workers_than_points(lite, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class Recording:  # runs the jobs in this process; starts no worker
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+    cfg = SimConfig(n_slots=2_000, seed=31)
+    serial = sweep_budget(lite, [0.1, 0.4, 5.0], "radical", cfg)
+    assert sweep_budget(lite, [0.1, 0.4, 5.0], "radical", cfg,
+                        n_workers=10_000) == serial
+    assert sweep_budget(lite, [0.4], "radical", cfg, n_workers=10_000) == serial[1:2]
+    assert pools == [3]
+    for n_workers in (0, -1):
+        with pytest.raises(ConfigError, match="n_workers must be at least 1"):
+            sweep_budget(lite, [0.4], "radical", cfg, n_workers=n_workers)
+
+
 def test_sweep_budget_rows(lite):
     cfg = SimConfig(n_slots=10_000, seed=37)
     rows = sweep_budget(lite, [0.1, 0.4, 5.0], "conservative", cfg)

@@ -1,13 +1,16 @@
-"""Start-up cost: scipy's sparse stack loads on the first use of the exact
-solvers, never at import.
+"""Start-up cost: the package loads its modules, and scipy's sparse stack,
+on first use, never at import.
 
 Each case runs in a fresh interpreter, since this test process has long
-since loaded scipy. Importing the package, loading every shipped config,
-sweeping and simulating a baseline must leave no scipy module loaded, and a
-one-worker sweep no process pool either. solve and verify load the stack on
-demand and write the same bytes as in this process.
+since loaded both. Importing the package loads none of its modules, and
+importing the CLI and loading every shipped config loads the model only.
+Sweeping and simulating a baseline must leave no scipy module, no
+constrained search and no certificate module loaded, and a one-worker sweep
+no process pool either. solve and verify load the stack on demand and write
+the same bytes as in this process.
 """
 
+import importlib
 import json
 import os
 import subprocess
@@ -43,6 +46,12 @@ SIMULATION_PATHS = {
     "load_model": ("import sys\nfrom ehsched import load_model\n"
                    "for path in sys.argv[1:]:\n    load_model(path)",
                    *(CONFIGS / name for name in SHIPPED)),
+    "ehsched.cli load_model": ("import json, sys\nimport ehsched.cli as cli\n"
+                               "for path in sys.argv[1:]:\n"
+                               "    with open(path) as fh:\n"
+                               "        cli.load_model(cli.apply_overrides("
+                               "json.load(fh), []))",
+                               *(CONFIGS / name for name in SHIPPED)),
     **{f"sweep {axis}": (CLI, "sweep", "--config", CONFIGS / "channel.json",
                          "--axis", axis, "--points", point, *policy,
                          "--n-slots", 2000)
@@ -55,6 +64,15 @@ SIMULATION_PATHS = {
 }
 
 
+# the package modules each import path loads, where the whole set is fixed
+PACKAGE_MODULES = {
+    "import ehsched": {"ehsched"},
+    "import ehsched.cli": {"ehsched", "ehsched.cli", "ehsched.model"},
+    "load_model": {"ehsched", "ehsched.model"},
+    "ehsched.cli load_model": {"ehsched", "ehsched.cli", "ehsched.model"},
+}
+
+
 @pytest.mark.parametrize("case", sorted(SIMULATION_PATHS))
 def test_simulation_paths_never_load_scipy(case, tmp_path):
     code, *argv = SIMULATION_PATHS[case]
@@ -64,6 +82,29 @@ def test_simulation_paths_never_load_scipy(case, tmp_path):
     assert "ehsched" in modules
     assert [m for m in modules if m.split(".")[0] == "scipy"] == []
     assert "concurrent.futures.process" not in modules
+    package = {m for m in modules if m.split(".")[0] == "ehsched"}
+    if case in PACKAGE_MODULES:
+        assert package == PACKAGE_MODULES[case]
+    assert not package & {"ehsched.constrained", "ehsched.verify"}
+
+
+def test_every_exported_name_resolves_to_its_defining_module():
+    import ehsched
+
+    for name in ehsched.__all__:
+        namespace = {}
+        exec(f"from ehsched import {name}", namespace)
+        obj = getattr(ehsched, name)
+        assert namespace[name] is obj, name
+        module = obj.__module__
+        assert module.startswith("ehsched."), (name, module)
+        assert getattr(importlib.import_module(module), name) is obj, name
+    assert set(ehsched.__all__) <= set(dir(ehsched))
+    assert len(set(ehsched.__all__)) == len(ehsched.__all__) == 58
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ehsched.no_such_name  # noqa: B018
+    with pytest.raises(ImportError):
+        exec("from ehsched import no_such_name", {})
 
 
 @pytest.mark.parametrize("argv", [("solve",), ("verify",)])
