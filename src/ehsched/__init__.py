@@ -31,11 +31,11 @@ _EXPORTS = {
     ),
     "model": (
         "Action", "CapacityError", "ConfigError", "MarkovChainSpec", "Model",
-        "ModelParams", "StateSpace", "SystemState", "load_model",
-        "model_to_config", "power_inverse", "required_power",
+        "ModelParams", "PolicyDomainError", "StateSpace", "SystemState",
+        "load_model", "model_to_config", "power_inverse", "required_power",
     ),
     "sim": (
-        "PolicyDomainError", "SimConfig", "SimResult", "discretize_rayleigh",
+        "SimConfig", "SimResult", "discretize_rayleigh",
         "run_simulation", "sweep_arrival", "sweep_budget", "sweep_channel",
     ),
     "verify": (

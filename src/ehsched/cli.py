@@ -337,8 +337,7 @@ def _exit_code(exc: Exception) -> int | None:
     """
     from .constrained import BudgetInfeasibleError, ConstrainedSearchError
     from .mdp import InstanceTooLargeError, MultichainError, NonConvergenceError
-    from .model import CapacityError
-    from .sim import PolicyDomainError
+    from .model import CapacityError, PolicyDomainError
 
     if isinstance(exc, (ConfigError, CapacityError, BudgetInfeasibleError,
                         PolicyDomainError, InstanceTooLargeError,

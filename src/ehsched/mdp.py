@@ -2,12 +2,14 @@
 
 The decision problem: per slot, pay q + beta * grid_power. A policy is two
 integer tables over the states, the rate r and the battery draw wq in quanta,
-in the solvers as in the evaluator and the simulator. The solvers hold each
-state's actions as (state, rate) pairs with a window of draws, and one
-backup walks the draw offsets over all pairs at once: every expectation
-E[V(next) | s, a] is one contraction of V with the exogenous chain, gathered
-at the action's post-decision index (Powell, Approximate Dynamic
-Programming, 2nd ed., 2011, ch. 4).
+in the solvers as in the evaluator and the simulator, and each of them reads
+a table through TablePolicy.actions_on, which raises PolicyDomainError unless
+it fits the model. The solvers hold each state's actions as (state, rate)
+pairs with a window of draws (draw_window), and one backup walks the draw
+offsets over all pairs at once: every expectation E[V(next) | s, a] is one
+contraction of V with the exogenous chain, gathered at the action's
+post-decision index (Powell, Approximate Dynamic Programming, 2nd ed., 2011,
+ch. 4).
 
 Policies are evaluated exactly on the lumped post-decision chain. A policy's
 chain over the n states factors as P = S R: S sends each state to its
@@ -41,7 +43,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .model import Action, ConfigError, Model
+from .model import GRID_EPS, Action, ConfigError, Model, PolicyDomainError
 
 # scipy's sparse stack takes most of a fresh interpreter's start-up, and only
 # the exact solvers use it: the functions that build a sparse matrix or
@@ -115,22 +117,64 @@ class TablePolicy:
 
     @classmethod
     def from_callable(cls, fn, model: Model) -> "TablePolicy":
+        """The table of fn(state) -> Action; a rate off the integers or a draw
+        off the energy grid raises PolicyDomainError naming the state."""
         space = model.space
         n = space.n_states
         r = np.zeros(n, dtype=np.int64)
         wq = np.zeros(n, dtype=np.int64)
         de, tau = model.params.delta_e, model.params.tau
         for i in range(n):
-            act = fn(space.state_of(i))
-            r[i] = int(act.r)
-            wq[i] = int(round(act.w * tau / de))
+            act = fn(x := space.state_of(i))
+            r[i], wq[i] = act.r, round(act.w * tau / de)
+            if r[i] != act.r or abs(wq[i] * de / tau - act.w) > GRID_EPS:
+                raise PolicyDomainError(f"action {act} is off the integer rates "
+                                        f"or the energy grid at state {i}", state=x)
         return cls(r=r, w_quanta=wq, delta_e=de, tau=tau)
+
+    def actions_on(self, model: Model, greedy: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """The table's (r, wq) as int64 arrays, refused with PolicyDomainError
+        unless they fit the model: an integer per state each, the model's
+        energy grid, and at every state a rate in 0..q and a draw in its
+        draw_window (greedy as in a greedy_draw ActionSpace). An infeasible
+        action's error names the first such state and carries it."""
+        space = model.space
+        r, wq = np.asarray(self.r), np.asarray(self.w_quanta)
+        if any(x.shape != (space.n_states,) or x.dtype.kind not in "iu" for x in (r, wq)):
+            raise PolicyDomainError(
+                f"policy table holds {r.shape} {r.dtype} rates and {wq.shape} "
+                f"{wq.dtype} draws, model has {space.n_states} states")
+        if abs(self.delta_e - model.params.delta_e) > GRID_EPS:
+            raise PolicyDomainError("policy and model disagree on the energy grid")
+        r, wq = r.astype(np.int64, copy=False), wq.astype(np.int64, copy=False)
+        ok = (r >= 0) & (r <= space.iq)
+        lo, cap = draw_window(model, np.where(ok, r, 0), greedy=greedy)
+        ok &= (wq >= lo) & (wq <= cap)
+        if not ok.all():
+            s = int(np.flatnonzero(~ok)[0])
+            raise PolicyDomainError(f"policy action (r={r[s]}, wq={wq[s]}) "
+                                    f"infeasible at state {s}",
+                                    state=space.state_of(s))
+        return r, wq
 
     def __eq__(self, other):
         if not isinstance(other, TablePolicy):
             return NotImplemented
         return (np.array_equal(self.r, other.r)
                 and np.array_equal(self.w_quanta, other.w_quanta))
+
+
+def draw_window(model: Model, r, at=slice(None), greedy: bool = False):
+    """(lo, cap): the draws, in quanta, of rate r at the states at (default
+    all): the greedy draw min(ib, model.cap_table[ih, r]) alone with greedy,
+    else 0 to it, or to ib where the model does not cap draws by the power."""
+    space = model.space
+    top = np.minimum(space.ib[at], model.cap_table[space.ih[at], r])
+    if greedy:
+        return top, top
+    if not model.restrict_w_to_power:
+        top = space.ib[at]
+    return np.zeros_like(top), top
 
 
 @dataclass
@@ -174,10 +218,9 @@ EXTRACT_BLOCK = 2 ** 16
 class ActionSpace:
     """Every state's feasible actions as (state, rate) pairs with draw
     windows, and the Bellman backup over them. A state offers the rates
-    0..q, and the pair (s, r) the draws 0..min(ib, model.cap_table[ih, r]) in
-    quanta (0..ib when draws are not capped by the required power), or with
-    greedy_draw (the rate-only reduced solve) the one draw lo = min(ib,
-    model.cap_table[ih, r]). Along a window the post-decision index steps
+    0..q, and the pair (s, r) the draws lo..cap of draw_window (with
+    greedy_draw, the rate-only reduced solve, the greedy draw alone). Along a
+    window the post-decision index steps
     down the battery axis (clamped at the top) and the grid power is
     max(p_req[h, r] - w * delta_e / tau, 0). Pairs are sorted by window
     length, longest first, so the pairs offering draw offset k = w - lo are
@@ -241,13 +284,9 @@ class ActionSpace:
             raise InstanceTooLargeError(
                 f"{n_pairs} (state, rate) pairs would take {n_pairs * PAIR_BYTES} "
                 f"bytes, over the limit of {MAX_PAIR_BYTES}")
-        self._cap = model.cap_table
         self._power = model.power_table
         self._draw_step = params.delta_e / params.tau
-        # per state: queue after arrivals, battery after the harvest (before
-        # service, draw and clamps), and the (h, a, e) part of its indices
-        self._q_in = space.iq + space.arrival_pkts[space.ia]
-        self._b_in = space.ib + space.harvest_quanta[space.ie]
+        # per state: the (h, a, e) part of its indices
         self._ex_of = (space.ih * na + space.ia) * ne + space.ie
 
         # pairs in (state, rate) order, then sorted by window length
@@ -263,10 +302,10 @@ class ActionSpace:
         self.n_offering = np.cumsum(np.bincount(length)[::-1])[::-1][1:]
         self.n_sa = int(length.sum())
 
-        base = np.minimum(self._q_in[state] - r, space.nq - 1) * (nb * n_ex)
+        base = np.minimum(space.q_in[state] - r, space.nq - 1) * (nb * n_ex)
         base += self._ex_of[state]
         self.pair_top = base + (nb - 1) * n_ex
-        base += (self._b_in[state] - lo) * n_ex
+        base += (space.b_in[state] - lo) * n_ex
         self.pair_post = base
         # below this draw offset some pair's next battery is clamped
         self._clamped = max(0, int((base - self.pair_top).max()) // n_ex)
@@ -281,14 +320,8 @@ class ActionSpace:
                        for k, m in enumerate(self.n_offering.tolist())]
 
     def window(self, r, at=slice(None)):
-        """(lo, cap): the draw window of rate r at the states at (default all);
-        the greedy draw is capped by the rate's power, as in greedy_battery."""
-        space = self.model.space
-        greedy = np.minimum(space.ib[at], self._cap[space.ih[at], r])
-        if self.greedy_draw:
-            return greedy, greedy
-        cap = greedy if self.model.restrict_w_to_power else space.ib[at]
-        return np.zeros_like(cap), cap
+        """draw_window of rate r at the states at, on this space's model."""
+        return draw_window(self.model, r, at, self.greedy_draw)
 
     def next_values(self, values: np.ndarray) -> np.ndarray:
         """The post-decision table of values, flattened: its entry at an
@@ -362,8 +395,8 @@ class ActionSpace:
         """Post-decision index of the action (r, wq) at the states at
         (default all): its next (q, battery) and the state's (h, a, e)."""
         space = self.model.space
-        next_q = np.minimum(self._q_in[at] - r, space.nq - 1)
-        next_b = np.minimum(self._b_in[at] - wq, space.nb - 1)
+        next_q = np.minimum(space.q_in[at] - r, space.nq - 1)
+        next_b = np.minimum(space.b_in[at] - wq, space.nb - 1)
         return (next_q * space.nb + next_b) * self._n_ex + self._ex_of[at]
 
     def grid(self, r, wq, at=slice(None)) -> np.ndarray:
@@ -376,8 +409,8 @@ class ActionSpace:
         spilled at the battery's top, of (r, wq) at the states at (default all)."""
         space = self.model.space
         return (space.iq[at].astype(float), self.grid(r, wq, at),
-                np.maximum(self._q_in[at] - r - (space.nq - 1), 0).astype(float),
-                np.maximum(self._b_in[at] - wq - (space.nb - 1), 0).astype(float)
+                np.maximum(space.q_in[at] - r - (space.nq - 1), 0).astype(float),
+                np.maximum(space.b_in[at] - wq - (space.nb - 1), 0).astype(float)
                 * self.model.params.delta_e)
 
     def lumped(self, post: np.ndarray) -> np.ndarray:
@@ -426,18 +459,8 @@ class ActionSpace:
         return Q
 
     def sa_of_policy(self, policy: TablePolicy) -> np.ndarray:
-        """The policy's (r, wq) as rows; raises ValueError naming the first
-        state whose rate is not in 0..q or whose draw is not in the rate's
-        window."""
-        r, wq = np.asarray(policy.r), np.asarray(policy.w_quanta)
-        ok = (r >= 0) & (r <= self.model.space.iq)
-        lo, cap = self.window(np.where(ok, r, 0))
-        ok &= (wq >= lo) & (wq <= cap)
-        if not ok.all():
-            s = int(np.flatnonzero(~ok)[0])
-            raise ValueError(f"policy action (r={r[s]}, wq={wq[s]}) "
-                             f"infeasible at state {s}")
-        return np.stack((r, wq))
+        """The policy's (r, wq) as rows, by TablePolicy.actions_on."""
+        return np.stack(policy.actions_on(self.model, self.greedy_draw))
 
     def policy_from_sa(self, sa) -> TablePolicy:
         return TablePolicy(r=np.asarray(sa[0], dtype=np.int64),

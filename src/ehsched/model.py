@@ -9,10 +9,12 @@ The state is ``(q, h, a, e_b, e)`` -- queue length, channel gain, current
 arrival, battery charge, current harvest -- and the action ``(r, w)`` --
 packets served and battery draw (power) this slot. The solvers, certificates
 and simulator work on the states' flat enumeration (StateSpace: one index
-array per coordinate) and on per-channel-level tables the Model builds once
-(required power, greedy draw cap, conservative rate). SystemState and Action
-are the per-state form, used by StateSpace.state_of, by
-heuristics.conservative_policy and by TablePolicy.from_callable.
+array per coordinate, and the queue and battery every action lands from) and
+on per-channel-level tables the Model builds once (required power, greedy
+draw cap, conservative rate). SystemState and Action are the per-state form,
+used by StateSpace.state_of, by heuristics.conservative_policy and by
+TablePolicy.from_callable. PolicyDomainError refuses a policy that does not
+fit the model.
 """
 
 from __future__ import annotations
@@ -31,6 +33,15 @@ GRID_EPS = 1e-9  # absolute guard used when snapping continuous values to grids
 
 class ConfigError(ValueError):
     """Invalid model configuration (bad field, bad chain row, off-grid value)."""
+
+
+class PolicyDomainError(ValueError):
+    """The policy's data do not fit the model: a table of another size or
+    grid, an infeasible action (state: where), or a baseline for other params."""
+
+    def __init__(self, message: str, state: SystemState | None = None):
+        super().__init__(message)
+        self.state = state
 
 
 class CapacityError(RuntimeError):
@@ -210,6 +221,12 @@ def power_inverse(params: ModelParams, h: float, budget: float) -> int:
     return r
 
 
+def level_units(arrival: MarkovChainSpec, harvest: MarkovChainSpec, delta_e: float):
+    """The arrival levels as packets and the harvest levels as delta_e quanta (int64)."""
+    return tuple(np.array([int(round(v / unit)) for v in chain.values], dtype=np.int64)
+                 for chain, unit in ((arrival, 1.0), (harvest, delta_e)))
+
+
 class StateSpace:
     """Flat enumeration of (q, h, a, e_b, e) with mixed-radix index arithmetic.
 
@@ -236,9 +253,8 @@ class StateSpace:
         self.n_states = n
 
         self.h_values = np.asarray(channel.values)
-        self.arrival_pkts = np.array([int(round(v)) for v in arrival.values])
-        self.harvest_quanta = np.array(
-            [int(round(v / params.delta_e)) for v in harvest.values])
+        self.arrival_pkts, self.harvest_quanta = level_units(
+            arrival, harvest, params.delta_e)
 
         # index = iq*s_q + ih*s_h + ia*s_a + ib*s_b + ie
         self.s_q = self.nh * self.na * self.nb * self.ne
@@ -255,6 +271,10 @@ class StateSpace:
         rem = rem % self.s_a
         self.ib = rem // self.s_b
         self.ie = rem % self.s_b
+        # the queue after the arrival and the battery after the harvest
+        # (before service, draw and clamps): every action lands from these
+        self.q_in = self.iq + self.arrival_pkts[self.ia]
+        self.b_in = self.ib + self.harvest_quanta[self.ie]
 
     def state_of(self, i: int) -> SystemState:
         if not 0 <= i < self.n_states:

@@ -3,7 +3,8 @@
 The simulator runs policies as data: a TablePolicy, a MixedPolicy of two,
 or a Baseline from make_heuristic, whose actions come from two integer
 tables the model builds once (Model.cap_table and Model.rate_table). A
-per-state function is turned into a table first (TablePolicy.from_callable).
+per-state function is turned into a table first (TablePolicy.from_callable),
+and a table is checked as the evaluator checks it (TablePolicy.actions_on).
 No kernel calls a function per slot: a table policy walks a precomputed
 next-state table, the radical baseline runs in closed form, and the
 conservative and mixed baselines run one inline loop over flat tables.
@@ -31,16 +32,7 @@ import numpy as np
 
 from .heuristics import Baseline, HeuristicKind, make_heuristic, mixing_weight
 from .mdp import MixedPolicy, TablePolicy
-from .model import GRID_EPS, ConfigError, MarkovChainSpec, Model, SystemState
-
-
-class PolicyDomainError(RuntimeError):
-    """The policy's data do not fit the model: a table of another size or
-    grid, an infeasible action, or a baseline built for other params."""
-
-    def __init__(self, message: str, state: SystemState | None = None):
-        super().__init__(message)
-        self.state = state
+from .model import ConfigError, MarkovChainSpec, Model, PolicyDomainError, level_units
 
 
 @dataclass(frozen=True)
@@ -159,10 +151,8 @@ def sample_paths(model: Model, cfg: SimConfig) -> ExogenousSample:
             for s in np.random.SeedSequence(cfg.seed).spawn(4)]
     ih, ia, ie = (_chain_path(chain, gen, n) for chain, gen in zip(chains, gens))
     coins = gens[3].random(n)
-    a_pkts = np.array([int(round(v)) for v in model.arrival.values], dtype=np.int64)
     de = model.params.delta_e
-    e_quanta = np.array([int(round(v / de)) for v in model.harvest.values],
-                        dtype=np.int64)
+    a_pkts, e_quanta = level_units(model.arrival, model.harvest, de)
     arrays = (ih, ia, ie, coins, a_pkts[ia], e_quanta[ie])
     for a in arrays:
         a.setflags(write=False)
@@ -222,33 +212,6 @@ def _clamp_scan(steps: np.ndarray, floor: np.ndarray, top: int) -> np.ndarray:
     return np.concatenate(([0], np.minimum(np.maximum(u, lo), hi)))
 
 
-def _table_lookup(policy: TablePolicy, model: Model):
-    """The table's (r, wq) as int64 arrays, refused with a PolicyDomainError
-    unless it fits the model: its size and energy grid, 0 <= r <= q and
-    0 <= wq <= ib, capped by cap_table[ih, r] where the model caps draws by
-    the rate's power (the actions evaluate_policy accepts)."""
-    space = model.space
-    if policy.r.size != space.n_states:
-        raise PolicyDomainError(
-            f"policy table has {policy.r.size} states, model has "
-            f"{space.n_states}")
-    if abs(policy.delta_e - model.params.delta_e) > GRID_EPS:
-        raise PolicyDomainError("policy and model disagree on the energy grid")
-    r = np.asarray(policy.r).astype(np.int64)
-    wq = np.asarray(policy.w_quanta).astype(np.int64)
-    ok = (r >= 0) & (r <= space.iq)
-    cap = space.ib
-    if model.restrict_w_to_power:
-        cap = np.minimum(cap, model.cap_table[space.ih, np.where(ok, r, 0)])
-    ok &= (wq >= 0) & (wq <= cap)
-    if not ok.all():
-        s = int(np.flatnonzero(~ok)[0])
-        raise PolicyDomainError(
-            f"policy action (r={r[s]}, wq={wq[s]}) infeasible at state {s}",
-            state=space.state_of(s))
-    return r, wq
-
-
 def _walk_tables(tables, model: Model, keys: np.ndarray):
     """(r, wq) per slot of table policies, by one walk of a next-state table.
 
@@ -258,13 +221,11 @@ def _walk_tables(tables, model: Model, keys: np.ndarray):
     after state i's action, clamps included, so the slot's state index is
     x + keys[t] with x = nxt[previous state index], from x = 0.
     """
-    space = model.space
-    q_in = np.tile(space.iq + space.arrival_pkts[space.ia], len(tables))
-    b_in = np.tile(space.ib + space.harvest_quanta[space.ie], len(tables))
+    space, k = model.space, len(tables)
     r, wq = (np.concatenate(column) for column in zip(*tables))
     # 8 bytes a state, and each slot's lookup gives a plain int
-    nxt = array("q", (np.minimum(q_in - r, space.nq - 1) * space.s_q
-                      + np.minimum(b_in - wq, space.nb - 1) * space.s_b
+    nxt = array("q", (np.minimum(np.tile(space.q_in, k) - r, space.nq - 1) * space.s_q
+                      + np.minimum(np.tile(space.b_in, k) - wq, space.nb - 1) * space.s_b
                       ).astype(np.int64).tobytes())
     x = 0
     at = np.empty(keys.size, dtype=np.int64)  # int64 even when n_slots is 1
@@ -359,10 +320,9 @@ def run_simulation(policy, model: Model, cfg: SimConfig,
     warmup = cfg.effective_warmup
 
     if isinstance(policy, TablePolicy):
-        tables = [_table_lookup(policy, model)]
+        tables = [policy.actions_on(model)]
     elif isinstance(policy, MixedPolicy):
-        tables = [_table_lookup(p, model)
-                  for p in (policy.policy_plus, policy.policy_minus)]
+        tables = [p.actions_on(model) for p in (policy.policy_plus, policy.policy_minus)]
     elif isinstance(policy, Baseline):
         if policy.params != model.params:
             raise PolicyDomainError(

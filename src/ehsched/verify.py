@@ -85,18 +85,18 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
     name = "no-overflow-waste"
     space = model.space
     actions = actions if actions is not None else build_action_space(model)
+    r, wq = sa = actions.sa_of_policy(policy)
     # a state is recurrent exactly when a recurrent lumped state reaches it
-    lp = actions.lumped(actions.post_index(*actions.sa_of_policy(policy)))
+    lp = actions.lumped(actions.post_index(*sa))
     closed = recurrent_classes(actions.lumped_chain([(1.0, lp)]))[0]
     rec = np.flatnonzero(actions.state_measure(closed.astype(float)) > 0.0)
-    ib = space.ib[rec]
-    eq = space.harvest_quanta[space.ie[rec]]
-    if not (ib + eq > space.nb - 1).any():
+    b_in = space.b_in[rec]
+    if not (b_in > space.nb - 1).any():
         return CertificateReport(name, NOT_APPLICABLE, details=_jsonable({
             "reason": "no recurrent state can overflow the battery",
             "n_recurrent": rec.size}))
-    leftover = space.iq[rec] - policy.r[rec]
-    spill = ib - policy.w_quanta[rec] + eq - (space.nb - 1)
+    leftover = space.iq[rec] - r[rec]
+    spill = b_in - wq[rec] - (space.nb - 1)
     bad = (leftover != 0) & (spill > 0)
     if bad.any():
         spill_energy = spill * model.params.delta_e
@@ -104,8 +104,8 @@ def check_no_overflow_waste(policy: TablePolicy, model: Model,
         s = int(rec[worst_pos])
         return CertificateReport(
             name, FAIL, worst_violation=float(spill_energy[worst_pos]),
-            witness=_state_witness(model, s, r=policy.r[s],
-                                   w=policy.w_quanta[s] * model.params.delta_e
+            witness=_state_witness(model, s, r=r[s],
+                                   w=wq[s] * model.params.delta_e
                                    / model.params.tau,
                                    spilled_energy=spill_energy[worst_pos],
                                    leftover_packets=leftover[worst_pos]),
@@ -325,8 +325,8 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
     marginal, feasible, rate_price, draw_price = _difference_algebra(values,
                                                                      model)
     space = model.space
-    u = space.iq - policy.r
-    j = space.ib - policy.w_quanta
+    r, wq = policy.actions_on(model)
+    u, j = space.iq - r, space.ib - wq
     # a stored action that draws past the required power (only possible when
     # the model relaxes the draw cap) is skipped: the algebra does not apply
     at_action = feasible(u, j)
@@ -354,8 +354,7 @@ def check_necessary_conditions(values: ValueTable, policy: TablePolicy,
         return CertificateReport(name, PASS, details=details)
     s, k, violation = worst
     dstep = model.params.delta_e / model.params.tau
-    witness = _state_witness(model, s, r=int(policy.r[s]),
-                             w=int(policy.w_quanta[s]) * dstep,
+    witness = _state_witness(model, s, r=int(r[s]), w=int(wq[s]) * dstep,
                              condition=_SIDES[k][0], marginal=zs[s, k],
                              price=prices[s, k])
     return CertificateReport(name, FAIL, worst_violation=violation,
@@ -381,7 +380,7 @@ def check_special_states(values: ValueTable, policy: TablePolicy,
                                                                      model)
     space = model.space
     q, ib = space.iq, space.ib
-    r, wq = policy.r, policy.w_quanta
+    r, wq = policy.actions_on(model)
     busy = q > 0
 
     # extremes of the rate and draw marginals over each state's feasible
@@ -530,8 +529,7 @@ def check_policy_monotonicity(policy: TablePolicy,
     name = "policy-monotonicity"
     space = model.space
     shape = (space.nq, space.nh, space.na, space.nb, space.ne)
-    R = policy.r.reshape(shape)
-    W = policy.w_quanta.reshape(shape)
+    R, W = (x.reshape(shape) for x in policy.actions_on(model))
     if space.nq == 1 and space.nb == 1:
         return CertificateReport(name, NOT_APPLICABLE, details={
             "reason": "no comparable lattice pairs"})

@@ -789,12 +789,12 @@ def reference_simulation(policy, model, cfg):
 
     policy is a function state -> Action, or an object with act(state,
     coin). Each slot builds the SystemState, asks the policy for its action
-    and checks it: an exception or None from the policy, a draw off the
-    energy grid, a rate above the backlog or a draw above the charge is a
-    PolicyDomainError that carries the state. Then the queue and the battery
-    step one slot. The chains walk by loop_chain_path from the same four
-    Philox substreams as run_simulation, so the same actions give the same
-    result and trace, bit for bit.
+    and checks it: an exception or None from the policy, a rate that is not
+    an integer, a draw off the energy grid, a rate above the backlog or a
+    draw above the charge is a PolicyDomainError that carries the state.
+    Then the queue and the battery step one slot. The chains walk by
+    loop_chain_path from the same four Philox substreams as run_simulation,
+    so the same actions give the same result and trace, bit for bit.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
@@ -829,6 +829,9 @@ def reference_simulation(policy, model, cfg):
                                     state=x)
         r = int(a.r)
         wq = int(round(a.w * tau / de))
+        if r != a.r:
+            raise PolicyDomainError(f"rate {a.r} is not an integer at {x}",
+                                    state=x)
         if abs(wq * de / tau - a.w) > GRID_EPS:
             raise PolicyDomainError(
                 f"battery draw {a.w} is off the energy grid at {x}", state=x)

@@ -2,6 +2,7 @@
 rename or deletion in the package must fail here, not silently in the trace."""
 
 import importlib
+import pkgutil
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -25,3 +26,23 @@ def test_config_fields_read_at_run_time_resolve():
     for cfg, field in ((ehsched.SolverConfig(beta=1.0), "epsilon"),
                        (ehsched.ConstrainedSolverConfig(), "k_tolerance")):
         assert hasattr(cfg, field), (type(cfg).__name__, field)
+
+
+def test_typed_refusals_are_benchmark_program_errors(monkeypatch):
+    # the benchmark scores a typed refusal as an error and anything else as
+    # a wrong output: every error class of the package that the CLI exits 2
+    # or 3 on must be one of its PROGRAM_ERRORS
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    ehsched = importlib.import_module("ehsched")
+    cli = importlib.import_module("ehsched.cli")
+    modules = [importlib.import_module(f"ehsched.{info.name}")
+               for info in pkgutil.iter_modules(ehsched.__path__)
+               if info.name != "__main__"]  # importing it runs the CLI
+    classes = {obj for module in modules for obj in vars(module).values()
+               if isinstance(obj, type) and issubclass(obj, Exception)
+               and obj.__module__.startswith("ehsched.")}
+    typed = {cls for cls in classes if cli._exit_code(cls.__new__(cls)) in (2, 3)}
+    assert ehsched.PolicyDomainError in typed
+    assert sorted(cls.__name__ for cls in typed
+                  if not issubclass(cls, workloads.PROGRAM_ERRORS)) == []
