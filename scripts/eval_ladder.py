@@ -56,7 +56,7 @@ def rung(q_max: int, e_max: float, beta: float, repeats: int) -> dict:
         "q_max": q_max, "e_max": e_max, "n_states": model.space.n_states,
         "n_lumped": getattr(actions, "n_lumped", None), "n_sa": actions.n_sa,
         "beta": beta, "build_s": t1 - t0, "solve_s": t2 - t1,
-        "solve_evaluations": res.n_evaluations, "solve_sweeps": res.n_iters,
+        "solve_evaluations": res.n_evaluations,
         "evaluate_s_median": statistics.median(evals), "evaluate_s": evals,
         "gain": gain, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         "numpy": np.__version__, "scipy": scipy.__version__,

@@ -119,8 +119,7 @@ def cmd_solve(args) -> int:
         ev.update({"kind": sol.kind, "beta_star": sol.beta_star, "xi": sol.xi,
                    "achieved_b": sol.achieved_b, "achieved_k": sol.achieved_k,
                    "n_probes": len(sol.trace), "n_evaluations": sol.n_evaluations,
-                   "n_sweeps": sol.n_sweeps, "beta_plus": sol.beta_plus,
-                   "beta_minus": sol.beta_minus})
+                   "beta_plus": sol.beta_plus, "beta_minus": sol.beta_minus})
         write_json(out / "eval.json", ev)
         write_csv(out / "search_trace.csv", search_trace_rows(sol.trace))
         artifacts += ["eval.json", "search_trace.csv"]

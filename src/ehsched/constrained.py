@@ -97,7 +97,6 @@ class BetaSearchResult:
     beta_plus: float
     minus: Probe | None = None
     n_evaluations: int = 0  # LUs factorised: policy iteration's and evaluate_policy's
-    n_sweeps: int = 0       # relative VI sweeps over all probes
 
 
 @dataclass
@@ -115,7 +114,6 @@ class ConstrainedSolution:
     eval_plus: PolicyEvaluation | None = None
     eval_minus: PolicyEvaluation | None = None
     n_evaluations: int = 0  # LUs factorised: the search's and the mixture iterates'
-    n_sweeps: int = 0
 
 
 def _k_tolerance(cfg: ConstrainedSolverConfig, model: Model) -> float:
@@ -130,7 +128,7 @@ class _Prober:
     Every call solves and adds a trace row, even at a price already solved,
     so max_outer_iters, which counts the rows, bounds the search. Each solve
     starts its policy iteration from the policy of the nearest beta already
-    solved. The start only saves evaluations: the sweeps' stopping rule and
+    solved. The start only saves evaluations: the span rule and
     the tie-canonical extraction still pick the policy.
     """
 
@@ -142,7 +140,6 @@ class _Prober:
         self.trace: list[TraceRow] = []
         self._probes: list[Probe] = []
         self._lu_start = self.actions.n_factorised
-        self.n_sweeps = 0
 
     @property
     def n_evaluations(self) -> int:
@@ -154,7 +151,6 @@ class _Prober:
             SolverConfig(beta=beta, epsilon=self.cfg.epsilon), self.model,
             actions=self.actions, start=self._start(beta))
         ev = evaluate_policy(res.policy, beta, self.model, actions=self.actions)
-        self.n_sweeps += res.n_iters
         self.trace.append(TraceRow(len(self.trace) + 1, beta, ev.gain_j,
                                    ev.mean_queue_b, ev.mean_grid_k))
         self._probes.append(Probe(beta, res.policy, ev))
@@ -185,7 +181,7 @@ def beta_star_search(cfg: ConstrainedSolverConfig, model: Model,
     def result(beta_star: float, plus: Probe, minus: Probe | None = None):
         return BetaSearchResult(beta_star, plus.policy, plus.evaluation,
                                 probe.trace, plus.beta, minus,
-                                probe.n_evaluations, probe.n_sweeps)
+                                probe.n_evaluations)
 
     plus = probe(max(cfg.beta_init, cfg.beta_floor))
     if plus.evaluation.mean_grid_k > p_bar + k_tol:
@@ -242,7 +238,7 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
             kind="single", policy=search.policy, beta_star=search.beta_star,
             evaluation=ev_plus, achieved_b=ev_plus.mean_queue_b,
             achieved_k=ev_plus.mean_grid_k, trace=search.trace,
-            n_evaluations=search.n_evaluations, n_sweeps=search.n_sweeps)
+            n_evaluations=search.n_evaluations)
 
     xi_lo, k_lo = 0.0, minus.evaluation.mean_grid_k
     xi_hi, k_hi = 1.0, ev_plus.mean_grid_k
@@ -257,8 +253,7 @@ def solve_constrained(cfg: ConstrainedSolverConfig, model: Model,
                 evaluation=ev, achieved_b=ev.mean_queue_b, achieved_k=k,
                 trace=search.trace, xi=xi, beta_plus=search.beta_plus,
                 beta_minus=minus.beta, eval_plus=ev_plus, eval_minus=minus.evaluation,
-                n_evaluations=actions.n_factorised - lu_start,
-                n_sweeps=search.n_sweeps)
+                n_evaluations=actions.n_factorised - lu_start)
         if k > p_bar:
             xi_lo, k_lo = xi, k
         else:

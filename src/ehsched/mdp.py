@@ -22,22 +22,19 @@ whose i.i.d. arrival and harvest leave one class per channel level, and all
 of them where no two rows coincide. Q keeps P's nonzero spectrum, so its
 recurrent classes are as many, and the bias, the discounted values and the
 stationary law follow from Q's solves by one gather or one small product.
-Both solves run the same Howard policy iteration first, which differs
-between them only in how it evaluates a policy (one bias-gain LU of Q, or
-one LU of I - alpha Q). The discounted solve ends there, with one backup for
-its residual and greedy policy; the average-cost solve starts damped value
-iteration from the bias of the policy it ends on, and takes its gain bounds,
-bias and policy from the backup that meets the span rule (where policy
-iteration reaches the optimum, the first). evaluate_policy computes exact
-stationary averages for any fixed (or two-policy mixed) stationary policy
-from the same bias-gain LU.
+Both solves are the same Howard policy iteration, which differs between them
+only in how it evaluates a policy (one bias-gain LU of Q, or one LU of I -
+alpha Q), and take their result from its last backup. It evaluates and
+improves a multichain policy by the multichain rules (Puterman, Markov
+Decision Processes, 1994, sec. 9.2), so it ends on any chain structure.
+evaluate_policy computes exact stationary averages for any fixed (or
+two-policy mixed) stationary unichain policy from the same bias-gain LU.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -70,8 +67,7 @@ class InstanceTooLargeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the solvers; max_iters bounds the policy evaluations of both
-    solves, and relative VI's backups after them."""
+    """Knobs for the solvers; max_iters bounds both solves' evaluations."""
 
     beta: float
     epsilon: float = 1e-9
@@ -135,8 +131,8 @@ class TablePolicy:
     def actions_on(self, model: Model, greedy: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """The table's (r, wq) as int64 arrays, refused with PolicyDomainError
         unless they fit the model: an integer per state each, the model's
-        energy grid, and at every state a rate in 0..q and a draw in its
-        draw_window (greedy as in a greedy_draw ActionSpace). An infeasible
+        energy grid and slot length, and at every state a rate in 0..q and a
+        draw in its draw_window (greedy as in a greedy_draw ActionSpace). An infeasible
         action's error names the first such state and carries it."""
         space = model.space
         r, wq = np.asarray(self.r), np.asarray(self.w_quanta)
@@ -146,6 +142,8 @@ class TablePolicy:
                 f"{wq.dtype} draws, model has {space.n_states} states")
         if abs(self.delta_e - model.params.delta_e) > GRID_EPS:
             raise PolicyDomainError("policy and model disagree on the energy grid")
+        if abs(self.tau - model.params.tau) > GRID_EPS:
+            raise PolicyDomainError("policy and model disagree on the slot length")
         r, wq = r.astype(np.int64, copy=False), wq.astype(np.int64, copy=False)
         ok = (r >= 0) & (r <= space.iq)
         lo, cap = draw_window(model, np.where(ok, r, 0), greedy=greedy)
@@ -161,7 +159,8 @@ class TablePolicy:
         if not isinstance(other, TablePolicy):
             return NotImplemented
         return (np.array_equal(self.r, other.r)
-                and np.array_equal(self.w_quanta, other.w_quanta))
+                and np.array_equal(self.w_quanta, other.w_quanta)
+                and (self.delta_e, self.tau) == (other.delta_e, other.tau))
 
 
 def draw_window(model: Model, r, at=slice(None), greedy: bool = False):
@@ -342,16 +341,13 @@ class ActionSpace:
         y += grid
         return y
 
-    def backup(self, table: np.ndarray, beta: float, scale: float = 1.0,
-               extra: np.ndarray | None = None):
+    def backup(self, table: np.ndarray, beta: float, scale: float = 1.0):
         """Bellman backup on the post-decision table: (mins, pick), mins[s]
-        the least y = scale * table[post] + (q + beta * grid) + extra[s]
-        (extra optional) over s's actions, and pick(tie_tol, rel) the
-        smallest (r, w) with y <= mins + tie_tol + rel |mins| (rel 1e-12
-        unless given), extracted when called. extra is added after the
-        minimum, exactly, as rounding is monotone. Extraction takes the
-        smallest rate whose pair minimum is in that window, then its first
-        draw in it."""
+        the least y = scale * table[post] + (q + beta * grid) over s's
+        actions, and pick(tie_tol, rel) the smallest (r, w) with y <= mins +
+        tie_tol + rel |mins| (rel 1e-12 unless given), extracted when
+        called. Extraction takes the smallest rate whose pair minimum is in
+        that window, then its first draw in it."""
         if scale != 1.0:
             table = table * scale  # entry by entry, as at each action
         pair_min = None
@@ -363,14 +359,11 @@ class ActionSpace:
                 np.minimum(pair_min[:y.size], y, out=pair_min[:y.size])
         by_state = pair_min[self._by_state]
         mins = np.minimum.reduceat(by_state, self._first_pair)
-        if extra is not None:
-            mins += extra
         n_rates = self._n_rates
 
         def pick(tie_tol: float, rel: float = 1e-12) -> np.ndarray:
             thr = mins + (tie_tol + rel * np.abs(mins))
-            y = by_state if extra is None else by_state + np.repeat(extra, n_rates)
-            hits = np.flatnonzero(y <= np.repeat(thr, n_rates))
+            hits = np.flatnonzero(by_state <= np.repeat(thr, n_rates))
             # a state's minimum is a hit, so its first hit is in its own segment
             first_hit = hits[np.searchsorted(hits, self._first_pair)]
             pos = self._by_state[first_hit]
@@ -384,8 +377,6 @@ class ActionSpace:
                 at = slice(i, i + step)
                 y = self._walk_step(table, beta, ks, *(a[pos[at]] for a in (
                     self.pair_post, self.pair_top, self.pair_p0, self.pair_q)))
-                if extra is not None:
-                    y += extra[at]
                 sa[1, at] += (y <= thr[at]).argmax(axis=0)
             return sa
 
@@ -510,13 +501,9 @@ def post_decision_values(values: np.ndarray, space, exogenous) -> np.ndarray:
 GREEDY_TIE_TOL = 1e-8
 
 
-# the average-cost solve's trace keeps its last TRACE_ROWS sweeps; n_iters
-# counts them all
-TRACE_ROWS = 10_000
-
-# relative VI's damping weight, (1 - KAPPA) V + KAPPA T V: it removes periodicity
-# and keeps the gain and greedy policy (Puterman 1994, aperiodicity transformation)
-KAPPA = 0.5
+# gains within GAIN_LEVEL_TOL * max(1, max |g|) of each other form one level:
+# far above the multichain LU's rounding, far below what epsilon resolves
+GAIN_LEVEL_TOL = 1e-11
 
 # rounding floor of the discounted solve's residual, in ulps of max |V|: the
 # exact values of the optimal policy, rounded and backed up once, read 1 to 11
@@ -546,49 +533,69 @@ def _residual_bound(epsilon: float, alpha: float, v: np.ndarray) -> float:
 
 def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
             alpha: float | None = None, ref: int = 0,
-            epsilon: float | None = None) -> tuple[np.ndarray, int]:
+            epsilon: float | None = None):
     """Howard policy iteration, average-cost (alpha None) or discounted
     (alpha and epsilon given), from the policy sa = (r, wq), or with sa None
     from the greedy actions of the one-step costs.
 
     Evaluates each policy by one sparse LU on its lumped chain Q = R S
-    (ActionSpace.lumped_chain), n_lumped square, with c the one-step costs
-    and lp each state's lumped index. Average cost: the bias-gain LU of Q at
-    lumped state 0 solves (I - Q + 1 e_0^T) x = R c, so the gain is g = x[0],
-    W = x - g is R h, and the bias is h = c - g + W[lp], then normalised at
-    reference state ref. Discounted: (I - alpha Q) W = R c, and v = c + alpha
-    W[lp]. Improves on y = q + beta * grid + alpha E[v(next)] (alpha 1 for
-    the bias), keeping the incumbent action wherever its y is within
-    rounding of the state's minimum (the anti-cycling rule of Puterman 1994,
-    sec. 8.6), 1e-12 of max |min y|, and discounted at most half the residual
-    bound, since the kept incumbents' lead adds to the residual |T v - v|
-    the solve returns; else taking the smallest minimizing (r, w), which is
-    extracted only when some state moves. Stops when no state moves, after
-    max_iters evaluations, or at the first multichain policy, which has no
-    single gain. Returns the values of the last policy evaluated (zeros if
-    none) and the number of evaluations. Each bias-gain LU comes from
-    actions.last_lu when that is the same chain's (a warm start's first
-    step) and is left there, where the next solve and evaluate_policy find
-    it.
+    (ActionSpace.lumped_chain), with c the one-step costs and lp each
+    state's lumped index. Average cost: a unichain Q's bias-gain LU at
+    lumped state 0 gives x = A^-1 R c, the gain g = x[0] and W = x - g = R
+    h; a multichain Q's LU pins each recurrent class at its first state and
+    the transient states at the first recurrent one, and gives the lumped
+    gains gl = A^-1 x[pin], W = A^-1 (R c - gl) and g = gl[lp]
+    (Puterman 1994, sec. 9.2). The bias h = c - g + W[lp] is normalised at
+    reference state ref. Discounted: (I - alpha Q) W = R c, v = c + alpha
+    W[lp].
+
+    Improves on y = q + beta * grid + alpha E[v(next)] (alpha 1 for the
+    bias), keeping the incumbent action wherever its y is within rounding
+    of the state's minimum (the anti-cycling rule of sec. 8.6), 1e-12 of
+    max |min y|, and discounted at most half the residual bound, since the
+    kept incumbents' lead adds to the residual |T v - v| the solve returns;
+    else taking the smallest minimizing (r, w), extracted only when some
+    state moves. Where a multichain policy's gains split into levels
+    (GAIN_LEVEL_TOL), it improves on E[g(next)] first, and only where no
+    state moves there on y, level by level (sec. 9.2.1). Stops when no state
+    moves or after max_iters evaluations; returns (v, n_eval, mins, pick),
+    the last policy's values, the evaluations and the last backup of v. A
+    unichain LU comes from actions.last_lu when that is the same chain's (a
+    warm start's first step) and is left there for the next solve and
+    evaluate_policy; a multichain one is not kept.
     """
     queue = actions.model.space.iq
     scale = 1.0 if alpha is None else alpha
-    v = np.zeros(queue.size)
+    # a discounted state that moves takes a minimizer, so improves by tol
+    rel = 1e-12 if alpha is None else 0.0
     if sa is None:
-        sa = actions.backup(actions.next_values(v), beta)[1](0.0)
+        sa = actions.backup(actions.next_values(np.zeros(queue.size)), beta)[1](0.0)
     n_eval = 0
     while n_eval < max_iters:
         post = actions.post_index(*sa)
         lp = actions.lumped(post)
         c = queue + beta * actions.grid(*sa)
         rc = actions.lumped_expectation(c)
+        n_eval += 1
+        tops = ()  # a multichain policy's gain levels, by their top gains
         if alpha is None:
-            lu = _chain_lu(actions, [(1.0, lp)])[1]
-            if lu is None:
-                break
-            x = lu.solve(rc)
-            g = x[0]
-            x -= g
+            Q, lu = _chain_lu(actions, [(1.0, lp)])[:2]
+            if lu is not None:
+                x = lu.solve(rc)
+                g = x[0]
+                x -= g
+            else:  # each class pinned apart, transient states at the first
+                labels, closed = _components(Q)
+                pin = np.unique(labels, return_index=True)[1][labels]
+                pin[~closed[labels]] = np.flatnonzero(closed[labels])[0]
+                lu = _bias_gain_lu(Q, pin)
+                actions.n_factorised += 1
+                gl = lu.solve(lu.solve(rc)[pin])
+                x = lu.solve(rc - gl)
+                g = gl[lp]
+                tol = GAIN_LEVEL_TOL * max(1.0, float(np.abs(g).max()))
+                ordered = np.sort(g)
+                tops = ordered[np.r_[np.flatnonzero(np.diff(ordered) > tol), g.size - 1]]
             v = c - g
             v += x[lp]
             v -= v[ref]
@@ -596,21 +603,46 @@ def _howard(actions: ActionSpace, beta: float, sa, max_iters: int,
             W = _factorise(actions.lumped_chain([(1.0, lp)]), alpha).solve(rc)
             actions.n_factorised += 1
             v = c + alpha * W[lp]
-        n_eval += 1
         table = actions.next_values(v)
-        mins, pick = actions.backup(table, beta, scale)
-        y = table[post] * scale
-        y += c
-        tol = 1e-12 * max(1.0, float(np.abs(mins).max()))
-        rel = 1e-12
-        if alpha is not None:
-            tol = min(tol, 0.5 * _residual_bound(epsilon, alpha, v))
-            rel = 0.0  # a state that moves takes a minimizer, so improves by tol
-        keep = y <= mins + tol
-        if keep.all():
+        # (post-decision table, states it leaves alone) of each backup that
+        # may move the policy: the table alone at one gain level
+        steps = [(table, False)]
+        if len(tops) > 1:
+            if n_eval == max_iters:
+                raise NonConvergenceError(
+                    f"policy iteration ended on {tops.size} gain levels from "
+                    f"{g.min()} to {g.max()}", residual=float(np.ptp(g)))
+            # Puterman's first stage: any state whose E[g(next)] can fall
+            # moves; else the second, one level at a time, top first, over
+            # the actions that keep E[g(next)] at the state's level
+            g_table = actions.next_values(g)
+            mins, pick = actions.backup(g_table, 0.0)
+            keep = g_table[post] + queue <= mins + tol
+            if not keep.all():
+                sa = np.where(keep, sa, pick(0.0))
+                continue
+            level = np.searchsorted(tops, g)
+            steps = [(np.where(g_table <= top + tol, table, np.inf), level != k)
+                     for k, top in reversed(list(enumerate(tops)))]
+        for step, outside in steps:
+            mins, pick = actions.backup(step, beta, scale)
+            y = step[post] * scale
+            y += c
+            tol = 1e-12 * max(1.0, float(np.where(outside, 0.0, np.abs(mins)).max()))
+            if alpha is not None:
+                tol = min(tol, 0.5 * _residual_bound(epsilon, alpha, v))
+            keep = y <= mins + tol
+            keep |= outside
+            if not keep.all():
+                break
+        else:
+            if len(steps) > 1:
+                raise MultichainError(
+                    f"policy iteration ends on {len(steps)} gain levels from "
+                    f"{g.min()} to {g.max()}: the optimal gain varies between states")
             break
         sa = np.where(keep, sa, pick(0.0, rel))
-    return v, n_eval
+    return v, n_eval, mins, pick
 
 
 def relative_value_iteration(cfg: SolverConfig, model: Model,
@@ -620,76 +652,46 @@ def relative_value_iteration(cfg: SolverConfig, model: Model,
 
     Howard policy iteration (_howard, from the greedy actions of the one-step
     costs or from the table policy start) runs until no state moves, for at
-    most cfg.max_iters evaluations; value iteration on the damped operator
-    (1-KAPPA) V + KAPPA T V then starts from that policy's bias, divided by
-    KAPPA since that is the lazy chain's bias, normalizing at the reference
-    state after each backup. The first backup whose span of T V - V is below
-    cfg.epsilon (where policy iteration reaches the optimum, the first one)
-    gives the gain bounds (min and max of T V - V, which bracket the optimal
-    gain), the bias and the greedy policy. The span has no rounding floor:
-    an epsilon within a few ulps of max |V| raises NonConvergenceError after
-    cfg.max_iters backups. If policy iteration meets a multichain policy it
-    stops there, and the backups start from the last unichain bias (or from
-    0). n_iters counts the backups and trace keeps the last TRACE_ROWS of
-    them; n_evaluations counts the policies evaluated.
+    most cfg.max_iters evaluations. Its last backup T h of the last bias h
+    gives the gain bounds (min and max of T h - h, which bracket the optimal
+    gain), the bias and the greedy policy; a span of T h - h not below
+    cfg.epsilon raises NonConvergenceError. n_iters is 1 and trace [(1,
+    span, min, max)]; n_evaluations counts the policies evaluated.
 
-    Raises MultichainError before the first evaluation when an exogenous
-    chain has more than one recurrent class: no policy can move the chain
-    between them, so every policy is multichain and the long-run average
-    cost depends on the start state.
+    Raises MultichainError before the first evaluation when the exogenous
+    chain, or one of its three factors (named first), has more than one
+    recurrent class: every policy is then multichain.
     """
-    for name in ("channel", "arrival", "harvest"):
-        chain = getattr(model, name)
-        if chain.transition.all():  # a positive matrix is irreducible
-            continue
-        import scipy.sparse as sp
+    import scipy.sparse as sp
 
-        _, n_classes = recurrent_classes(sp.csr_matrix(chain.transition))
-        if n_classes > 1:
-            raise MultichainError(
-                f"{name} chain has {n_classes} recurrent classes, so every "
-                f"policy is multichain")
     if actions is None:
         actions = build_action_space(model)
-    n = model.space.n_states
     ref = cfg.reference_state
-    if not 0 <= ref < n:
+    if not 0 <= ref < model.space.n_states:
         raise ValueError(f"reference_state {ref} out of range")
-
-    def damped_backup(v):
-        # c + KAPPA E[v(next)] + (1 - KAPPA) v
-        return actions.backup(actions.next_values(v), cfg.beta, KAPPA,
-                              extra=(1.0 - KAPPA) * v)
+    for name in ("channel", "arrival", "harvest", "exogenous"):
+        t = actions.exogenous if name == "exogenous" else getattr(model, name).transition
+        # a positive matrix is irreducible
+        if not t.all() and (k := recurrent_classes(sp.csr_matrix(t))[1]) > 1:
+            raise MultichainError(f"{name} chain has {k} recurrent classes, "
+                                  f"so every policy is multichain")
 
     sa = None if start is None else actions.sa_of_policy(start)
-    h, n_eval = _howard(actions, cfg.beta, sa, cfg.max_iters, ref=ref)
-
-    v = h / KAPPA
-    trace = deque(maxlen=TRACE_ROWS)
-    span = np.inf
-    for it in range(1, cfg.max_iters + 1):
-        mins, pick = damped_backup(v)
-        d = mins - v
-        lo, hi = float(d.min()), float(d.max())
-        span = hi - lo
-        trace.append((it, span, lo, hi))
-        if span < cfg.epsilon:
-            break
-        v = mins - mins[ref]
-    else:
+    h, n_eval, mins, pick = _howard(actions, cfg.beta, sa, cfg.max_iters, ref=ref)
+    d = mins - h
+    lo, hi = float(d.min()), float(d.max())
+    span = hi - lo
+    if not span < cfg.epsilon:
         raise NonConvergenceError(
-            f"relative VI did not reach span {cfg.epsilon} in {cfg.max_iters} "
-            f"iterations (final span {span:.3e})", residual=span)
-
-    # v solves the optimality equation of the lazy kernel (1-KAPPA)I + KAPPA*P,
-    # whose gain and greedy sets match the original chain's; its bias is the
-    # original bias divided by KAPPA, so rescale before reporting
-    bias = ValueTable(values=KAPPA * (v - v[ref]), kind="relative-bias",
-                      beta=cfg.beta, reference_state=ref)
+            f"policy iteration did not reach span {cfg.epsilon} in {n_eval} "
+            f"evaluations (final span {span:.3e})", residual=span)
+    bias = ValueTable(values=h, kind="relative-bias", beta=cfg.beta,
+                      reference_state=ref)
     return SolveResult(gain=0.5 * (lo + hi), values=bias,
                        policy=actions.policy_from_sa(pick(10.0 * cfg.epsilon)),
-                       n_iters=it, residual=span, gain_bounds=(lo, hi),
-                       trace=list(trace), actions=actions, n_evaluations=n_eval)
+                       n_iters=1, residual=span, gain_bounds=(lo, hi),
+                       trace=[(1, span, lo, hi)], actions=actions,
+                       n_evaluations=n_eval)
 
 
 def discounted_backup(actions: ActionSpace, values: np.ndarray, beta: float,
@@ -704,8 +706,8 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
     """Discounted solve by Howard policy iteration (_howard, Puterman 1994,
     sec. 6.4), from the greedy actions of the one-step costs, for at most
     cfg.max_iters evaluations. Returns the values of the policy it ends on
-    and the tie-canonical greedy policy of one backup of them, which also
-    gives their residual |T V - V|.
+    and the tie-canonical greedy policy of policy iteration's last backup of
+    them, which also gives their residual |T V - V|.
 
     Contract: the residual is at most epsilon * (1 - alpha) / (2 * alpha),
     which puts the values within epsilon of the optimum (sec. 6.3), or its
@@ -720,10 +722,8 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
         actions = build_action_space(model)
     alpha = cfg.alpha
 
-    v, n_eval = _howard(actions, cfg.beta, None, cfg.max_iters, alpha=alpha,
-                        epsilon=cfg.epsilon)
-    tv, sa = discounted_backup(actions, v, cfg.beta, alpha,
-                               tie_tol=10.0 * cfg.epsilon)
+    v, n_eval, tv, pick = _howard(actions, cfg.beta, None, cfg.max_iters,
+                                  alpha=alpha, epsilon=cfg.epsilon)
     resid = float(np.max(np.abs(tv - v)))
     bound = _residual_bound(cfg.epsilon, alpha, v)
     if resid > bound:
@@ -732,8 +732,8 @@ def discounted_value_iteration(cfg: SolverConfig, model: Model,
             f"in {n_eval} evaluations (final {resid:.3e})", residual=resid)
     table = ValueTable(values=v, kind="discounted", beta=cfg.beta, alpha=alpha)
     return SolveResult(gain=float("nan"), values=table,
-                       policy=actions.policy_from_sa(sa), n_iters=1,
-                       residual=resid, trace=[(1, resid)], actions=actions,
+                       policy=actions.policy_from_sa(pick(10.0 * cfg.epsilon)),
+                       n_iters=1, residual=resid, trace=[(1, resid)], actions=actions,
                        n_evaluations=n_eval)
 
 
@@ -797,20 +797,25 @@ def recurrent_classes(P: sp.csr_matrix) -> tuple[np.ndarray, int]:
     it. P must be CSR and hold no explicit zeros: every stored entry counts
     as an edge, read from its indptr and indices.
     """
+    labels, closed = _components(P)
+    return closed[labels], int(np.count_nonzero(closed))
+
+
+def _components(P: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """P's strongly connected component of each state, and which are closed."""
     from scipy.sparse.csgraph import connected_components
 
     n_comp, labels = connected_components(P, directed=True, connection="strong")
     src = np.repeat(labels, np.diff(P.indptr))
     dst = labels[P.indices]
-    crossing = src != dst
     closed = np.ones(n_comp, dtype=bool)
-    closed[src[crossing]] = False
-    return closed[labels], int(np.count_nonzero(closed))
+    closed[src[src != dst]] = False
+    return labels, closed
 
 
-def _factorise(P: sp.csr_matrix, scale: float = 1.0, ref: int | None = None):
-    """Sparse LU of I - scale * P, plus 1 e_ref^T when ref is given,
-    assembled from P's CSR arrays; repeated entries are summed."""
+def _factorise(P: sp.csr_matrix, scale: float = 1.0, ref=None):
+    """Sparse LU of I - scale * P, plus 1 at (s, ref), or (s, ref[s]), in
+    every row s when ref is given; from P's CSR arrays, repeats summed."""
     import scipy.sparse as sp
     from scipy.sparse.linalg import splu
 
@@ -828,14 +833,15 @@ def _factorise(P: sp.csr_matrix, scale: float = 1.0, ref: int | None = None):
                               shape=(n, n)))
 
 
-def _bias_gain_lu(P: sp.csr_matrix, ref: int):
+def _bias_gain_lu(P: sp.csr_matrix, ref):
     """Sparse LU of A = I - P + 1 e_ref^T, nonsingular exactly when P is
     unichain.
 
     lu.solve(c) gives x with gain g = x[ref] and bias h = x - x[ref]
     (h[ref] = 0, g + h = c + P h), since (I - P) 1 = 0; the transpose solve
     lu.solve(e_ref, trans="T") gives the stationary law pi, since
-    pi A = e_ref^T.
+    pi A = e_ref^T. With ref an array of per-state pins (as _howard's), row
+    s gains a 1 at column ref[s] instead.
     """
     try:
         return _factorise(P, ref=ref)

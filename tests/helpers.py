@@ -607,12 +607,15 @@ def cold_discounted_value_iteration(cfg, model, actions=None):
 
 
 def cold_relative_value_iteration(cfg, model, actions=None):
-    """Reference average-cost solve: damped relative VI sweeps on the loop
-    oracle's kernel from V=0 to a span of T V - V below epsilon, then the
-    same tie-canonical extraction and kappa-rescaled bias."""
+    """Reference average-cost solve: relative VI sweeps of the damped
+    operator (1 - kappa) V + kappa T V, kappa 0.5, which removes periodicity
+    and keeps the gain and greedy policy (Puterman 1994, aperiodicity
+    transformation), on the loop oracle's kernel from V=0 to a span of T V -
+    V below epsilon, then the same tie-canonical extraction and
+    kappa-rescaled bias."""
     if actions is None:
         actions = build_action_space(model)
-    ref, kappa = cfg.reference_state, mdp.KAPPA
+    ref, kappa = cfg.reference_state, 0.5
     oracle = matching_oracle(actions)
     c = oracle.queue_sa + cfg.beta * oracle.grid_sa
     K = oracle.kernel

@@ -194,7 +194,6 @@ def test_budgeted_solves_reuse_policy_iteration_lus(monkeypatch):
         sol = solve_constrained(ConstrainedSolverConfig(),
                                 _with_pbar(desk_model(), float(p_bar)))
         reported += sol.n_evaluations
-        assert sol.n_sweeps >= len(sol.trace)
     assert calls["lu"] == reported
     assert calls["reused"] > calls["eval"] / 2
 

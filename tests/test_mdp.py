@@ -235,14 +235,14 @@ def test_expected_next_matches_oracle_kernel_random_models(seed, restrict, scale
 @given(st.integers(0, 10_000), st.booleans(),
        st.sampled_from(["random", "zeros", "small-int"]),
        st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
-       st.sampled_from([0.0, 1e-8, 0.3]), st.booleans())
-@example(seed=0, restrict=True, kind="zeros", beta=0.0, tie_tol=0.0, damped=False)
+       st.sampled_from([0.0, 1e-8, 0.3]))
+@example(seed=0, restrict=True, kind="zeros", beta=0.0, tie_tol=0.0)
 def test_backup_matches_loop_oracle_row_min_and_first_hit(seed, restrict, kind,
-                                                          beta, tie_tol, damped):
+                                                          beta, tie_tol):
     # the walk over draw offsets gives the oracle rows' minimum and first
     # hit in (r, w) order, bit for bit, also where many draws tie (V = 0 at
     # beta 0 makes every draw of a rate tie, small integers make ties
-    # common) and with the damped solve's per-state term
+    # common)
     m = replace(random_model(seed), restrict_w_to_power=restrict)
     actions = build_action_space(m)
     oracle = loop_action_space(m)
@@ -250,13 +250,11 @@ def test_backup_matches_loop_oracle_row_min_and_first_hit(seed, restrict, kind,
     n = m.space.n_states
     v = {"random": rng.standard_normal(n), "zeros": np.zeros(n),
          "small-int": rng.integers(-2, 3, n).astype(float)}[kind]
-    scale, extra = (0.5, 0.5 * v) if damped else (0.9, None)
+    scale = 0.9
     table = post_decision_values(v, m.space, actions.exogenous).ravel()
     y = table[oracle.post_sa] * scale + (oracle.queue_sa + beta * oracle.grid_sa)
-    if extra is not None:
-        y += extra[oracle.state_of_sa]
     want_mins = row_min(y, oracle.indptr)
-    mins, pick = actions.backup(table, beta, scale, extra=extra)
+    mins, pick = actions.backup(table, beta, scale)
     np.testing.assert_array_equal(mins, want_mins)
     want_r, want_wq = first_hit(y, want_mins, oracle, tie_tol)
     # extraction runs on demand, changes nothing it reads and repeats
@@ -498,17 +496,27 @@ def test_rvi_bias_solves_optimality_equation():
 
 
 def test_rvi_nonconvergence_raises():
-    # max_iters bounds the policy evaluations too: one evaluation does not
-    # reach the optimum here, and one sweep cannot close the span
+    # max_iters bounds the policy evaluations: one evaluation does not reach
+    # the optimum here, and its backup's span is far above epsilon
     m = desk_lite_model()
     with pytest.raises(NonConvergenceError) as err:
         relative_value_iteration(SolverConfig(beta=1.0, epsilon=1e-12, max_iters=1), m)
     assert err.value.residual > 1.0
+    # from this start the second policy's gains form 3 levels, so a run cut
+    # short there has no single gain
+    m = random_model(216)
+    actions = build_action_space(m)
+    start, _ = _random_table_policy(actions, np.random.default_rng(218))
+    with pytest.raises(NonConvergenceError, match="ended on 3 gain levels") as err:
+        relative_value_iteration(SolverConfig(beta=0.0, max_iters=2), m, actions,
+                                 start=start)
+    assert err.value.residual > 0.1
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0.0, 10.0), st.booleans())
 @example(seed=100, beta=9.0, with_start=True)
+@example(seed=216, beta=0.0, with_start=True)
 def test_rvi_matches_cold_sweeps_random_models(seed, beta, with_start):
     m = random_model(seed)
     actions = build_action_space(m)
@@ -537,6 +545,44 @@ def test_rvi_matches_cold_sweeps_random_models(seed, beta, with_start):
             np.testing.assert_allclose(gains, warm.gain, rtol=0, atol=1e-6)
 
 
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10_000), st.floats(0.0, 10.0), st.booleans())
+@example(seed=354, beta=9.0, with_start=True)
+@example(seed=216, beta=0.0, with_start=True)
+def test_rvi_makes_at_most_two_backups_per_evaluation_random_models(seed, beta,
+                                                                    with_start):
+    # the greedy start, then per evaluation one backup, or at several gain
+    # levels the gain backup and the bias stage's, one per level until some
+    # state moves; from seed 354's random start at beta 9 a stage that
+    # backed up every level made 8 for 3 evaluations
+    m = random_model(seed)
+    actions = build_action_space(m)
+    start = None
+    if with_start:
+        start, _ = _random_table_policy(actions, np.random.default_rng(seed + 2))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_backups(patch)
+        res = relative_value_iteration(SolverConfig(beta=beta), m, actions,
+                                       start=start)
+    assert len(calls) <= 1 + 2 * res.n_evaluations
+
+
+def test_rvi_ends_on_a_multichain_optimum_by_policy_iteration():
+    # seed 100 at beta 9: the optimal policy has 3 recurrent classes, each
+    # earning 2; damped sweeps from the first multichain policy took 286
+    # backups to get within 5e-10. The multichain LU is not kept, so
+    # evaluate_policy still refuses the policy
+    m = random_model(100)
+    actions = build_action_space(m)
+    res = relative_value_iteration(SolverConfig(beta=9.0), m, actions)
+    assert res.n_evaluations == 3 and res.n_iters == 1
+    assert abs(res.gain - 2.0) <= 2 * np.spacing(2.0)
+    assert recurrent_classes(policy_chain(res.policy, actions))[1] == 3
+    assert recurrent_classes(actions.last_lu[0])[1] == 1
+    with pytest.raises(MultichainError, match="3 recurrent classes"):
+        evaluate_policy(res.policy, 9.0, m, actions=actions)
+
+
 @pytest.mark.parametrize("ref", [0, 77])
 def test_rvi_from_solved_policy_takes_one_evaluation_and_one_sweep(ref):
     # policy iteration's bias is exact, so from the optimal policy it stops
@@ -550,34 +596,33 @@ def test_rvi_from_solved_policy_takes_one_evaluation_and_one_sweep(ref):
 
 
 def test_rvi_from_solved_policy_extracts_only_the_final_policy(monkeypatch):
-    # policy iteration's one step keeps every incumbent, so it extracts
-    # nothing; the one extraction is the returned policy's, from the backup
-    # that meets the span rule
+    # policy iteration's one step keeps every incumbent, so it makes one
+    # backup and extracts only the returned policy from it
     m = desk_model()
     res = relative_value_iteration(SolverConfig(beta=1.0), m)
     calls = count_backups(monkeypatch)
     again = relative_value_iteration(SolverConfig(beta=1.0), m, res.actions,
                                      start=res.policy)
     assert again.n_evaluations == 1 and again.policy == res.policy
-    assert len(calls) == 1 + again.n_iters
-    assert calls[-1] == [10.0 * SolverConfig(beta=1.0).epsilon]
-    assert not any(calls[:-1])
+    assert calls == [[10.0 * SolverConfig(beta=1.0).epsilon]]
 
 
 def test_rvi_cold_solve_makes_one_backup_per_evaluation_and_sweep(monkeypatch):
-    # the greedy start, one backup per policy evaluated, then the damped
-    # backups; the last of them gives the bounds, the bias and the policy
+    # the greedy start, then one backup per policy evaluated; the last of
+    # them gives the bounds, the bias and the policy
     calls = count_backups(monkeypatch)
     res = relative_value_iteration(SolverConfig(beta=1.0), desk_model())
-    assert len(calls) == 1 + res.n_evaluations + res.n_iters
+    assert len(calls) == 1 + res.n_evaluations
+    assert calls[-1] == [10.0 * SolverConfig(beta=1.0).epsilon]
 
 
 @pytest.mark.parametrize("beta", [1.0, 100.0])
 def test_rvi_policy_iteration_start_leaves_few_sweeps(beta):
-    # cold sweeps from V=0 need 74 (beta 1) and 124 (beta 100) here
+    # cold sweeps from V=0 need 74 (beta 1) and 124 (beta 100) here; policy
+    # iteration's last backup already meets the span rule
     m = desk_model()
     res = relative_value_iteration(SolverConfig(beta=beta), m)
-    assert res.n_iters < 10
+    assert res.n_iters == 1
     assert res.n_evaluations >= 1
     cold = cold_relative_value_iteration(SolverConfig(beta=beta), m, res.actions)
     assert res.policy == cold.policy
@@ -594,6 +639,15 @@ def test_rvi_rejects_reducible_exogenous_chain(name):
     one_class = np.array([[1.0, 0.0], [0.5, 0.5]])
     m = replace(m, **{name: MarkovChainSpec(chain.values, one_class)})
     relative_value_iteration(SolverConfig(beta=1.0), m)
+    # two period-2 chains have one class each, but their product two: the
+    # joint chain is checked, before the first evaluation
+    flip = np.array([[0.0, 1.0], [1.0, 0.0]])
+    m = replace(m, channel=MarkovChainSpec(m.channel.values, flip),
+                arrival=MarkovChainSpec(m.arrival.values, flip))
+    actions = build_action_space(m)
+    with pytest.raises(MultichainError, match="^exogenous chain has 2 recurrent"):
+        relative_value_iteration(SolverConfig(beta=1.0, max_iters=1000), m, actions)
+    assert actions.n_factorised == 0
 
 
 def test_rvi_beta_monotonicity_small_grid():
@@ -690,14 +744,14 @@ def test_dvi_warm_start_leaves_few_sweeps():
 
 
 def test_dvi_makes_no_sweep_after_policy_iteration(monkeypatch):
-    # the greedy start, one backup per policy evaluated, then the one backup
-    # that gives the residual and the policy
+    # the greedy start, then one backup per policy evaluated; the last of
+    # them gives the residual and the policy
     m = large_desk_model()
     actions = build_action_space(m)
     calls = count_backups(monkeypatch)
     res = discounted_value_iteration(
         SolverConfig(beta=100.0, epsilon=1e-9, alpha=0.999), m, actions)
-    assert len(calls) == 1 + res.n_evaluations + 1
+    assert len(calls) == 1 + res.n_evaluations
     assert calls[-1] == [10.0 * 1e-9]
 
 
@@ -717,25 +771,6 @@ def test_dvi_residual_meets_the_contract_at_grid_prices(make):
         assert resid == res.residual
         assert resid <= max(eps * (1 - alpha) / (2 * alpha),
                             mdp.RESIDUAL_ULPS * np.spacing(np.abs(v).max()))
-
-
-def _cold_start(monkeypatch):
-    # policy iteration skipped: the sweeps start from V = 0
-    def zeros(actions, *args, **kwargs):
-        return np.zeros(actions.model.space.n_states), 0
-    monkeypatch.setattr(mdp, "_howard", zeros)
-
-
-def test_rvi_trace_keeps_the_last_rows(monkeypatch):
-    # 74 cold sweeps on desk; a 16-row trace is the full trace's tail
-    _cold_start(monkeypatch)
-    cfg = SolverConfig(beta=1.0)
-    full = relative_value_iteration(cfg, desk_model())
-    monkeypatch.setattr(mdp, "TRACE_ROWS", 16)
-    short = relative_value_iteration(cfg, desk_model())
-    assert short.n_iters == full.n_iters == 74
-    assert short.trace == full.trace[-16:]
-    assert short.policy == full.policy and short.gain == full.gain
 
 
 def test_dvi_truncated_start_still_meets_the_stopping_rule():
@@ -1076,9 +1111,9 @@ def test_memo_hit_gives_a_fresh_lus_bias_and_law_bit_for_bit(beta):
     sa = actions.sa_of_policy(solved)
     evaluate_policy(solved, beta, m, actions=actions)
     before = actions.n_factorised
-    h_hit, _ = mdp._howard(actions, beta, sa, 1)
+    h_hit = mdp._howard(actions, beta, sa, 1)[0]
     assert actions.n_factorised == before
-    h_fresh, _ = mdp._howard(build_action_space(m), beta, sa, 1)
+    h_fresh = mdp._howard(build_action_space(m), beta, sa, 1)[0]
     np.testing.assert_array_equal(h_hit, h_fresh)
 
     other = relative_value_iteration(SolverConfig(beta=3.0 * beta), m).policy
@@ -1223,11 +1258,11 @@ def _assert_lumped_matches_full_chain(m, actions, policy, beta, ref=0, alpha=0.9
     if isinstance(policy, MixedPolicy):
         return
     sa = actions.sa_of_policy(policy)
-    h, n_eval = mdp._howard(actions, beta, sa, 1, ref=ref)
+    h, n_eval = mdp._howard(actions, beta, sa, 1, ref=ref)[:2]
     assert n_eval == 1 and h[ref] == 0.0
     np.testing.assert_allclose(h, bias, rtol=0,
                                atol=1e-12 * max(1.0, np.abs(bias).max()))
-    v, _ = mdp._howard(actions, beta, sa, 1, alpha=alpha, epsilon=1e-9)
+    v = mdp._howard(actions, beta, sa, 1, alpha=alpha, epsilon=1e-9)[0]
     want = full_chain_evaluation(policy, beta, actions, alpha=alpha)
     np.testing.assert_allclose(v, want, rtol=0,
                                atol=1e-11 * max(1.0, np.abs(want).max()))

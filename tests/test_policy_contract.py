@@ -39,6 +39,8 @@ def bad_table(kind: str, policy: TablePolicy) -> TablePolicy:
     r, wq, de, tau = policy.r, policy.w_quanta, policy.delta_e, policy.tau
     if kind == "another-grid":
         de *= 2
+    elif kind == "another-slot":
+        tau *= 2
     elif kind == "wrong-size":
         r, wq = r[:-1], wq[:-1]
     elif kind == "non-integer":
@@ -63,8 +65,8 @@ CONSUMERS = {
 
 
 @pytest.mark.parametrize("consumer", CONSUMERS)
-@pytest.mark.parametrize("kind", ["another-grid", "wrong-size", "non-integer",
-                                  "infeasible"])
+@pytest.mark.parametrize("kind", ["another-grid", "another-slot", "wrong-size",
+                                  "non-integer", "infeasible"])
 def test_every_consumer_refuses_a_table_that_does_not_fit(desk_solved, kind,
                                                           consumer):
     m, policy, values = desk_solved
@@ -74,6 +76,13 @@ def test_every_consumer_refuses_a_table_that_does_not_fit(desk_solved, kind,
     if kind == "infeasible":
         assert str(err.value).endswith("infeasible at state 0")
         assert err.value.state == m.space.state_of(0)
+
+
+def test_tables_equal_only_on_the_same_grid_and_slot():
+    z = np.zeros(3, dtype=np.int64)
+    assert TablePolicy(z, z, 0.25, 1.0) == TablePolicy(z.copy(), z, 0.25, 1.0)
+    assert TablePolicy(z, z, 0.25, 1.0) != TablePolicy(z, z, 0.5, 1.0)
+    assert TablePolicy(z, z, 0.25, 1.0) != TablePolicy(z, z, 0.25, 2.0)
 
 
 def test_policy_domain_error_is_one_class():
