@@ -176,9 +176,11 @@ def _simulation_policy(args, model, sim_cfg):
         if args.xi is not None:
             return make_heuristic(HeuristicKind("mixed", xi=args.xi), model), \
                 {"xi": args.xi}, None
-        from .sim import sample_paths
+        from .sim import _share_radical
 
-        sample = sample_paths(model, sim_cfg)
+        # the calibration's two runs and the mixed run share one sample and
+        # its radical battery path
+        sample = _share_radical(model, sim_cfg)
         cal = calibrate_xi(model, sim_cfg, sample=sample)
         meta = {"xi": cal.xi, "g_radical": cal.g_radical,
                 "g_conservative": cal.g_conservative,

@@ -113,12 +113,11 @@ def calibrate_xi(model: Model, sim_cfg, p_bar: float | None = None,
     # local: sim imports Baseline, HeuristicKind, make_heuristic and
     # mixing_weight from this module, so a module-level import here would be
     # circular
-    from .sim import run_simulation, sample_paths
+    from .sim import _share_radical, run_simulation
 
     if p_bar is None:
         p_bar = model.params.p_bar
-    if sample is None:
-        sample = sample_paths(model, sim_cfg)
+    sample = _share_radical(model, sim_cfg, sample)
     res_r = run_simulation(make_heuristic(HeuristicKind("radical"), model),
                            model, sim_cfg, sample=sample)
     res_c = run_simulation(make_heuristic(HeuristicKind("conservative"), model),

@@ -171,10 +171,15 @@ class MarkovChainSpec:
         return len(self.values)
 
     def stationary(self) -> np.ndarray:
-        """Stationary law of the chain (unique for the irreducible chains we use)."""
+        """Stationary law of the chain (unique for the irreducible chains we
+        use). An i.i.d. chain (all rows equal) has its row as the law, which
+        needs no least-squares solve."""
         n = self.n
         if n == 1:
             return np.ones(1)
+        if (self.transition == self.transition[0]).all():
+            row = self.transition[0]
+            return row / row.sum()
         a = np.vstack([self.transition.T - np.eye(n), np.ones(n)])
         b = np.zeros(n + 1)
         b[-1] = 1.0
@@ -341,14 +346,17 @@ class Model:
         return _read_only(conservative_rate_table(self.params, self.power_table))
 
     @cached_property
-    def baseline_rows(self) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    def baseline_rows(self) -> tuple[np.ndarray, np.ndarray, int]:
         """(rates, caps, radical_row): rate_table with a row of q_max (the
         radical rate) appended as row radical_row, and cap_table, each
-        flattened row by row to a tuple of ints, for the simulator's
-        baseline loop, which reads one entry of each per slot."""
+        flattened row by row to a read-only int64 array, for the per-slot
+        loop of the simulator's conservative/mixed kernel, which reads one
+        entry of each per slot it runs. That loop runs only where the
+        kernel's vectorised candidate path is wrong, so the tables stay
+        arrays (one copy) rather than lists of ints."""
         radical = np.full(self.params.n_battery_levels, self.params.q_max)
-        return (tuple(np.concatenate((self.rate_table.ravel(), radical)).tolist()),
-                tuple(self.cap_table.ravel().tolist()), self.rate_table.shape[0])
+        return (_read_only(np.concatenate((self.rate_table.ravel(), radical))),
+                _read_only(self.cap_table.ravel()), self.rate_table.shape[0])
 
     def mean_arrival(self) -> float:
         return self.arrival.mean()

@@ -6,8 +6,12 @@ tables the model builds once (Model.cap_table and Model.rate_table). A
 per-state function is turned into a table first (TablePolicy.from_callable),
 and a table is checked as the evaluator checks it (TablePolicy.actions_on).
 No kernel calls a function per slot: a table policy walks a precomputed
-next-state table, the radical baseline runs in closed form, and the
-conservative and mixed baselines run one inline loop over flat tables.
+next-state table, and the radical baseline runs in closed form (a clamp scan).
+The conservative and mixed baselines run by speculation and exact repair:
+numpy computes a candidate path from the radical baseline's battery path
+and finds the slots where the candidate's own transition disagrees with it,
+and an inline loop over flat tables runs only from those slots until the
+true path rejoins the candidate.
 
 The three exogenous chains are stepped from independent substreams of one
 counter-based generator (Philox), so runs are bit-reproducible and every
@@ -16,7 +20,8 @@ curves are then policy effects, not sampling noise. The paths do not depend
 on the policy, so sample_paths draws them before any slot runs, and
 run_simulation takes them presampled: a sweep point samples once and runs
 each distinct Baseline once on that sample (a mixed weight of exactly 1 or 0
-is the radical or conservative baseline, whose run it reuses). The slot loop
+is the radical or conservative baseline, whose run it reuses); the sample
+carries the radical battery path, so the point computes it once. The slot loop
 mirrors the solver's transition convention exactly: the current state already
 carries the arrival and harvest that land this slot, and the chains advance
 afterwards.
@@ -26,13 +31,16 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, replace
+from bisect import bisect_right
+from dataclasses import dataclass, fields, replace
+from itertools import islice, repeat
 
 import numpy as np
 
 from .heuristics import Baseline, HeuristicKind, make_heuristic, mixing_weight
 from .mdp import MixedPolicy, TablePolicy
-from .model import ConfigError, MarkovChainSpec, Model, PolicyDomainError, level_units
+from .model import (ConfigError, MarkovChainSpec, Model, ModelParams,
+                    PolicyDomainError, level_units)
 
 
 @dataclass(frozen=True)
@@ -159,6 +167,34 @@ def sample_paths(model: Model, cfg: SimConfig) -> ExogenousSample:
     return ExogenousSample(cfg.seed, n, chains, de, *arrays)
 
 
+@dataclass(frozen=True, eq=False)
+class _SharedSample(ExogenousSample):
+    """A sample with the radical baseline's battery path for params on it,
+    which every baseline run on the sample with those params reads."""
+
+    params: ModelParams
+    radical_battery: np.ndarray
+
+
+def _share_radical(model: Model, cfg: SimConfig,
+                   sample: ExogenousSample | None = None) -> ExogenousSample:
+    """sample_paths(model, cfg), or the given sample checked as
+    run_simulation checks it, with the radical baseline's battery path on
+    it: the baseline runs that share the sample then compute that path
+    (their candidate, and the radical run itself) once. A sample that
+    carries the path for the model's params already is returned as is."""
+    if sample is None:
+        sample = sample_paths(model, cfg)
+    else:
+        _check_sample(sample, model, cfg)
+        if isinstance(sample, _SharedSample) and sample.params == model.params:
+            return sample
+    return _SharedSample(**{f.name: getattr(sample, f.name)
+                            for f in fields(ExogenousSample)},
+                         params=model.params,
+                         radical_battery=_radical_battery(model, sample))
+
+
 def _same_chain(a: MarkovChainSpec, b: MarkovChainSpec) -> bool:
     return a is b or (a.values == b.values
                       and np.array_equal(a.transition, b.transition))
@@ -188,28 +224,70 @@ def _clamped_walk(steps: np.ndarray, top: int) -> np.ndarray:
     return s + np.minimum(np.minimum.accumulate(top - s), 0)
 
 
-def _clamp_scan(steps: np.ndarray, floor: np.ndarray, top: int) -> np.ndarray:
-    """x[0] = 0 and x[t+1] = min(max(x[t] + steps[t], floor[t]), top), for
-    floor <= top, in closed form.
+# Slots per block of a clamp scan and of the conservative/mixed kernel; it
+# bounds their temporaries (8192 int64 stay below glibc's mmap threshold).
+SIM_BLOCK = 8192
+# The kernel rebuilds a block's candidate once, from the candidate's own
+# battery path, where more than this share of the block's slots are
+# inconsistent.
+REFINE_SHARE = 0.04
+# A block whose loop ran on more than this share of its slots makes the
+# kernel run the loop alone, without a candidate, on the next 1, 2, 4, ...
+# blocks (doubling while the blocks after such a wait still fail).
+REPAIR_CUTOFF = 0.5
+# Between two repairs in a block, a gap of more slots than this is jumped
+# (a fresh iterator) rather than stepped through.
+JUMP = 16
+
+
+def _clamp_scan(steps: np.ndarray, floor: np.ndarray, top: int,
+                start: int = 0) -> np.ndarray:
+    """x[0] = start and x[t+1] = min(max(x[t] + steps[t], floor[t]), top),
+    for 0 <= start <= top and 0 <= floor <= top, in closed form.
 
     Each step is a clamp x -> min(max(x + u, lo), hi), and clamps compose
     into clamps: the one after the other is (u1 + u2, clip(lo1 + u2, lo2,
     hi2), clip(hi1 + u2, lo2, hi2)). An inclusive prefix scan over that
     associative operator (Hillis and Steele's log-step form; Blelloch,
     Prefix Sums and Their Applications, 1990) gives every x[t] exactly in
-    integers.
+    integers. The scan runs SIM_BLOCK steps at a time, each block from the
+    last one's end, and stops early once every map still to be composed
+    with earlier ones is constant (lo == hi), which composing cannot change.
     """
-    u, lo = steps[:-1].copy(), floor[:-1].copy()
-    hi = np.full(u.size, top, dtype=u.dtype)
-    d = 1
-    while d < u.size:
-        # the map at t - d (covering the slots before it) goes first
-        u2, lo2, hi2 = u[d:], lo[d:], hi[d:]
-        lo[d:], hi[d:], u[d:] = (np.minimum(np.maximum(lo[:-d] + u2, lo2), hi2),
-                                 np.minimum(np.maximum(hi[:-d] + u2, lo2), hi2),
-                                 u[:-d] + u2)
-        d *= 2
-    return np.concatenate(([0], np.minimum(np.maximum(u, lo), hi)))
+    x = np.empty(steps.size, dtype=np.int64)
+    x[0] = start
+    # A step beyond top + 1 either way acts as one of top + 1 on [0, top],
+    # so a block's sums stay within SIM_BLOCK * (top + 1).
+    dtype = np.int32 if SIM_BLOCK * (top + 1) < 2**31 else np.int64
+    for at in range(0, steps.size - 1, SIM_BLOCK):
+        end = min(at + SIM_BLOCK, steps.size - 1)
+        u = np.maximum(steps[at:end], -top - 1).astype(dtype)
+        np.minimum(u, top + 1, out=u)
+        # rows lo and hi of every slot's map; each level writes the other
+        # buffer of each pair
+        bounds = np.empty((2, u.size), dtype=dtype)
+        bounds[0] = floor[at:end]
+        bounds[1] = top
+        u2, bounds2 = np.empty_like(u), np.empty_like(bounds)
+        d = 1
+        while d < u.size:
+            # the map at t - d (covering the slots before it) goes first
+            after = bounds2[:, d:]
+            np.add(bounds[:, :-d], u[d:], out=after)
+            np.maximum(after, bounds[0, d:], out=after)
+            np.minimum(after, bounds[1, d:], out=after)
+            bounds2[:, :d] = bounds[:, :d]
+            np.add(u[:-d], u[d:], out=u2[d:])
+            u2[:d] = u[:d]
+            u, u2, bounds, bounds2 = u2, u, bounds2, bounds
+            d *= 2
+            if (bounds[0, d:] == bounds[1, d:]).all():
+                break
+        u += x[at]
+        np.maximum(u, bounds[0], out=u)
+        np.minimum(u, bounds[1], out=u)
+        x[at + 1:end + 1] = u
+    return x
 
 
 def _walk_tables(tables, model: Model, keys: np.ndarray):
@@ -235,48 +313,185 @@ def _walk_tables(tables, model: Model, keys: np.ndarray):
     return r[at], wq[at]
 
 
-def _radical_slots(model: Model, ih_path, a_slot, e_slot):
-    """(r, wq) per slot of the radical baseline, in closed form: the queue
-    after a slot is min(a, q_max) and the battery a clamp scan."""
-    q_max = model.params.q_max
-    r = np.concatenate(([0], np.minimum(a_slot[:-1], q_max)))
-    cap = model.cap_table[ih_path, r]
+def _radical_battery(model: Model, sample: ExogenousSample) -> np.ndarray:
+    """The radical baseline's battery level (quanta) per slot of the sample,
+    in closed form: its queue after a slot is min(a, q_max), so its rate and
+    draw cap are known, and its battery steps by the clamp b -> min(max(b -
+    cap, 0) + e, b_top)."""
     b_top = model.params.n_battery_levels - 1
-    # b -> min(max(b - cap, 0) + e, b_top): the greedy draw is min(b, cap)
-    b = _clamp_scan(e_slot - cap, np.minimum(e_slot, b_top), b_top)
-    return r, np.minimum(b, cap)
+    e = sample.harvests
+    cap = model.cap_table[sample.ih, _radical_rates(model, sample.arrivals)]
+    b = _clamp_scan(e - cap, np.minimum(e, b_top), b_top)
+    b.setflags(write=False)
+    return b
+
+
+def _radical_rates(model: Model, a_slot: np.ndarray) -> np.ndarray:
+    return np.concatenate(([0], np.minimum(a_slot[:-1], model.params.q_max)))
+
+
+def _row_offsets(model: Model, weight: float, ih_path, coins):
+    """Per slot, the offset of its row in each flat table of
+    Model.baseline_rows: the rate row (radical_row where the coin falls
+    below the weight, ih elsewhere) and the cap row (ih)."""
+    radical_row = model.baseline_rows[2]
+    return (np.where(coins < weight, radical_row, ih_path)
+            * model.params.n_battery_levels,
+            ih_path * (model.params.q_max + 1))
+
+
+def _radical_guess(model: Model, weight: float, ih_path, a_slot, e_slot,
+                   coins, b_radical):
+    """The candidate of _baseline_slots for the baseline of this weight.
+
+    guess(at, end, q, b, battery) is the path from (q, b) over the slots
+    at..end-1 that the baseline would take if its battery followed battery
+    (the radical baseline's path b_radical when None). Its rate cap is then
+    known (q_max on radical slots, rate_table[ih, battery] on the others),
+    so its queue is a clamp scan, and with the queue its draw cap, so its
+    battery is another.
+    """
+    q_max, b_top = model.params.q_max, model.params.n_battery_levels - 1
+    rates, caps, _ = model.baseline_rows
+    ro, co = _row_offsets(model, weight, ih_path, coins)
+
+    def guess(at, end, q, b, battery=None):
+        a, e = a_slot[at:end], e_slot[at:end]
+        if battery is None:
+            battery = b_radical[at:end]
+        rc = rates.take(ro[at:end] + battery)
+        qc = _clamp_scan(a - rc, np.minimum(a, q_max), q_max, q)
+        np.minimum(rc, qc, out=rc)
+        return qc, _clamp_scan(e - caps.take(co[at:end] + rc),
+                               np.minimum(e, b_top), b_top, b)
+
+    return guess
 
 
 def _baseline_slots(model: Model, weight: float, ih_path, a_slot, e_slot,
-                    coins):
-    """(r, wq) per slot of the conservative or mixed baseline, by one loop
-    over flat tables: row ih of the rate table on conservative slots, an
-    extra row of q_max (serve everything) on radical ones."""
-    params = model.params
-    q_max, nb = params.q_max, params.n_battery_levels
-    b_top = nb - 1
-    rc, cap, radical_row = model.baseline_rows
-    rows = np.where(coins < weight, radical_row, ih_path)
-    rs, ws = [], []
-    q = ib = 0
-    # memoryviews hand out one int per slot and hold no per-slot list
-    for ro, co, a, e in zip(memoryview(rows * nb), memoryview(ih_path * (q_max + 1)),
-                            memoryview(a_slot), memoryview(e_slot)):
-        r = rc[ro + ib]
-        if r > q:
-            r = q
-        w = cap[co + r]
-        if w > ib:
-            w = ib
-        rs.append(r)
-        ws.append(w)
-        q += a - r
-        if q > q_max:
-            q = q_max
-        ib += e - w
-        if ib > b_top:
-            ib = b_top
-    return np.array(rs, dtype=np.int64), np.array(ws, dtype=np.int64)
+                    coins, guess):
+    """(r, wq) per slot of the conservative or mixed baseline, and the count
+    of slots the per-slot loop ran, by speculation and exact repair.
+
+    A run is cut into blocks of SIM_BLOCK slots, each from the last one's
+    exact end state (q, b). guess(at, end, q, b, battery) gives a candidate
+    (queue, battery) path for the block's slots at..end-1, as integer
+    arrays within the model's grid; battery is None, or the block's first
+    candidate battery path when more than REFINE_SHARE of its slots were
+    inconsistent (a second candidate then replaces the first). The
+    candidate's own actions and successors are computed for every slot at
+    once; a slot is inconsistent where its predecessor's successor is not
+    its candidate state (the block's first slot where the candidate is not
+    (q, b)). From each inconsistent slot that no repair has passed, the loop
+    body runs from the true state there until the true state equals the
+    candidate's again. So the result is exact for any candidate
+    (Rauchwerger and Padua's speculative run with an exact check, PLDI
+    1995). A block on which the candidates are all wrong costs the loop plus
+    the candidates; REPAIR_CUTOFF bounds how often that happens.
+
+    The loop reads flat tables (Model.baseline_rows): row ih of the rate
+    table on conservative slots, an extra row of q_max (serve everything)
+    on the slots whose coin falls below the weight.
+    """
+    q_max, b_top = model.params.q_max, model.params.n_battery_levels - 1
+    rate_rows, cap_rows, _ = model.baseline_rows
+    row_at, col_at = _row_offsets(model, weight, ih_path, coins)
+    n = ih_path.size
+    r_out = np.empty(n, dtype=np.int64)
+    w_out = np.empty(n, dtype=np.int64)
+    # memoryviews hand out and take one int per slot
+    rates, caps, ro, co, av, ev, rv, wv = map(memoryview, (
+        rate_rows, cap_rows, row_at, col_at, a_slot, e_slot, r_out, w_out))
+    never = repeat(-1)
+
+    def loop(slots, q, b):
+        """The loop body over slots, tuples (t, row, col, a, e, cq, cb), from
+        the true state (q, b), up to the first slot whose state is the
+        candidate's (cq, cb): that slot and state, or None and the state
+        after the last slot."""
+        for t, row, col, a, e, cq, cb in slots:
+            if q == cq and b == cb:
+                return t, q, b
+            r = rates[row + b]
+            if r > q:
+                r = q
+            w = caps[col + r]
+            if w > b:
+                w = b
+            rv[t] = r
+            wv[t] = w
+            q += a - r
+            if q > q_max:
+                q = q_max
+            b += e - w
+            if b > b_top:
+                b = b_top
+        return None, q, b
+
+    def check(at, end, qc, bc):
+        """The candidate's actions and successors, and its inconsistent
+        slots after the block's first (block offsets)."""
+        r = np.minimum(rate_rows.take(row_at[at:end] + bc), qc)
+        w = np.minimum(cap_rows.take(col_at[at:end] + r), bc)
+        qn = np.minimum(qc + a_slot[at:end] - r, q_max)
+        bn = np.minimum(bc + e_slot[at:end] - w, b_top)
+        wrong = np.flatnonzero((qn[:-1] != qc[1:]) | (bn[:-1] != bc[1:])) + 1
+        return r, w, qn, bn, wrong
+
+    q = b = n_loop = wait = backoff = 0
+    for at in range(0, n, SIM_BLOCK):
+        end = min(at + SIM_BLOCK, n)
+        if wait:
+            _, q, b = loop(zip(range(at, end), ro[at:end], co[at:end],
+                               av[at:end], ev[at:end], never, never), q, b)
+            n_loop += end - at
+            wait -= 1
+            continue
+        qc, bc = guess(at, end, q, b, None)
+        r, w, qn, bn, wrong = check(at, end, qc, bc)
+        if wrong.size > REFINE_SHARE * (end - at):
+            qc, bc = guess(at, end, q, b, bc)
+            r, w, qn, bn, wrong = check(at, end, qc, bc)
+        r_out[at:end] = r
+        w_out[at:end] = w
+        qc, bc, qn, bn = map(memoryview, (qc, bc, qn, bn))
+
+        def slots(t):
+            """The block's slots from t on, with the candidate's states."""
+            return zip(range(t, end), ro[t:end], co[t:end], av[t:end],
+                       ev[t:end], qc[t - at:], bc[t - at:])
+
+        starts = wrong.tolist()
+        if (qc[0], bc[0]) != (q, b):
+            starts.insert(0, 0)
+        # the slots up to done are exact (none yet), so a start after done
+        # has an exact predecessor; it yields slot pos next
+        done, block_loop, it, pos, k = at - 1, 0, None, end, 0
+        while (k := bisect_right(starts, done - at, k)) < len(starts):
+            s = starts[k]
+            t = at + s
+            if it is None or t - pos > JUMP:
+                it = slots(t)
+            else:
+                next(islice(it, t - pos, t - pos), None)
+            if s:
+                q, b = qn[s - 1], bn[s - 1]
+            stop, q, b = loop(it, q, b)
+            if stop is None:
+                block_loop += end - t
+                done = end
+                break
+            block_loop += stop - t
+            done, pos = stop, stop + 1
+        if done < end:
+            q, b = qn[-1], bn[-1]
+        n_loop += block_loop
+        if block_loop > REPAIR_CUTOFF * (end - at):
+            backoff = 2 * backoff or 1
+            wait = backoff
+        else:
+            backoff = 0
+    return r_out, w_out, n_loop
 
 
 N_BATCHES = 32  # batch means per standard error (fewer on a shorter span)
@@ -308,9 +523,12 @@ def run_simulation(policy, model: Model, cfg: SimConfig,
     the caller's runs; then one kernel per policy kind finds every slot's
     action: a table policy or mixture by walking its next-state table, the
     radical baseline in closed form, the conservative and mixed baselines by
-    one loop over the model's two baseline tables. The queue and battery
-    series, grid power, clipping and trace are computed from the actions
-    afterwards.
+    speculation and exact repair (_baseline_slots: a vectorised candidate
+    path from the radical baseline's battery path, and the per-slot loop
+    over the model's two baseline tables only where the candidate is
+    wrong), which gives the loop's actions bit for bit. The queue and
+    battery series, grid power, clipping and trace are computed from the
+    actions afterwards.
     """
     params = model.params
     de, tau = params.delta_e, params.tau
@@ -350,11 +568,19 @@ def run_simulation(policy, model: Model, cfg: SimConfig,
             keys += space.n_states * (coins >= policy.xi)
         r_slot, w_slot = _walk_tables(tables, model, keys)
         del keys
-    elif policy.weight >= 1.0:
-        r_slot, w_slot = _radical_slots(model, ih_path, a_slot, e_slot)
     else:
-        r_slot, w_slot = _baseline_slots(model, policy.weight, ih_path,
-                                         a_slot, e_slot, coins)
+        b_radical = (sample.radical_battery
+                     if isinstance(sample, _SharedSample)
+                     and sample.params == model.params
+                     else _radical_battery(model, sample))
+        if policy.weight >= 1.0:
+            r_slot = _radical_rates(model, a_slot)
+            w_slot = np.minimum(b_radical, model.cap_table[ih_path, r_slot])
+        else:
+            guess = _radical_guess(model, policy.weight, ih_path, a_slot,
+                                   e_slot, coins, b_radical)
+            r_slot, w_slot, _ = _baseline_slots(model, policy.weight, ih_path,
+                                                a_slot, e_slot, coins, guess)
 
     q_step = a_slot - r_slot
     b_step = e_slot - w_slot
@@ -472,7 +698,7 @@ def _sweep_point(args) -> dict:
     axis, model, value, kinds, cfg, n_levels = args
     point = _sweep_model(axis, model, value, n_levels)
     column, cells = _SWEEP_COLUMNS[axis]
-    sample = sample_paths(point, cfg)
+    sample = _share_radical(point, cfg)
     runs = {}
 
     def simulate(name, xi=None):

@@ -872,6 +872,27 @@ def reference_simulation(policy, model, cfg):
         n_slots=n, warmup=warmup, seed=cfg.seed, trace=trace)
 
 
+def loop_baseline_slots(model, weight, ih_path, a_slot, e_slot, coins):
+    """Reference (r, wq) per slot of the conservative or mixed baseline, by
+    one loop from an empty buffer and battery: the rate min(q, rc[ih, ib])
+    (min(q, q_max) = q on the slots whose coin falls below the weight) and
+    the draw min(ib, cap[ih, r])."""
+    params = model.params
+    q_max, b_top = params.q_max, params.n_battery_levels - 1
+    rc, cap = model.rate_table.tolist(), model.cap_table.tolist()
+    rs, ws = [], []
+    q = ib = 0
+    for ih, radical, a, e in zip(ih_path.tolist(), (coins < weight).tolist(),
+                                 a_slot.tolist(), e_slot.tolist()):
+        r = q if radical else min(rc[ih][ib], q)
+        w = min(cap[ih][r], ib)
+        rs.append(r)
+        ws.append(w)
+        q = min(q + a - r, q_max)
+        ib = min(ib + e - w, b_top)
+    return np.array(rs, dtype=np.int64), np.array(ws, dtype=np.int64)
+
+
 def baseline_tables(model):
     """(radical, conservative) as TablePolicys over every state, from the
     two integer tables the simulator runs the baselines from: r = q, or

@@ -117,17 +117,25 @@ def test_sweep_manifest_names_the_baselines_run(tmp_path):
 
 def test_calibrated_mixed_simulation_samples_its_paths_once(tmp_path,
                                                            monkeypatch):
-    calls = []
-    sample_paths = sim.sample_paths
+    """One sample, and one radical battery path on it, for the calibration's
+    two runs and the mixed run."""
+    calls, scans = [], []
+    sample_paths, radical_battery = sim.sample_paths, sim._radical_battery
 
     def counted(*args, **kwargs):
         calls.append(args)
         return sample_paths(*args, **kwargs)
 
+    def counted_scan(*args):
+        scans.append(args)
+        return radical_battery(*args)
+
     monkeypatch.setattr(sim, "sample_paths", counted)
+    monkeypatch.setattr(sim, "_radical_battery", counted_scan)
     assert run("simulate", "--config", DESK_CONFIG, "--out", tmp_path,
                "--policy", "mixed", "--n-slots", 5000) == 0
     assert len(calls) == 1
+    assert len(scans) == 1
     assert "g_radical" in read_json(tmp_path / "sim.json")
 
 

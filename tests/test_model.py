@@ -261,12 +261,40 @@ def test_chain_rejects_non_finite_entries(bad):
         MarkovChainSpec.iid((1.0, 2.0), (bad, 1.0))
 
 
+def lstsq_law(transition):
+    """The least-squares stationary law: pi (P - I) = 0 and sum(pi) = 1."""
+    n = len(transition)
+    a = np.vstack([transition.T - np.eye(n), np.ones(n)])
+    b = np.zeros(n + 1)
+    b[-1] = 1.0
+    pi = np.clip(np.linalg.lstsq(a, b, rcond=None)[0], 0.0, None)
+    return pi / pi.sum()
+
+
 def test_chain_stationary_law():
     c = MarkovChainSpec((0.0, 1.0), np.array([[0.5, 0.5], [0.35, 0.65]]))
     pi = c.stationary()
     assert pi @ c.transition == pytest.approx(pi, abs=1e-12)
     assert pi.sum() == pytest.approx(1.0)
     assert c.mean() == pytest.approx(pi[1])
+    # a Markov chain's law is the least-squares solve, bit for bit
+    assert pi.tobytes() == lstsq_law(c.transition).tobytes()
+
+
+@pytest.mark.parametrize("probs", [
+    (0.1, 0.5, 0.3, 0.1), (0.1, 0.6, 0.2, 0.1), (1 / 8,) * 8, (0.5, 0.5),
+    (0.2, 0.3, 0.5), (1e-9, 1 - 1e-9), (0.0, 0.25, 0.75)])
+def test_iid_chain_law_is_its_row(probs, monkeypatch):
+    c = MarkovChainSpec.iid(tuple(range(len(probs))), probs)
+    want = lstsq_law(c.transition)
+
+    def no_lstsq(*args, **kwargs):
+        raise AssertionError("an i.i.d. law needs no least-squares solve")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_lstsq)
+    pi = c.stationary()
+    np.testing.assert_allclose(pi, want, rtol=0, atol=1e-15)
+    assert pi.sum() == pytest.approx(1.0, abs=1e-15)
 
 
 def test_model_cross_validation():

@@ -57,6 +57,7 @@ from helpers import (
     desk_model,
     index_of,
     large_desk_model,
+    loop_baseline_slots,
     loop_chain_path,
     mixed_action,
     radical_policy,
@@ -424,20 +425,41 @@ def test_clamped_walk_matches_slot_recursion(steps, top):
     np.testing.assert_array_equal(got, want)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(st.integers(1, 120).flatmap(lambda n: st.tuples(
-    st.lists(st.integers(-6, 6), min_size=n, max_size=n),
-    st.lists(st.integers(0, 9), min_size=n, max_size=n))), st.integers(0, 8))
-def test_clamp_scan_matches_slot_recursion(steps_floors, top):
+    st.lists(st.integers(-40, 40), min_size=n, max_size=n),
+    st.lists(st.integers(0, 9), min_size=n, max_size=n))), st.integers(0, 8),
+    st.integers(0, 8), st.sampled_from([1, 2, 7, 64, sim.SIM_BLOCK]))
+def test_clamp_scan_matches_slot_recursion(steps_floors, top, start, block):
+    """From any start, in blocks of any size (the recursion's steps reach
+    well past top, which the scan clips)."""
     steps, floors = steps_floors
     floors = [min(f, top) for f in floors]
-    x, want = 0, []
+    x, want = min(start, top), []
     for d, f in zip(steps, floors):
         want.append(x)
         x = min(max(x + d, f), top)
-    got = sim._clamp_scan(np.array(steps, dtype=np.int64),
-                          np.array(floors, dtype=np.int64), top)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "SIM_BLOCK", block)
+        got = sim._clamp_scan(np.array(steps, dtype=np.int64),
+                              np.array(floors, dtype=np.int64), top,
+                              min(start, top))
     np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("top", [5, 2_500, 3 * 2**30])
+def test_clamp_scan_over_several_blocks_of_the_real_size(top):
+    """Blocks of SIM_BLOCK steps, and int64 sums where int32 could overflow."""
+    rng = np.random.default_rng(top)
+    n = 3 * sim.SIM_BLOCK + 5
+    steps = rng.integers(-top - top // 2, top // 2 + 2, n)
+    floors = np.minimum(rng.integers(0, top + 1, n), top)
+    x, want = top // 3, []
+    for d, f in zip(steps.tolist(), floors.tolist()):
+        want.append(x)
+        x = min(max(x + d, f), top)
+    np.testing.assert_array_equal(sim._clamp_scan(steps, floors, top, top // 3),
+                                  want)
 
 
 # --- slot kernels against the per-slot reference ---------------------------------
@@ -512,6 +534,56 @@ def test_table_walk_matches_the_per_slot_reference_random(seed, xi, n, restrict)
     for policy in (plus, MixedPolicy(plus, minus, xi)):
         assert_same_run(run_simulation(policy, m, cfg),
                         reference_simulation(_per_slot_table_actor(policy, m), m, cfg))
+
+
+def candidates(model, exact, rng):
+    """Whole-run (queue, battery) candidates: the exact path, all zeros,
+    all full, random paths in range, and the exact path with its first
+    state moved off (0, 0)."""
+    q_max, b_top = model.params.q_max, model.params.n_battery_levels - 1
+    n = exact[0].size
+    moved = [c.copy() for c in exact]
+    moved[0][0] = 1  # random_model's q_max is at least 1
+    yield "exact", exact
+    yield "zeros", (np.zeros(n, dtype=np.int64),) * 2
+    yield "full", (np.full(n, q_max), np.full(n, b_top))
+    yield "random", (rng.integers(0, q_max + 1, n), rng.integers(0, b_top + 1, n))
+    yield "moved start", tuple(moved)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 1e-3, 0.3, 1 - 1e-3]),
+       st.sampled_from([5, 64, sim.SIM_BLOCK]),
+       st.sampled_from([-1, 0, 1, 2]), st.booleans())
+def test_baseline_kernel_is_exact_for_any_candidate(seed, weight, block, edge,
+                                                    restrict):
+    """Speculation and repair give the per-slot loop's (r, wq) bit for bit,
+    whatever the candidate, on runs of B - 1, B, B + 1 and 3B + 1 slots in
+    blocks of B; the radical baseline's path is the shipped candidate."""
+    m = replace(random_model(seed), restrict_w_to_power=restrict)
+    n = {-1: block - 1, 0: block, 1: block + 1, 2: 3 * block + 1}[edge]
+    if n > 3_000 and seed % 4:  # keep the long runs to a quarter of draws
+        n = block - 1
+    sample = sim.sample_paths(m, SimConfig(n_slots=n, seed=seed))
+    args = (sample.ih, sample.arrivals, sample.harvests, sample.coins)
+    want = loop_baseline_slots(m, weight, *args)
+    q_max, b_top = m.params.q_max, m.params.n_battery_levels - 1
+    exact = (_clamped_walk(sample.arrivals - want[0], q_max),
+             _clamped_walk(sample.harvests - want[1], b_top))
+    shipped = sim._radical_guess(m, weight, *args,
+                                 sim._radical_battery(m, sample))
+    guesses = [("radical", shipped)] + [
+        (name, lambda at, end, q, b, battery, c=c: (c[0][at:end], c[1][at:end]))
+        for name, c in candidates(m, exact, np.random.default_rng(seed))]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "SIM_BLOCK", block)
+        for name, guess in guesses:
+            r, w, n_loop = sim._baseline_slots(m, weight, *args, guess)
+            assert r.tobytes() == want[0].tobytes(), name
+            assert w.tobytes() == want[1].tobytes(), name
+            assert 0 <= n_loop <= n
+            if name == "exact":
+                assert n_loop == 0
 
 
 @pytest.mark.parametrize("name", ["desk", "desk-lite"])
@@ -828,6 +900,30 @@ def test_a_three_kind_channel_point_samples_its_paths_once(lite, monkeypatch):
     sweep_channel(lite, [0.8], ("radical", "conservative", "mixed"),
                   SimConfig(n_slots=1_000, seed=53), n_levels=4)
     assert len(paths) == 3
+
+
+def test_a_point_and_a_calibration_compute_the_radical_path_once(lite,
+                                                                  monkeypatch):
+    paths = []
+    radical_battery = sim._radical_battery
+
+    def counted(model, sample):
+        paths.append(sample)
+        return radical_battery(model, sample)
+
+    monkeypatch.setattr(sim, "_radical_battery", counted)
+    cfg = SimConfig(n_slots=1_000, seed=53)
+    sweep_channel(lite, [0.8, 1.5], ("radical", "conservative", "mixed"), cfg,
+                  n_levels=4)
+    assert len(paths) == 2
+    paths.clear()
+    heuristics.calibrate_xi(lite, cfg)
+    assert len(paths) == 1
+    # a standalone baseline run computes its own
+    paths.clear()
+    run_simulation(make_heuristic(HeuristicKind("conservative"), lite), lite,
+                   cfg, sample=sim.sample_paths(lite, cfg))
+    assert len(paths) == 1
 
 
 def independent_sweep_row(axis, model, value, kinds, cfg):
